@@ -1,9 +1,11 @@
 """Finite automata with a quantum register measured once at the end.
 
 Words look like "x#y" (equality) or "x#y#x" (disjointness). A classical
-control reads the tape and applies one unitary per symbol to a small
-quantum register; a single projective measurement after the end marker
-decides. The equality machine is exact on its promise; the disjointness
+control reads the tape and, per symbol, may apply one operator to a small
+quantum register: a sign flip or swap (a signed permutation), or the dense
+spread and collect at the markers; a symbol with no operator leaves the
+register alone. After the end marker the register is measured once in its
+basis. The equality machine is exact on its promise; the disjointness
 machine reproduces the one-round protocol's acceptance probabilities.
 """
 
@@ -76,7 +78,9 @@ print(f"  example {disjointness_word(x, y)}: accept "
       f"(overlap {(0b1100 & 0b0110).bit_count()})")
 
 # ---------------------------------------------------------------------------
-# Machines serialize to JSON and come back behaviorally identical.
+# Machines serialize to JSON and come back behaviorally identical. Signed
+# permutations are stored as index and sign lists, so only the spread and
+# collect are written out as matrices.
 # ---------------------------------------------------------------------------
 blob = qcfa_to_json(eq)
 clone = qcfa_from_json(blob)

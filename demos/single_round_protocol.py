@@ -3,9 +3,11 @@
 The players share nothing and send a single quantum message. On a Yes
 instance (disjoint inputs) the final measurement accepts with certainty.
 On a No instance whose intersection holds between a quarter and three
-quarters of the positions, acceptance drops to at most 1/4. This script
-simulates the round with dense state vectors, checks the interference
-closed form, and prints the acceptance landscape by overlap size.
+quarters of the positions, acceptance drops to at most 1/4. Between the
+spread and the collect every step is a signed permutation: swaps where x
+has a 1, sign flips where y has a 1. This script simulates the round,
+checks the interference closed form, and prints the acceptance landscape
+by overlap size.
 """
 
 import numpy as np
@@ -26,7 +28,9 @@ margin = Margin(Fraction(1, 4), n)
 # ---------------------------------------------------------------------------
 # Acceptance depends only on the overlap m = |x AND y|: p = ((n - 2m)/n)^2.
 # Pick one witness pair per overlap size and compare three computations:
-# the dense simulation, the O(n) fast path, and the closed form.
+# the dense simulation (spread and collect as matrices, signed permutations
+# in between, basis measurement of (1, 0)), the O(n) fast path (no matrix;
+# the collect's uniform first row becomes a mean), and the closed form.
 # ---------------------------------------------------------------------------
 print(f"single-round acceptance at n={n} (one witness pair per overlap)")
 print(f"{'m':>3} {'x':>6} {'y':>6} {'dense':>10} {'fast':>10} {'closed':>10}")

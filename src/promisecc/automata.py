@@ -2,13 +2,16 @@
 
 The quantum-classical machine scans its input once, left marker first and
 right marker last.  A classical control state selects, per scanned symbol,
-a unitary to apply to the quantum register and a successor control state;
-after the right marker a single projective measurement decides acceptance.
+an operator to apply to the quantum register (a signed permutation or a
+dense unitary) and a successor control state; a (state, symbol) pair with
+no entry leaves the register alone and the control where it is.  After
+the right marker the register is measured once in its basis, whose states
+are named by ``quantum_labels``, and the accepting labels decide.
 
 Two concrete machines are built here over the alphabet ``{0, 1, #}``:
 
 * :func:`equality_automaton` decides words ``x#y`` -- n quantum basis
-  states, a position-counter control, sign flips per scanned bit; accept
+  states, a position-counter control, a sign flip per scanned 1; accept
   amplitude works out to the mean of ``(-1)^(x_i + y_i)``, so equal words
   are accepted surely and words at distance n/2 surely rejected.
 * :func:`disjointness_automaton` decides words ``x#y#x`` -- 2n quantum
@@ -26,7 +29,7 @@ three-message deterministic protocol whose transcript costs
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, log2
@@ -50,22 +53,23 @@ WORD_ALPHABET = ("0", "1", SEPARATOR)
 class Qcfa:
     """Measure-once one-way automaton with quantum and classical states.
 
-    ``quantum_tr`` and ``classical_tr`` must be total on (non-halting
-    classical state, symbol-or-marker).  ``measure`` gives the projective
-    measurement applied in the classical state reached after the right
-    marker; outcomes in ``accept_outcomes`` count as acceptance.
+    The register's basis states are named by ``quantum_labels``, in index
+    order.  ``quantum_tr`` maps (classical state, symbol-or-marker) to a
+    :class:`qsim.SignedPermutation` or a dense unitary; a missing entry is
+    the identity.  ``classical_tr`` gives the successor control state; a
+    missing entry stays put.  After the right marker the register is
+    measured in its basis, and the labels in ``accept_outcomes`` accept.
     """
 
     quantum_labels: tuple
     classical_states: tuple
     alphabet: tuple
-    quantum_tr: dict  # (classical state, symbol) -> unitary ndarray
+    quantum_tr: dict  # (classical state, symbol) -> operator
     classical_tr: dict  # (classical state, symbol) -> classical state
     initial_quantum: object
     initial_classical: object
     accepting_states: frozenset = frozenset()
     rejecting_states: frozenset = frozenset()
-    measure: dict = field(default_factory=dict)  # classical state -> measurement
     accept_outcomes: frozenset = frozenset()
 
     @property
@@ -78,26 +82,25 @@ class Qcfa:
     def validate(self) -> None:
         if self.accepting_states & self.rejecting_states:
             raise ValueError("accepting and rejecting classical states overlap")
-        full_alphabet = tuple(self.alphabet) + (LEFT_MARKER, RIGHT_MARKER)
-        live = [s for s in self.classical_states if s not in self.halting_states()]
-        for s in live:
-            for sym in full_alphabet:
-                if (s, sym) not in self.classical_tr:
-                    raise ValueError(f"classical transition missing for {(s, sym)}")
-                if (s, sym) not in self.quantum_tr:
-                    raise ValueError(f"quantum transition missing for {(s, sym)}")
+        if len(set(self.quantum_labels)) != self.dim:
+            raise ValueError("quantum labels must be distinct")
+        for label in (self.initial_quantum, *self.accept_outcomes):
+            if label not in self.quantum_labels:
+                raise ValueError(f"unknown quantum label {label!r}")
+        states = set(self.classical_states)
+        if not {self.initial_classical, *self.classical_tr.values()} <= states:
+            raise ValueError("start or successor outside the classical states")
+        symbols = set(self.alphabet) | {LEFT_MARKER, RIGHT_MARKER}
+        for s, sym in (*self.classical_tr, *self.quantum_tr):
+            if s not in states or sym not in symbols:
+                raise ValueError(f"transition at unknown key {(s, sym)}")
         for key, u in self.quantum_tr.items():
+            if isinstance(u, qsim.SignedPermutation):
+                u.validate()
+                u = u.to_matrix()
             if u.shape != (self.dim, self.dim):
                 raise ValueError(f"operator at {key} has wrong dimension")
             qsim.assert_unitary(u)
-        for s in self.classical_states:
-            self.measurement_for(s).validate()
-
-    def measurement_for(self, state) -> qsim.ProjectiveMeasurement:
-        m = self.measure.get(state)
-        if m is None:
-            raise ValueError(f"no measurement attached to state {state!r}")
-        return m
 
 
 def accept_probability(machine: Qcfa, word: str) -> float:
@@ -111,34 +114,21 @@ def accept_probability(machine: Qcfa, word: str) -> float:
         if sym not in machine.alphabet:
             raise ValueError(f"symbol {sym!r} outside the input alphabet")
     halting = machine.halting_states()
+    index = machine.quantum_labels.index
     s = machine.initial_classical
-    psi = qsim.basis_state(
-        machine.dim, machine.quantum_labels.index(machine.initial_quantum)
-    )
+    psi = qsim.basis_state(machine.dim, index(machine.initial_quantum))
     for sym in (LEFT_MARKER, *word, RIGHT_MARKER):
         if s in halting:
             break
-        psi = machine.quantum_tr[(s, sym)] @ psi
-        s = machine.classical_tr[(s, sym)]
-    measurement = machine.measurement_for(s)
-    return sum(
-        qsim.outcome_probability(measurement, o, psi)
-        for o in machine.accept_outcomes
-        if o in measurement.labels
-    )
+        u = machine.quantum_tr.get((s, sym))
+        if u is not None:
+            psi = u @ psi
+        s = machine.classical_tr.get((s, sym), s)
+    return sum(float(abs(psi[index(o)]) ** 2) for o in machine.accept_outcomes)
 
 
 def rejection_probability(machine: Qcfa, word: str) -> float:
     return 1.0 - accept_probability(machine, word)
-
-
-def _total_transitions(states, alphabet, quantum_tr, classical_tr, dim):
-    """Fill unspecified (state, symbol) entries with identity / self-loop."""
-    eye = np.eye(dim, dtype=complex)
-    for s in states:
-        for sym in alphabet:
-            quantum_tr.setdefault((s, sym), eye)
-            classical_tr.setdefault((s, sym), s)
 
 
 @lru_cache(maxsize=None)
@@ -150,35 +140,24 @@ def equality_automaton(n: int) -> Qcfa:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    labels = tuple(range(1, n + 1))
-    states = tuple(range(n + 2))  # 0 start, 1..n positions, n+1 at boundaries
     spread = qsim.complete_unitary_from_column(qsim.uniform_over(n, n))
-    collect = spread.conj().T
-    quantum_tr, classical_tr = {}, {}
-    quantum_tr[(0, LEFT_MARKER)] = spread
-    classical_tr[(0, LEFT_MARKER)] = 1
+    quantum_tr = {(0, LEFT_MARKER): spread, (n + 1, RIGHT_MARKER): spread.conj().T}
+    classical_tr = {(0, LEFT_MARKER): 1, (n + 1, SEPARATOR): 1}
     for i in range(1, n + 1):
-        flip = np.eye(n, dtype=complex)
-        flip[i - 1, i - 1] = -1.0
+        sign = np.ones(n)
+        sign[i - 1] = -1.0
+        quantum_tr[(i, "1")] = qsim.SignedPermutation(np.arange(n), sign)
         for sym in "01":
-            quantum_tr[(i, sym)] = flip if sym == "1" else np.eye(n, dtype=complex)
             classical_tr[(i, sym)] = i + 1
-    quantum_tr[(n + 1, SEPARATOR)] = np.eye(n, dtype=complex)
-    classical_tr[(n + 1, SEPARATOR)] = 1
-    quantum_tr[(n + 1, RIGHT_MARKER)] = collect
-    classical_tr[(n + 1, RIGHT_MARKER)] = n + 1
-    full_alphabet = WORD_ALPHABET + (LEFT_MARKER, RIGHT_MARKER)
-    _total_transitions(states, full_alphabet, quantum_tr, classical_tr, n)
-    measurement = qsim.basis_measurement(n, labels)
     return Qcfa(
-        quantum_labels=labels,
-        classical_states=states,
+        quantum_labels=tuple(range(1, n + 1)),
+        # 0 start, 1..n positions, n+1 at the boundaries
+        classical_states=tuple(range(n + 2)),
         alphabet=WORD_ALPHABET,
         quantum_tr=quantum_tr,
         classical_tr=classical_tr,
         initial_quantum=1,
         initial_classical=0,
-        measure={s: measurement for s in states},
         accept_outcomes=frozenset({1}),
     )
 
@@ -193,45 +172,27 @@ def disjointness_automaton(n: int) -> Qcfa:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    labels = tuple((i, b) for b in (0, 1) for i in range(1, n + 1))
-    states = tuple(range(2 * n + 2))
-    dim = 2 * n
-    quantum_tr, classical_tr = {}, {}
-    quantum_tr[(0, LEFT_MARKER)] = qsim.spread_op(n)
-    classical_tr[(0, LEFT_MARKER)] = 1
-    eye = np.eye(dim, dtype=complex)
-    for i in range(1, n + 1):
-        swap = np.eye(dim, dtype=complex)
-        lo, hi = qsim.pair_index(i, 0, n), qsim.pair_index(i, 1, n)
-        swap[[lo, hi]] = swap[[hi, lo]]
-        phase = np.eye(dim, dtype=complex)
-        phase[hi, hi] = -1.0
-        for sym in "01":
-            # states 1..n read an x block, states n+1..2n read the y block
-            quantum_tr[(i, sym)] = swap if sym == "1" else eye
-            classical_tr[(i, sym)] = i + 1
-            quantum_tr[(n + i, sym)] = phase if sym == "1" else eye
-            classical_tr[(n + i, sym)] = n + i + 1
-    # first separator: arrive in state n+1 after the x block, stay to read y
-    quantum_tr[(n + 1, SEPARATOR)] = eye
-    classical_tr[(n + 1, SEPARATOR)] = n + 1
+    quantum_tr = {(0, LEFT_MARKER): qsim.spread_op(n),
+                  (n + 1, RIGHT_MARKER): qsim.collect_op(n)}
+    # first separator: arrive in state n+1 after the x block, stay to read y;
     # second separator: back to the x positions for the final block
-    quantum_tr[(2 * n + 1, SEPARATOR)] = eye
-    classical_tr[(2 * n + 1, SEPARATOR)] = 1
-    quantum_tr[(n + 1, RIGHT_MARKER)] = qsim.collect_op(n)
-    classical_tr[(n + 1, RIGHT_MARKER)] = n + 1
-    full_alphabet = WORD_ALPHABET + (LEFT_MARKER, RIGHT_MARKER)
-    _total_transitions(states, full_alphabet, quantum_tr, classical_tr, dim)
-    measurement = qsim.pair_basis_measurement(n)
+    classical_tr = {(0, LEFT_MARKER): 1, (2 * n + 1, SEPARATOR): 1}
+    for i in range(1, n + 1):
+        only_i = BitString(1 << (n - i), n)
+        # states 1..n read an x block, states n+1..2n read the y block
+        quantum_tr[(i, "1")] = qsim.swap(only_i)
+        quantum_tr[(n + i, "1")] = qsim.phase(only_i)
+        for sym in "01":
+            classical_tr[(i, sym)] = i + 1
+            classical_tr[(n + i, sym)] = n + i + 1
     return Qcfa(
-        quantum_labels=labels,
-        classical_states=states,
+        quantum_labels=tuple((i, b) for b in (0, 1) for i in range(1, n + 1)),
+        classical_states=tuple(range(2 * n + 2)),
         alphabet=WORD_ALPHABET,
         quantum_tr=quantum_tr,
         classical_tr=classical_tr,
         initial_quantum=(1, 0),
         initial_classical=0,
-        measure={s: measurement for s in states},
         accept_outcomes=frozenset({(1, 0)}),
     )
 
@@ -469,72 +430,62 @@ def protocol_from_dfa(d: Dfa, n: int) -> DfaProtocol:
 # serialization
 # ---------------------------------------------------------------------------
 
-def _matrix_to_lists(u: np.ndarray):
-    return {
-        "re": np.real(u).tolist(),
-        "im": np.imag(u).tolist(),
-    }
+def _operator_to_json(u) -> dict:
+    if isinstance(u, qsim.SignedPermutation):
+        return {"perm": u.perm.tolist(), "sign": u.sign.astype(int).tolist()}
+    return {"matrix": {"re": np.real(u).tolist(), "im": np.imag(u).tolist()}}
 
 
-def _matrix_from_lists(d) -> np.ndarray:
-    return np.array(d["re"]) + 1j * np.array(d["im"])
+def _operator_from_json(entry):
+    if "perm" in entry:
+        return qsim.SignedPermutation(np.array(entry["perm"]), np.array(entry["sign"]))
+    return np.array(entry["matrix"]["re"]) + 1j * np.array(entry["matrix"]["im"])
 
 
-def qcfa_to_json(machine: Qcfa) -> str:
-    """JSON description: labels, states, transitions, measurements."""
-    payload = {
-        "quantum_labels": [list(l) if isinstance(l, tuple) else l
-                           for l in machine.quantum_labels],
-        "classical_states": list(machine.classical_states),
-        "alphabet": list(machine.alphabet),
-        "initial_quantum": (list(machine.initial_quantum)
-                            if isinstance(machine.initial_quantum, tuple)
-                            else machine.initial_quantum),
-        "initial_classical": machine.initial_classical,
-        "accepting_states": sorted(machine.accepting_states),
-        "rejecting_states": sorted(machine.rejecting_states),
-        "accept_outcomes": [list(o) if isinstance(o, tuple) else o
-                            for o in sorted(machine.accept_outcomes)],
-        "quantum_tr": [
-            {"state": s, "symbol": sym, "matrix": _matrix_to_lists(u)}
-            for (s, sym), u in sorted(machine.quantum_tr.items(), key=repr)
-        ],
-        "classical_tr": [
-            {"state": s, "symbol": sym, "next": t}
-            for (s, sym), t in sorted(machine.classical_tr.items(), key=repr)
-        ],
-        "measurements": [
-            {
-                "state": s,
-                "labels": [list(l) if isinstance(l, tuple) else l
-                           for l in m.labels],
-                "projectors": [_matrix_to_lists(p) for p in m.projectors],
-            }
-            for s, m in sorted(machine.measure.items(), key=repr)
-        ],
-    }
-    return json.dumps(payload)
+def _label_to_json(l):
+    return list(l) if isinstance(l, tuple) else l
 
 
 def _label_from_json(l):
     return tuple(l) if isinstance(l, list) else l
 
 
+def qcfa_to_json(machine: Qcfa) -> str:
+    """JSON description: labels, states and the transitions given.
+
+    A signed permutation is stored as ``perm``/``sign`` lists, a dense
+    operator as ``matrix`` with ``re``/``im`` rows.
+    """
+    payload = {
+        "quantum_labels": [_label_to_json(l) for l in machine.quantum_labels],
+        "classical_states": list(machine.classical_states),
+        "alphabet": list(machine.alphabet),
+        "initial_quantum": _label_to_json(machine.initial_quantum),
+        "initial_classical": machine.initial_classical,
+        "accepting_states": sorted(machine.accepting_states),
+        "rejecting_states": sorted(machine.rejecting_states),
+        "accept_outcomes": [_label_to_json(o) for o in sorted(machine.accept_outcomes)],
+        "quantum_tr": [
+            {"state": s, "symbol": sym, **_operator_to_json(u)}
+            for (s, sym), u in sorted(machine.quantum_tr.items(), key=repr)
+        ],
+        "classical_tr": [
+            {"state": s, "symbol": sym, "next": t}
+            for (s, sym), t in sorted(machine.classical_tr.items(), key=repr)
+        ],
+    }
+    return json.dumps(payload)
+
+
 def qcfa_from_json(text: str) -> Qcfa:
+    """Inverse of :func:`qcfa_to_json`; the machine is validated on the way in."""
     d = json.loads(text)
-    measure = {}
-    for entry in d["measurements"]:
-        labels = tuple(_label_from_json(l) for l in entry["labels"])
-        projs = tuple(_matrix_from_lists(p) for p in entry["projectors"])
-        measure[_label_from_json(entry["state"])] = qsim.ProjectiveMeasurement(
-            labels, projs
-        )
-    return Qcfa(
+    machine = Qcfa(
         quantum_labels=tuple(_label_from_json(l) for l in d["quantum_labels"]),
         classical_states=tuple(_label_from_json(s) for s in d["classical_states"]),
         alphabet=tuple(d["alphabet"]),
         quantum_tr={
-            (_label_from_json(e["state"]), e["symbol"]): _matrix_from_lists(e["matrix"])
+            (_label_from_json(e["state"]), e["symbol"]): _operator_from_json(e)
             for e in d["quantum_tr"]
         },
         classical_tr={
@@ -545,8 +496,9 @@ def qcfa_from_json(text: str) -> Qcfa:
         initial_classical=_label_from_json(d["initial_classical"]),
         accepting_states=frozenset(_label_from_json(s) for s in d["accepting_states"]),
         rejecting_states=frozenset(_label_from_json(s) for s in d["rejecting_states"]),
-        measure=measure,
         accept_outcomes=frozenset(
             _label_from_json(o) for o in d["accept_outcomes"]
         ),
     )
+    machine.validate()
+    return machine

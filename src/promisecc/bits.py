@@ -162,10 +162,8 @@ class Margin:
     n: int
 
     def __post_init__(self):
-        lam = Fraction(self.fraction)
+        lam = margin_fraction(self.fraction)
         object.__setattr__(self, "fraction", lam)
-        if not 0 < lam <= Fraction(1, 4):
-            raise ValueError(f"margin fraction must be in (0, 1/4], got {lam}")
         if self.n < 1:
             raise ValueError("length must be positive")
         if (lam * self.n).denominator != 1:
@@ -186,6 +184,28 @@ class Margin:
 
     def __str__(self) -> str:
         return str(self.fraction)
+
+
+def margin_fraction(margin) -> Fraction:
+    """The fraction lam of a Margin or of a bare rational, checked to be in (0, 1/4]."""
+    lam = margin.fraction if isinstance(margin, Margin) else Fraction(margin)
+    if not 0 < lam <= Fraction(1, 4):
+        raise ValueError(f"margin fraction must be in (0, 1/4], got {lam}")
+    return lam
+
+
+def smallest_k(margin, slope: int, eps) -> int:
+    """Smallest k with (1 - slope*lam)**k <= eps, found exactly in rationals;
+    equals ceil(log(eps) / log(1 - slope*lam))."""
+    base = 1 - slope * margin_fraction(margin)
+    eps = Fraction(eps)
+    if not 0 < eps < 1:
+        raise ValueError(f"error bound must be in (0, 1), got {eps}")
+    k, power = 1, base
+    while power > eps:
+        k += 1
+        power *= base
+    return k
 
 
 def classify_disj_promise(x: BitString, y: BitString, margin: Margin) -> PromiseLabel:

@@ -296,7 +296,7 @@ def _is_constant(sub: np.ndarray) -> bool:
 
 
 class SearchTooWideError(ValueError):
-    """Exact search would need to enumerate too many bipartitions."""
+    """An exact search would pass one of its size caps."""
 
 
 class _ProtocolSearch:
@@ -459,7 +459,7 @@ def _tight_rectangles(entries, value, cells):
     rows_used = sorted({r for r, _ in cells})
     cols_used = sorted({c for _, c in cells})
     if len(rows_used) > 16 or len(cols_used) > 16:
-        raise ValueError("row/column support too large for the exact search")
+        raise SearchTooWideError("row/column support too large for the exact search")
     row_pos = {r: i for i, r in enumerate(rows_used)}
     col_pos = {c: i for i, c in enumerate(cols_used)}
     cell_index = {cell: k for k, cell in enumerate(cells)}
@@ -488,7 +488,7 @@ def _tight_rectangles(entries, value, cells):
         col_options = list(_iter_bits(allowed))
         work += 1 << len(col_options)
         if work > _ENUMERATION_LIMIT:
-            raise ValueError("candidate rectangle enumeration too large")
+            raise SearchTooWideError("candidate rectangle enumeration too large")
         for col_pick in range(1, 1 << len(col_options)):
             col_mask = 0
             for b in _iter_bits(col_pick):
@@ -524,7 +524,7 @@ def min_monochromatic_partition(
     if not cells:
         return PartitionResult(0, ())
     if len(cells) > max_cells:
-        raise ValueError(
+        raise SearchTooWideError(
             f"{len(cells)} cells exceed the partition search limit {max_cells}"
         )
     entries = m.entries.tolist()
@@ -747,8 +747,9 @@ class RectangleBoundReport:
 def check_rectangle_bound(m: CommMatrix) -> RectangleBoundReport:
     """Compute D, C0, C1 and verify D >= max(ceil(log2 C0), ceil(log2 C1)).
 
-    A quantity beyond its search cap is reported as None and skipped in
-    the comparison; with D unknown the verdict itself becomes None.
+    A quantity beyond its search cap is reported as None.  The verdict is
+    False when a known count refutes the bound, and None when D or either
+    count is unknown and nothing refutes it.
     """
     try:
         depth = exact_deterministic_cc(m)
@@ -758,14 +759,20 @@ def check_rectangle_bound(m: CommMatrix) -> RectangleBoundReport:
     for value in (0, 1):
         try:
             result = min_monochromatic_partition(m, value)
-        except ValueError:
+        except SearchTooWideError:
             counts[value] = None
             continue
         if not verify_partition(m, value, result.rectangles):
             raise AssertionError("partition search returned an invalid cover")
         counts[value] = result.count
-    needed = [ceil(log2(c)) for c in counts.values() if c not in (None, 0)]
-    holds = None if depth is None else depth >= max(needed, default=0)
+    needed = [ceil(log2(c)) for c in counts.values() if c]
+    if depth is None:
+        holds = None
+    elif depth < max(needed, default=0):
+        holds = False
+    else:
+        # true only when every count was compared, never by default
+        holds = None if None in counts.values() else True
     return RectangleBoundReport(
         depth=depth,
         zero_partition=counts[0],

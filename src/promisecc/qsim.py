@@ -1,24 +1,28 @@
-"""Dense complex linear algebra for small state-vector simulations.
+"""State vectors and the two kinds of operator the protocols use.
 
-States are 1-D complex numpy arrays of unit norm, operators are square
-complex numpy arrays that are unitary to ``ATOL``.  The module also builds
-the four specific operators the disjointness protocol needs on its
-2n-dimensional register, whose basis is indexed by pairs ``(i, b)`` with
-``i`` in 1..n and ``b`` in {0, 1}, laid out as ``index = b*n + i - 1``:
+States are 1-D complex numpy arrays of unit norm.  An operator is either a
+dense complex matrix, unitary to ``ATOL``, or a :class:`SignedPermutation`:
+``op @ psi`` is ``sign * psi[perm]``, with ``to_matrix()`` as its dense
+reference.  Measurement is always in the computational basis: outcome
+``k`` has probability ``abs(psi[k])**2``.
+
+The disjointness protocol works on a 2n-dimensional register whose basis
+is indexed by pairs ``(i, b)`` with ``i`` in 1..n and ``b`` in {0, 1},
+laid out as ``index = b*n + i - 1``:
 
 * :func:`spread_op` -- first column uniform over the ``(i, 0)`` block;
-* :func:`swap_op` -- swaps the amplitudes of ``(i, 0)`` and ``(i, 1)``
+* :func:`swap` -- swaps the amplitudes of ``(i, 0)`` and ``(i, 1)``
   exactly where the word has a 1;
-* :func:`phase_op` -- flips the sign of ``(i, 1)`` exactly where the word
+* :func:`phase` -- flips the sign of ``(i, 1)`` exactly where the word
   has a 1;
 * :func:`collect_op` -- the adjoint of :func:`spread_op`, so its first row
   is uniform over the ``(i, 0)`` block.
 
 Only the fixed column of the spread and the fixed row of the collect are
-forced by the protocol; the rest of those matrices is completed by
-Gram-Schmidt against the standard basis, which makes construction
-deterministic.  Sign-flip and swap operators also have fast O(n)
-application paths that agree with the dense matrices exactly.
+forced by the protocol; the rest of those two dense matrices is completed
+by Gram-Schmidt against the standard basis, which makes construction
+deterministic.  Swaps and sign flips are signed permutations, built in
+O(n) numpy operations.
 """
 
 from __future__ import annotations
@@ -31,8 +35,6 @@ from .bits import BitString
 
 #: Entrywise tolerance for unitarity / norm checks.
 ATOL = 1e-10
-#: Tolerance for probability assertions (sums over outcomes etc.).
-PROB_ATOL = 1e-9
 
 
 def pair_index(i: int, b: int, n: int) -> int:
@@ -81,75 +83,6 @@ def apply(u: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return u @ psi
 
 
-@dataclass(frozen=True)
-class ProjectiveMeasurement:
-    """Labeled orthogonal projectors that sum to the identity."""
-
-    labels: tuple
-    projectors: tuple  # of np.ndarray, aligned with labels
-
-    def __post_init__(self):
-        if len(self.labels) != len(self.projectors):
-            raise ValueError("labels and projectors must align")
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError("outcome labels must be distinct")
-
-    @property
-    def dim(self) -> int:
-        return self.projectors[0].shape[0]
-
-    def validate(self, atol: float = ATOL) -> None:
-        """Check hermiticity, idempotence, pairwise orthogonality, completeness."""
-        total = np.zeros((self.dim, self.dim), dtype=complex)
-        for p in self.projectors:
-            if np.max(np.abs(p - p.conj().T)) > atol:
-                raise ValueError("projector is not Hermitian")
-            if np.max(np.abs(p @ p - p)) > atol:
-                raise ValueError("projector is not idempotent")
-            total += p
-        for a in range(len(self.projectors)):
-            for b in range(a + 1, len(self.projectors)):
-                if np.max(np.abs(self.projectors[a] @ self.projectors[b])) > atol:
-                    raise ValueError("projectors are not pairwise orthogonal")
-        if np.max(np.abs(total - np.eye(self.dim))) > atol:
-            raise ValueError("projectors do not sum to the identity")
-
-    def probability(self, outcome, psi: np.ndarray) -> float:
-        return outcome_probability(self, outcome, psi)
-
-
-def outcome_probability(m: ProjectiveMeasurement, outcome, psi: np.ndarray) -> float:
-    """Born probability ||P_outcome psi||^2."""
-    psi = np.asarray(psi, dtype=complex)
-    if psi.shape[0] != m.dim:
-        raise ValueError(f"dimension mismatch: {psi.shape[0]} vs {m.dim}")
-    try:
-        k = m.labels.index(outcome)
-    except ValueError:
-        raise ValueError(f"unknown outcome label {outcome!r}") from None
-    return float(np.linalg.norm(m.projectors[k] @ psi) ** 2)
-
-
-def basis_measurement(dim: int, labels=None) -> ProjectiveMeasurement:
-    """One projector per basis state, labelled 0..dim-1 unless given."""
-    if labels is None:
-        labels = tuple(range(dim))
-    if len(labels) != dim:
-        raise ValueError("need one label per basis state")
-    projs = []
-    for k in range(dim):
-        p = np.zeros((dim, dim), dtype=complex)
-        p[k, k] = 1.0
-        projs.append(p)
-    return ProjectiveMeasurement(tuple(labels), tuple(projs))
-
-
-def pair_basis_measurement(n: int) -> ProjectiveMeasurement:
-    """Basis measurement on the 2n-dim register with (i, b) outcome labels."""
-    labels = [(i, b) for b in (0, 1) for i in range(1, n + 1)]
-    return basis_measurement(2 * n, tuple(labels))
-
-
 def complete_unitary_from_column(column: np.ndarray) -> np.ndarray:
     """Deterministic unitary whose first column is the given unit vector.
 
@@ -196,63 +129,61 @@ def collect_op(n: int) -> np.ndarray:
     return spread_op(n).conj().T
 
 
-def swap_op(x: BitString) -> np.ndarray:
-    """Permutation swapping (i,0) and (i,1) at every position where x has a 1.
+@dataclass(frozen=True, eq=False)
+class SignedPermutation:
+    """Operator ``psi -> sign * psi[perm]``: row k of its matrix holds
+    ``sign[k]`` in column ``perm[k]``.
 
-    An involution: applying it twice is the identity.
+    The constructor trusts its arguments; :meth:`validate` checks them
+    where they come from outside the package.
     """
+
+    perm: np.ndarray  # integer index vector
+    sign: np.ndarray  # entries +1 or -1, aligned with perm
+
+    @property
+    def dim(self) -> int:
+        return self.perm.shape[0]
+
+    def __matmul__(self, psi: np.ndarray) -> np.ndarray:
+        if psi.shape != self.perm.shape:
+            raise ValueError(f"dimension mismatch: {self.dim} vs {psi.shape}")
+        return self.sign * psi[self.perm]
+
+    def to_matrix(self) -> np.ndarray:
+        """Dense reference matrix."""
+        u = np.zeros((self.dim, self.dim), dtype=complex)
+        u[np.arange(self.dim), self.perm] = self.sign
+        return u
+
+    def validate(self) -> None:
+        """Check that perm permutes 0..dim-1 and every sign is +1 or -1."""
+        perm, sign = np.asarray(self.perm), np.asarray(self.sign)
+        if (perm.ndim != 1 or perm.dtype.kind not in "iu"
+                or not np.array_equal(np.sort(perm), np.arange(perm.size))):
+            raise ValueError("perm is not a permutation of 0..dim-1")
+        if sign.shape != perm.shape or not np.isin(sign, (1, -1)).all():
+            raise ValueError("sign must hold one +1 or -1 per index")
+
+
+def _ones(x: BitString) -> np.ndarray:
+    """Boolean mask of the 1-positions of x, first bit first."""
+    return np.frombuffer(str(x).encode(), dtype=np.uint8) == ord("1")
+
+
+def swap(x: BitString) -> SignedPermutation:
+    """Swap (i,0) and (i,1) at every position where x has a 1; an involution."""
     n = x.n
-    u = np.zeros((2 * n, 2 * n), dtype=complex)
-    for i, bit in enumerate(x.bits, start=1):
-        lo, hi = pair_index(i, 0, n), pair_index(i, 1, n)
-        if bit:
-            u[hi, lo] = 1.0
-            u[lo, hi] = 1.0
-        else:
-            u[lo, lo] = 1.0
-            u[hi, hi] = 1.0
-    return u
+    ones = _ones(x)
+    perm = np.arange(2 * n)
+    perm[:n][ones] += n
+    perm[n:][ones] -= n
+    return SignedPermutation(perm, np.ones(2 * n))
 
 
-def phase_op(y: BitString) -> np.ndarray:
-    """Diagonal sign flip: -1 on (i,1) where y has a 1, +1 elsewhere."""
+def phase(y: BitString) -> SignedPermutation:
+    """Sign flip: -1 on (i,1) where y has a 1, +1 elsewhere."""
     n = y.n
-    d = np.ones(2 * n, dtype=complex)
-    for i, bit in enumerate(y.bits, start=1):
-        if bit:
-            d[pair_index(i, 1, n)] = -1.0
-    return np.diag(d)
-
-
-def apply_swap_fast(x: BitString, psi: np.ndarray) -> np.ndarray:
-    """O(n) application of swap_op(x); agrees with the dense path exactly."""
-    n = x.n
-    if psi.shape[0] != 2 * n:
-        raise ValueError("dimension mismatch")
-    out = np.array(psi, dtype=complex)
-    for i, bit in enumerate(x.bits, start=1):
-        if bit:
-            lo, hi = pair_index(i, 0, n), pair_index(i, 1, n)
-            out[lo], out[hi] = psi[hi], psi[lo]
-    return out
-
-
-def apply_phase_fast(y: BitString, psi: np.ndarray) -> np.ndarray:
-    """O(n) application of phase_op(y); agrees with the dense path exactly."""
-    n = y.n
-    if psi.shape[0] != 2 * n:
-        raise ValueError("dimension mismatch")
-    out = np.array(psi, dtype=complex)
-    for i, bit in enumerate(y.bits, start=1):
-        if bit:
-            out[pair_index(i, 1, n)] = -out[pair_index(i, 1, n)]
-    return out
-
-
-def dump_matrix_csv(u: np.ndarray, path) -> None:
-    """Debug dump as CSV of 're,im' entries, one row per matrix row."""
-    u = np.asarray(u, dtype=complex)
-    with open(path, "w") as fh:
-        for row in u:
-            fh.write(";".join(f"{z.real:.17g},{z.imag:.17g}" for z in row))
-            fh.write("\n")
+    sign = np.ones(2 * n)
+    sign[n:][_ones(y)] = -1.0
+    return SignedPermutation(np.arange(2 * n), sign)

@@ -34,16 +34,15 @@ from .bits import (
     PromiseLabel,
     classify_disj_promise,
     intersection_size,
+    margin_fraction,
+    smallest_k,
 )
 from . import qsim
 
 
 @lru_cache(maxsize=None)
 def _round_operators(n: int):
-    spread = qsim.spread_op(n)
-    collect = qsim.collect_op(n)
-    measurement = qsim.pair_basis_measurement(n)
-    return spread, collect, measurement
+    return qsim.spread_op(n), qsim.collect_op(n)
 
 
 def round_accept_probability(x: BitString, y: BitString) -> float:
@@ -54,27 +53,22 @@ def round_accept_probability(x: BitString, y: BitString) -> float:
     if x.n != y.n:
         raise ValueError(f"length mismatch: {x.n} vs {y.n}")
     n = x.n
-    spread, collect, measurement = _round_operators(n)
-    swap = qsim.swap_op(x)
-    phase = qsim.phase_op(y)
-    psi = qsim.basis_state(2 * n, qsim.pair_index(1, 0, n))
-    psi = qsim.apply(spread, psi)
-    psi = qsim.apply(swap, psi)
-    psi = qsim.apply(phase, psi)
-    psi = qsim.apply(swap, psi)
+    spread, collect = _round_operators(n)
+    swap = qsim.swap(x)
+    accept = qsim.pair_index(1, 0, n)
+    psi = qsim.apply(spread, qsim.basis_state(2 * n, accept))
+    psi = swap @ (qsim.phase(y) @ (swap @ psi))
     psi = qsim.apply(collect, psi)
-    return qsim.outcome_probability(measurement, (1, 0), psi)
+    return float(abs(psi[accept]) ** 2)
 
 
 def round_accept_probability_fast(x: BitString, y: BitString) -> float:
-    """O(n) path through the same round: permutations and sign flips only."""
+    """O(n) path through the same round: no dense matrix at all."""
     if x.n != y.n:
         raise ValueError(f"length mismatch: {x.n} vs {y.n}")
     n = x.n
-    psi = qsim.uniform_over(2 * n, n)
-    psi = qsim.apply_swap_fast(x, psi)
-    psi = qsim.apply_phase_fast(y, psi)
-    psi = qsim.apply_swap_fast(x, psi)
+    swap = qsim.swap(x)
+    psi = swap @ (qsim.phase(y) @ (swap @ qsim.uniform_over(2 * n, n)))
     # collect's first row is uniform over the low block
     amp = complex(np.sum(psi[:n])) / math.sqrt(n)
     return abs(amp) ** 2
@@ -89,29 +83,10 @@ def closed_form_accept_probability(x: BitString, y: BitString) -> float:
     return ((n - 2 * m) / n) ** 2
 
 
-def _as_fraction(margin) -> Fraction:
-    lam = margin.fraction if isinstance(margin, Margin) else Fraction(margin)
-    if not 0 < lam <= Fraction(1, 4):
-        raise ValueError(f"margin fraction must be in (0, 1/4], got {lam}")
-    return lam
-
-
 def repetition_count(margin, eps=Fraction(1, 3)) -> int:
-    """Rounds needed so unanimous acceptance errs at most eps on band pairs.
-
-    Smallest k with (1 - 3*lam)**k <= eps, found exactly in rationals;
-    equals ceil(log(eps) / log(1 - 3*lam)).
-    """
-    lam = _as_fraction(margin)
-    eps = Fraction(eps)
-    if not 0 < eps < 1:
-        raise ValueError(f"error bound must be in (0, 1), got {eps}")
-    base = 1 - 3 * lam
-    k, power = 1, base
-    while power > eps:
-        k += 1
-        power *= base
-    return k
+    """Rounds needed so unanimous acceptance errs at most eps on band pairs:
+    the smallest k with (1 - 3*lam)**k <= eps."""
+    return smallest_k(margin, 3, eps)
 
 
 def min_rejection_rate(margin) -> Fraction:
@@ -120,7 +95,7 @@ def min_rejection_rate(margin) -> Fraction:
     One round rejects with probability 1 - ((n-2m)/n)**2 >= 1 - (1-2*lam)**2
     = 4*lam*(1-lam) >= 3*lam for lam <= 1/4.
     """
-    return 3 * _as_fraction(margin)
+    return 3 * margin_fraction(margin)
 
 
 def qubit_cost(n: int, k: int = 1) -> int:

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bits import BitString, Margin, hamming_weight, intersection_size
+from .bits import BitString, hamming_weight, intersection_size, smallest_k
 
 
 def exact_detection_probability(
@@ -56,23 +56,9 @@ def exact_detection_probability(
 
 
 def positions_count(margin, eps=Fraction(1, 3)) -> int:
-    """Samples needed so the miss probability on any band pair is <= eps.
-
-    Smallest k with (1 - lam)**k <= eps, found exactly in rationals;
-    equals ceil(log(eps) / log(1 - lam)).
-    """
-    lam = margin.fraction if isinstance(margin, Margin) else Fraction(margin)
-    if not 0 < lam <= Fraction(1, 4):
-        raise ValueError(f"margin fraction must be in (0, 1/4], got {lam}")
-    eps = Fraction(eps)
-    if not 0 < eps < 1:
-        raise ValueError(f"error bound must be in (0, 1), got {eps}")
-    base = 1 - lam
-    k, power = 1, base
-    while power > eps:
-        k += 1
-        power *= base
-    return k
+    """Samples needed so the miss probability on any band pair is <= eps:
+    the smallest k with (1 - lam)**k <= eps."""
+    return smallest_k(margin, 1, eps)
 
 
 def bit_cost(n: int, k: int) -> int:

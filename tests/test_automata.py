@@ -1,5 +1,7 @@
 """Measure-once automata, promise word problems, and the DFA reduction."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,50 @@ class TestSerialization:
             assert accept_probability(restored, w) == pytest.approx(
                 accept_probability(machine, w), abs=1e-9
             )
+
+
+    def test_disjointness_n8_is_compact_and_roundtrips(self):
+        machine = disjointness_automaton(8)
+        blob = qcfa_to_json(machine)
+        assert len(blob) < 50_000
+        restored = qcfa_from_json(blob)
+        assert restored.quantum_tr.keys() == machine.quantum_tr.keys()
+        for key, u in machine.quantum_tr.items():
+            v = restored.quantum_tr[key]
+            if isinstance(u, np.ndarray):
+                assert np.array_equal(v, u)
+            else:
+                assert np.array_equal(v.perm, u.perm) and np.array_equal(v.sign, u.sign)
+        # a dense matrix comes back in C order, so products may round differently
+        rng = np.random.default_rng(8)
+        for _ in range(40):
+            x = BitString(rng.integers(0, 2, size=8).tolist())
+            y = BitString(rng.integers(0, 2, size=8).tolist())
+            w = disjointness_word(x, y)
+            assert accept_probability(restored, w) == pytest.approx(
+                accept_probability(machine, w), abs=1e-12
+            )
+
+    @pytest.mark.parametrize("field,value", [
+        ("perm", [0, 0, 2, 3]),  # not a permutation
+        ("perm", [0, 1, 2, 4]),  # index out of range
+        ("sign", [1, -1, 2, 1]),  # sign other than +-1
+        ("sign", [1, 1, 1]),  # sign of the wrong length
+    ])
+    def test_from_json_rejects_bad_signed_permutation(self, field, value):
+        payload = json.loads(qcfa_to_json(disjointness_automaton(2)))
+        entry = next(e for e in payload["quantum_tr"] if "perm" in e)
+        entry[field] = value
+        with pytest.raises(ValueError):
+            qcfa_from_json(json.dumps(payload))
+
+    def test_missing_transitions_are_identity_and_stay(self):
+        machine = disjointness_automaton(3)
+        # reading 0 in the x block moves the counter but leaves the register
+        assert (1, "0") not in machine.quantum_tr
+        assert machine.classical_tr[(1, "0")] == 2
+        # the first separator keeps the control in place
+        assert (4, "#") not in machine.classical_tr
 
 
 def _parity_dfa() -> Dfa:

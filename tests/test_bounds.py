@@ -299,7 +299,7 @@ class TestRectangleBound:
         assert report.depth == 5
         assert report.zero_partition is None
         assert report.one_partition is None
-        assert report.holds is True
+        assert report.holds is None
 
     def test_all_unknown_when_search_too_wide(self):
         report = check_rectangle_bound(problem_matrix("promise_eq", 6))

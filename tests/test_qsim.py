@@ -1,10 +1,18 @@
-"""Unitary builders, projective measurements, and fast operator paths."""
+"""Dense unitary builders, signed-permutation operators, basis measurement."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from promisecc import qsim
+from promisecc.automata import accept_probability, disjointness_automaton
 from promisecc.bits import BitString
+
+
+def _random_state(rng, dim):
+    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return psi / np.linalg.norm(psi)
 
 
 class TestBasics:
@@ -42,8 +50,8 @@ class TestUnitaries:
     @pytest.mark.parametrize("bits", ["0000", "1010", "1111"])
     def test_swap_phase_unitary(self, bits):
         x = BitString(bits)
-        assert qsim.is_unitary(qsim.swap_op(x))
-        assert qsim.is_unitary(qsim.phase_op(x))
+        assert qsim.is_unitary(qsim.swap(x).to_matrix())
+        assert qsim.is_unitary(qsim.phase(x).to_matrix())
 
     def test_spread_prepares_uniform_low_block(self):
         n = 4
@@ -58,22 +66,20 @@ class TestUnitaries:
         assert np.allclose(out, start, atol=1e-12)
 
     def test_swap_moves_low_to_high_at_one_positions(self):
-        x = BitString("0100")
-        u = qsim.swap_op(x)
+        u = qsim.swap(BitString("0100"))
         lo = qsim.basis_state(8, qsim.pair_index(2, 0, 4))
         hi_expected = qsim.basis_state(8, qsim.pair_index(2, 1, 4))
-        assert np.allclose(qsim.apply(u, lo), hi_expected)
+        assert np.array_equal(u @ lo, hi_expected)
         # zero positions stay put
         keep = qsim.basis_state(8, qsim.pair_index(1, 0, 4))
-        assert np.allclose(qsim.apply(u, keep), keep)
+        assert np.array_equal(u @ keep, keep)
 
     def test_phase_flips_high_block_only(self):
-        y = BitString("0100")
-        u = qsim.phase_op(y)
+        u = qsim.phase(BitString("0100"))
         hi = qsim.basis_state(8, qsim.pair_index(2, 1, 4))
         lo = qsim.basis_state(8, qsim.pair_index(2, 0, 4))
-        assert np.allclose(qsim.apply(u, hi), -hi)
-        assert np.allclose(qsim.apply(u, lo), lo)
+        assert np.array_equal(u @ hi, -hi)
+        assert np.array_equal(u @ lo, lo)
 
     def test_assert_unitary_raises(self):
         with pytest.raises(ValueError):
@@ -89,44 +95,70 @@ class TestUnitaries:
 class TestFastPaths:
     @pytest.mark.parametrize("xbits,ybits", [("0000", "0000"), ("1010", "0110"), ("1111", "1111")])
     def test_fast_swap_matches_dense(self, xbits, ybits):
-        x = BitString(xbits)
-        rng = np.random.default_rng(5)
-        psi = rng.normal(size=8) + 1j * rng.normal(size=8)
-        psi /= np.linalg.norm(psi)
-        assert np.allclose(qsim.apply_swap_fast(x, psi), qsim.apply(qsim.swap_op(x), psi))
-        y = BitString(ybits)
-        assert np.allclose(qsim.apply_phase_fast(y, psi), qsim.apply(qsim.phase_op(y), psi))
+        psi = _random_state(np.random.default_rng(5), 8)
+        for op in (qsim.swap(BitString(xbits)), qsim.phase(BitString(ybits))):
+            assert np.array_equal(op @ psi, op.to_matrix() @ psi)
+
+
+class TestSignedPermutation:
+    @pytest.mark.parametrize("n", [1, 2, 7, 32, 64])
+    def test_random_words_match_dense_reference(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            x = BitString(rng.integers(0, 2, size=n).tolist())
+            y = BitString(rng.integers(0, 2, size=n).tolist())
+            psi = _random_state(rng, 2 * n)
+            for op in (qsim.swap(x), qsim.phase(y)):
+                dense = op.to_matrix()
+                assert qsim.is_unitary(dense)
+                assert np.allclose(op @ psi, dense @ psi, atol=1e-15)
+            assert np.array_equal(qsim.swap(x) @ (qsim.swap(x) @ psi), psi)
+
+    def test_rejects_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            qsim.swap(BitString("01")) @ qsim.basis_state(6, 0)
+
+    @pytest.mark.parametrize("perm,sign", [
+        ([0, 0, 2], [1, 1, 1]),  # repeated index
+        ([0, 1, 3], [1, 1, 1]),  # index out of range
+        ([0.0, 1.0, 2.0], [1, 1, 1]),  # not integers
+        ([0, 1, 2], [1, 0.5, 1]),  # sign off +-1
+        ([0, 1, 2], [1, 1]),  # sign of the wrong length
+    ])
+    def test_validate_rejects(self, perm, sign):
+        op = qsim.SignedPermutation(np.array(perm), np.array(sign))
+        with pytest.raises(ValueError):
+            op.validate()
 
 
 class TestMeasurement:
-    def test_basis_measurement_validates(self):
-        qsim.basis_measurement(4).validate()
-
-    def test_invalid_projectors_rejected(self):
-        half = np.eye(2) * 0.5
-        m = qsim.ProjectiveMeasurement(("a", "b"), (half, half))
-        with pytest.raises(ValueError):
-            m.validate()
+    """Measurement is in the register's basis: outcome k has |psi[k]|**2."""
 
     def test_outcome_probabilities_sum_to_one(self):
-        m = qsim.pair_basis_measurement(4)
         rng = np.random.default_rng(11)
-        psi = rng.normal(size=8) + 1j * rng.normal(size=8)
-        psi /= np.linalg.norm(psi)
-        total = sum(qsim.outcome_probability(m, o, psi) for o in m.labels)
+        psi = _random_state(rng, 8)
+        for op in (qsim.swap(BitString("1011")), qsim.phase(BitString("0110"))):
+            psi = op @ psi
+        total = sum(abs(psi[k]) ** 2 for k in range(8))
         assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_pair_basis_outcome_labels(self):
-        m = qsim.pair_basis_measurement(2)
-        assert set(m.labels) == {(1, 0), (2, 0), (1, 1), (2, 1)}
+        labels = disjointness_automaton(2).quantum_labels
+        assert set(labels) == {(1, 0), (2, 0), (1, 1), (2, 1)}
+        for i, b in labels:
+            assert labels[qsim.pair_index(i, b, 2)] == (i, b)
 
     def test_unknown_outcome_raises(self):
-        m = qsim.basis_measurement(2)
+        machine = dataclasses.replace(
+            disjointness_automaton(2), accept_outcomes=frozenset({"nope"})
+        )
         with pytest.raises(ValueError):
-            qsim.outcome_probability(m, "nope", qsim.basis_state(2, 0))
+            machine.validate()
+        with pytest.raises(ValueError):
+            accept_probability(machine, "01#10#01")
 
     def test_duplicate_labels_rejected(self):
-        p0 = np.diag([1.0, 0.0]).astype(complex)
-        p1 = np.diag([0.0, 1.0]).astype(complex)
+        machine = disjointness_automaton(2)
+        labels = (machine.quantum_labels[0],) * machine.dim
         with pytest.raises(ValueError):
-            qsim.ProjectiveMeasurement(("a", "a"), (p0, p1))
+            dataclasses.replace(machine, quantum_labels=labels).validate()

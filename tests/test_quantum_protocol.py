@@ -49,6 +49,16 @@ class TestRoundProbability:
                 round_accept_probability(x, y), abs=1e-9
             )
 
+    @pytest.mark.parametrize("n", [16, 33, 64])
+    def test_three_paths_agree_on_random_pairs(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            x = BitString(rng.integers(0, 2, size=n).tolist())
+            y = BitString(rng.integers(0, 2, size=n).tolist())
+            formula = closed_form_accept_probability(x, y)
+            assert round_accept_probability(x, y) == pytest.approx(formula, abs=1e-9)
+            assert round_accept_probability_fast(x, y) == pytest.approx(formula, abs=1e-9)
+
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             round_accept_probability(BitString("01"), BitString("011"))
