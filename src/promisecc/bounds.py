@@ -15,6 +15,10 @@ searches are provided.
 * :func:`check_rectangle_bound` ties the two together and asserts the
   rectangle bound D >= max(ceil(log2 C0), ceil(log2 C1)).
 
+The searches run on plain Python data: a sub-matrix is a tuple of row
+tuples, row and column sets are int bitmasks, and the rank bound uses
+fraction-free integer elimination, so every step is exact.
+
 The fooling-set constructions for promise disjointness (complement pairs
 over a weight band, plus crossed-pair refutations) live here as well.
 """
@@ -25,7 +29,6 @@ import io
 import csv
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from math import ceil, log2
 
 import numpy as np
@@ -273,30 +276,55 @@ def find_cross_refutation(margin: Margin):
 # exact deterministic communication complexity
 # ---------------------------------------------------------------------------
 
-def _normalize(sub: np.ndarray) -> np.ndarray:
+def _normalize(sub: tuple) -> tuple:
     """Deduplicate and sort rows and columns to a stable normal form."""
     for _ in range(2):
-        sub = np.unique(sub, axis=0)
-        sub = np.unique(sub, axis=1)
-    return sub
+        sub = sorted(set(sub))
+        sub = list(zip(*sorted(set(zip(*sub)))))
+    return tuple(sub)
 
 
-def _canonical(sub: np.ndarray):
-    """Normal form up to row/col dedup, permutation, and transposition."""
+def _canonical(sub: tuple) -> tuple:
+    """Normal form up to row/col dedup, permutation, and transposition.
+
+    Of the two orientations the one first in (shape, int8 bytes) order is
+    kept; in those bytes UNDEFINED is 0xFF, so it sorts after 0 and 1.
+    The form is a sound memo key, not a complete one: a shuffled copy can
+    land on a different but equivalent form, which costs only a memo miss.
+    """
     a = _normalize(sub)
-    b = _normalize(sub.T)
-    ka = (a.shape, a.tobytes())
-    kb = (b.shape, b.tobytes())
-    return (ka, a) if ka <= kb else (kb, b)
+    b = _normalize(tuple(zip(*sub)))
+    shape_a, shape_b = (len(a), len(a[0])), (len(b), len(b[0]))
+    if shape_a != shape_b:
+        return a if shape_a < shape_b else b
+    for row_a, row_b in zip(a, b):
+        if row_a != row_b:
+            for x, y in zip(row_a, row_b):
+                if x != y:
+                    return a if x & 0xFF < y & 0xFF else b
+    return a
 
 
-def _is_constant(sub: np.ndarray) -> bool:
-    defined = sub[sub != UNDEFINED]
-    return defined.size == 0 or bool((defined == defined[0]).all())
+def _is_constant(sub: tuple) -> bool:
+    values = {v for row in sub for v in row}
+    values.discard(UNDEFINED)
+    return len(values) <= 1
 
 
 class SearchTooWideError(ValueError):
     """An exact search would pass one of its size caps."""
+
+
+def _balanced_masks(count: int):
+    """Masks over lines 1..count-1, the most balanced splits first.
+
+    Generated one balance class at a time: a sorted list of all 2^15 masks
+    of a 16-line side would hold about 1 MB for the whole search.
+    """
+    for imbalance in range(count % 2, count, 2):
+        for mask in range(1, 1 << (count - 1)):
+            if abs(2 * mask.bit_count() - count) == imbalance:
+                yield mask
 
 
 class _ProtocolSearch:
@@ -305,44 +333,43 @@ class _ProtocolSearch:
     def __init__(self):
         self.solvable_memo = {}
         self.node_info = {}
+        self.shared_rows = {}
 
-    def _info(self, key, sub):
-        cached = self.node_info.get(key)
+    def _info(self, sub):
+        cached = self.node_info.get(sub)
         if cached is not None:
             return cached
         constant = _is_constant(sub)
         if constant:
             info = (True, 0, 0)
         else:
-            grid = sub.tolist()
             cells = [
-                (i, j, grid[i][j])
-                for i in range(len(grid))
-                for j in range(len(grid[0]))
-                if grid[i][j] != UNDEFINED
+                (i, j, v)
+                for i, row in enumerate(sub)
+                for j, v in enumerate(row)
+                if v != UNDEFINED
             ]
             fool = max(
-                len(_greedy_clique(grid, cells)),
-                len(_greedy_clique(grid, sorted(cells, key=lambda c: (c[2], c[0], c[1])))),
+                len(_greedy_clique(sub, cells)),
+                len(_greedy_clique(sub, sorted(cells, key=lambda c: (c[2], c[0], c[1])))),
             )
             lower = max(1, ceil(log2(fool)))
-            upper = 1 + min(
-                ceil(log2(sub.shape[0])), ceil(log2(sub.shape[1]))
-            )
+            upper = 1 + min(ceil(log2(len(sub))), ceil(log2(len(sub[0]))))
             info = (False, lower, upper)
-        self.node_info[key] = info
+        # stored forms share most rows, so keep one copy of each
+        self.node_info[tuple(self.shared_rows.setdefault(row, row) for row in sub)] = info
         return info
 
-    def solvable(self, sub: np.ndarray, budget: int) -> bool:
-        key, sub = _canonical(sub)
-        constant, lower, upper = self._info(key, sub)
+    def solvable(self, sub: tuple, budget: int) -> bool:
+        sub = _canonical(sub)
+        constant, lower, upper = self._info(sub)
         if constant:
             return True
         if budget >= upper:
             return True
         if budget < lower:
             return False
-        memo_key = (key, budget)
+        memo_key = (sub, budget)
         cached = self.solvable_memo.get(memo_key)
         if cached is not None:
             return cached
@@ -350,27 +377,24 @@ class _ProtocolSearch:
         self.solvable_memo[memo_key] = result
         return result
 
-    def _branch(self, sub: np.ndarray, budget: int) -> bool:
+    def _branch(self, sub: tuple, budget: int) -> bool:
         # one bit from either player splits that player's side in two
         skipped_wide = False
-        for side in (sub, sub.T):
-            count = side.shape[0]
+        for side in (sub, tuple(zip(*sub))):
+            count = len(side)
             if count < 2:
                 continue
             if 1 << (count - 1) > _BIPARTITION_LIMIT:
                 skipped_wide = True
                 continue
-            masks = sorted(
-                range(1, 1 << (count - 1)),
-                key=lambda m: abs(2 * m.bit_count() - count),
-            )
-            indices = np.arange(1, count)
-            for mask in masks:
-                picked = indices[[(mask >> b) & 1 == 1 for b in range(count - 1)]]
-                part = np.zeros(count, dtype=bool)
-                part[picked] = True
-                if self.solvable(side[part], budget - 1) and self.solvable(
-                    side[~part], budget - 1
+            for mask in _balanced_masks(count):
+                # bit i of `mask << 1` puts line i in the first part, so
+                # line 0 always stays in the second
+                part = mask << 1
+                first = tuple(line for i, line in enumerate(side) if part >> i & 1)
+                second = tuple(line for i, line in enumerate(side) if not part >> i & 1)
+                if self.solvable(first, budget - 1) and self.solvable(
+                    second, budget - 1
                 ):
                     return True
         if skipped_wide:
@@ -390,20 +414,21 @@ def exact_deterministic_cc(m: CommMatrix, size_limit: int = MATRIX_SIZE_LIMIT) -
     """
     n_rows, n_cols = m.shape
     if n_rows > size_limit or n_cols > size_limit:
-        raise ValueError(
+        raise SearchTooWideError(
             f"matrix {n_rows}x{n_cols} exceeds the search limit {size_limit}"
         )
     if n_rows == 0 or n_cols == 0:
         return 0
-    if _is_constant(m.entries):
+    grid = tuple(map(tuple, m.entries.tolist()))
+    if _is_constant(grid):
         return 0
     search = _ProtocolSearch()
-    key, canon = _canonical(m.entries)
-    _, lower, upper = search._info(key, canon)
+    canon = _canonical(grid)
+    _, lower, upper = search._info(canon)
     # the label-aware greedy usually beats the plain scans, so seed the
     # deepening with whichever clique came out larger
     lower = max(lower, ceil(log2(len(greedy_fooling_set(m)))))
-    if not np.any(m.entries == UNDEFINED):
+    if all(UNDEFINED not in row for row in grid):
         # a depth-d tree has at most 2^d transcripts, whose rectangles
         # partition the matrix into constant pieces, so 2^d is at least
         # the rank of the one-cells plus the rank of the zero-cells
@@ -460,55 +485,57 @@ def _tight_rectangles(entries, value, cells):
     cols_used = sorted({c for _, c in cells})
     if len(rows_used) > 16 or len(cols_used) > 16:
         raise SearchTooWideError("row/column support too large for the exact search")
-    row_pos = {r: i for i, r in enumerate(rows_used)}
-    col_pos = {c: i for i, c in enumerate(cols_used)}
     cell_index = {cell: k for k, cell in enumerate(cells)}
-    # per used row: usable columns (value or undefined) and covered cells
+    # per used row: usable columns (value or undefined), value columns, and
+    # the cell index behind each value column
     ok_cols = []
-    row_cells = []
+    val_cols = []
+    cell_at = []
     for r in rows_used:
-        ok = 0
-        covered = {}
-        for c in cols_used:
+        ok = val = 0
+        at = {}
+        for j, c in enumerate(cols_used):
             e = entries[r][c]
             if e in (value, UNDEFINED):
-                ok |= 1 << col_pos[c]
+                ok |= 1 << j
             if e == value:
-                covered[col_pos[c]] = cell_index[(r, c)]
+                val |= 1 << j
+                at[j] = cell_index[(r, c)]
         ok_cols.append(ok)
-        row_cells.append(covered)
-    rects = {}
+        val_cols.append(val)
+        cell_at.append(at)
+    rects = []
     work = 0
     for row_mask in range(1, 1 << len(rows_used)):
+        picked_rows = list(_iter_bits(row_mask))
         allowed = (1 << len(cols_used)) - 1
-        for i in _iter_bits(row_mask):
+        for i in picked_rows:
             allowed &= ok_cols[i]
         if allowed == 0:
             continue
-        col_options = list(_iter_bits(allowed))
-        work += 1 << len(col_options)
+        work += 1 << allowed.bit_count()
         if work > _ENUMERATION_LIMIT:
             raise SearchTooWideError("candidate rectangle enumeration too large")
-        for col_pick in range(1, 1 << len(col_options)):
-            col_mask = 0
-            for b in _iter_bits(col_pick):
-                col_mask |= 1 << col_options[b]
-            cover = 0
-            tight_rows = 0
-            tight_cols = 0
-            for i in _iter_bits(row_mask):
-                hits = [j for j in row_cells[i] if (col_mask >> j) & 1]
-                for j in hits:
-                    cover |= 1 << row_cells[i][j]
-                    tight_cols |= 1 << j
-                if hits:
-                    tight_rows |= 1 << i
-            if cover == 0 or tight_rows != row_mask or tight_cols != col_mask:
-                continue
-            rects[(row_mask, col_mask)] = cover
-    return rows_used, cols_used, [
-        (rm, cm, cover) for (rm, cm), cover in sorted(rects.items())
-    ]
+        col_mask = allowed
+        while col_mask:
+            # tight: every picked row hits a value column of col_mask, and
+            # together they hit all of them
+            hit_cols = 0
+            for i in picked_rows:
+                hits = val_cols[i] & col_mask
+                if not hits:
+                    break
+                hit_cols |= hits
+            else:
+                if hit_cols == col_mask:
+                    cover = 0
+                    for i in picked_rows:
+                        for j in _iter_bits(val_cols[i] & col_mask):
+                            cover |= 1 << cell_at[i][j]
+                    rects.append((row_mask, col_mask, cover))
+            col_mask = (col_mask - 1) & allowed
+    rects.sort()
+    return rows_used, cols_used, rects
 
 
 def min_monochromatic_partition(
@@ -662,26 +689,30 @@ def _partition_search(entries, value, cells, rects, by_cell, full, strict) -> li
 def _indicator_rank(cells) -> int:
     """Exact real rank of the 0/1 matrix marking the given cells.
 
-    Rational elimination avoids floating-point rank tolerance questions.
+    Fraction-free (Bareiss) elimination on Python ints keeps every step
+    exact: each division by the previous pivot leaves no remainder.
     """
     rows_used = sorted({r for r, _ in cells})
     cols_used = sorted({c for _, c in cells})
     row_pos = {r: i for i, r in enumerate(rows_used)}
     col_pos = {c: j for j, c in enumerate(cols_used)}
-    grid = [[Fraction(0)] * len(cols_used) for _ in rows_used]
+    grid = [[0] * len(cols_used) for _ in rows_used]
     for r, c in cells:
-        grid[row_pos[r]][col_pos[c]] = Fraction(1)
+        grid[row_pos[r]][col_pos[c]] = 1
     rank = 0
+    prev = 1
     for c in range(len(cols_used)):
         pivot = next((i for i in range(rank, len(grid)) if grid[i][c]), None)
         if pivot is None:
             continue
         grid[rank], grid[pivot] = grid[pivot], grid[rank]
-        lead = grid[rank][c]
+        top = grid[rank]
+        lead = top[c]
         for i in range(rank + 1, len(grid)):
-            if grid[i][c]:
-                factor = grid[i][c] / lead
-                grid[i] = [a - factor * b for a, b in zip(grid[i], grid[rank])]
+            row = grid[i]
+            factor = row[c]
+            grid[i] = [(lead * a - factor * b) // prev for a, b in zip(row, top)]
+        prev = lead
         rank += 1
         if rank == len(grid):
             break

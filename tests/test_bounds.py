@@ -1,5 +1,7 @@
 """Exact communication bounds: matrices, protocol search, partitions."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -146,7 +148,15 @@ class TestFoolingSet:
 class TestExactCc:
     @pytest.mark.parametrize(
         "kind,n,expected",
-        [("eq", 1, 2), ("eq", 2, 3), ("disj", 1, 2), ("disj", 2, 3), ("disj", 3, 4)],
+        [
+            ("eq", 1, 2),
+            ("eq", 2, 3),
+            ("eq", 6, 7),
+            ("disj", 1, 2),
+            ("disj", 2, 3),
+            ("disj", 3, 4),
+            ("disj", 6, 7),
+        ],
     )
     def test_total_problems(self, kind, n, expected):
         assert exact_deterministic_cc(problem_matrix(kind, n)) == expected
@@ -170,8 +180,11 @@ class TestExactCc:
 
     def test_size_limit(self):
         m = problem_matrix("eq", 4)
-        with pytest.raises(ValueError):
+        with pytest.raises(SearchTooWideError):
             exact_deterministic_cc(m, size_limit=8)
+
+    def test_promise_eq_n4(self):
+        assert exact_deterministic_cc(problem_matrix("promise_eq", 4)) == 3
 
     def test_too_wide_promise_search_refuses(self):
         m = problem_matrix("promise_eq", 6)
@@ -190,6 +203,8 @@ class TestPartition:
             ("disj", 2, 0, 3),
             ("disj", 3, 0, 7),
             ("disj", 3, 1, 8),
+            ("eq", 4, 1, 16),
+            ("promise_eq", 4, 1, 4),
         ],
     )
     def test_known_counts(self, kind, n, value, expected):
@@ -305,6 +320,75 @@ class TestRectangleBound:
         report = check_rectangle_bound(problem_matrix("promise_eq", 6))
         assert report.to_record() == {"D": None, "C0": None, "C1": None, "bound_ok": None}
 
+    def test_all_unknown_beyond_the_size_cap(self):
+        # 128 rows pass the protocol search's 64-row cap
+        report = check_rectangle_bound(problem_matrix("eq", 7))
+        assert report.depth is None
+        assert report.holds is None
+
     def test_json_is_sorted(self):
         report = check_rectangle_bound(problem_matrix("eq", 1))
         assert report.to_json() == '{"C0": 2, "C1": 2, "D": 2, "bound_ok": true}'
+
+
+def _brute_depth(rows):
+    """Minimum protocol-tree depth, trying every row and column split.
+
+    Deliberately naive: no memo, no normal form, no lower or upper bounds.
+    Line 0 stays in the second part, so each split is tried once.
+    """
+    if len({v for row in rows for v in row} - {UNDEFINED}) <= 1:
+        return 0
+    best = None
+    for transpose in (False, True):
+        side = tuple(zip(*rows)) if transpose else rows
+        for mask in range(2, 1 << len(side), 2):
+            parts = (
+                tuple(line for i, line in enumerate(side) if mask >> i & 1),
+                tuple(line for i, line in enumerate(side) if not mask >> i & 1),
+            )
+            if transpose:
+                parts = tuple(tuple(zip(*part)) for part in parts)
+            depth = 1 + max(_brute_depth(part) for part in parts)
+            best = depth if best is None else min(best, depth)
+    return best
+
+
+def _matrix(grid):
+    return CommMatrix(
+        rows=tuple(range(len(grid))),
+        cols=tuple(range(len(grid[0]))),
+        entries=np.array(grid, dtype=np.int8),
+    )
+
+
+class TestBruteForceProtocolTree:
+    @pytest.mark.parametrize(
+        "kind,n", [("eq", 1), ("eq", 2), ("disj", 1), ("disj", 2), ("promise_eq", 2)]
+    )
+    def test_problem_matrices(self, kind, n):
+        m = problem_matrix(kind, n)
+        assert exact_deterministic_cc(m) == _brute_depth(tuple(map(tuple, m.entries.tolist())))
+
+    @pytest.mark.parametrize("kind", ["promise_eq", "promise_disj"])
+    def test_promise_submatrices_n4(self, kind):
+        # promise disjointness needs n >= 4 for an integer band, so its
+        # small cases are 4x4 blocks of the n=4 matrix
+        margin = Margin.from_text("1/4", 4) if kind == "promise_disj" else None
+        m = problem_matrix(kind, 4, margin)
+        rng = random.Random(4)
+        for _ in range(5):
+            rows, cols = (sorted(rng.sample(range(16), 4)) for _ in range(2))
+            sub = m.submatrix(rows, cols)
+            grid = tuple(map(tuple, sub.entries.tolist()))
+            assert exact_deterministic_cc(sub) == _brute_depth(grid), grid
+
+    def test_random_partial_matrices(self):
+        rng = random.Random(7)
+        for _ in range(80):
+            n_rows, n_cols = rng.randint(1, 4), rng.randint(1, 4)
+            grid = tuple(
+                tuple(rng.choice((0, 1, UNDEFINED)) for _ in range(n_cols))
+                for _ in range(n_rows)
+            )
+            assert exact_deterministic_cc(_matrix(grid)) == _brute_depth(grid), grid
