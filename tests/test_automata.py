@@ -63,6 +63,32 @@ class TestWords:
         for bad in ["", "0101", "0101#01", "0101#0101#0101", "01a1#0101"]:
             assert classify_word(problem, bad) is PromiseLabel.OUTSIDE
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_labels_match_oracle_on_all_pairs(self, n):
+        # oracle: equality NO at distance exactly n/2 (none for odd n);
+        # disjointness NO for overlaps in [n/4, 3n/4], in integer arithmetic
+        def eq_oracle(xv, yv):
+            d = bin(xv ^ yv).count("1")
+            return "yes" if d == 0 else "no" if 2 * d == n else "outside"
+
+        def disj_oracle(xv, yv):
+            m = bin(xv & yv).count("1")
+            return "yes" if m == 0 else "no" if n <= 4 * m <= 3 * n else "outside"
+
+        eq, disj = equality_word_problem(n), disjointness_word_problem(n)
+        flip_last = BitString(1, n)
+        for x in all_bitstrings(n):
+            for y in all_bitstrings(n):
+                assert classify_word(eq, equality_word(x, y)).value == eq_oracle(
+                    x.value, y.value
+                )
+                assert classify_word(disj, disjointness_word(x, y)).value == (
+                    disj_oracle(x.value, y.value)
+                )
+                # a third block that differs from the first is outside
+                word = f"{x}#{y}#{x ^ flip_last}"
+                assert classify_word(disj, word) is PromiseLabel.OUTSIDE
+
 
 class TestEqualityAutomaton:
     @pytest.mark.parametrize("n", [2, 4])

@@ -1,6 +1,7 @@
 """Exact communication bounds: matrices, protocol search, partitions."""
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -113,6 +114,33 @@ class TestProblemMatrix:
     def test_size_cap(self):
         with pytest.raises(ValueError):
             problem_matrix("eq", 11)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_entries_match_cell_oracle(self, n):
+        # every kind, and promise_disj at every margin j/n in (0, 1/4]
+        def cell(kind, x, y, margin):
+            d = bin(x ^ y).count("1")
+            m = bin(x & y).count("1")
+            if kind == "eq":
+                return int(d == 0)
+            if kind == "disj":
+                return int(m == 0)
+            if kind == "promise_eq":
+                return 1 if d == 0 else 0 if 2 * d == n else UNDEFINED
+            return 1 if m == 0 else 0 if margin.low <= m <= margin.high else UNDEFINED
+
+        cases = [("eq", None), ("disj", None)]
+        if n % 2 == 0:
+            cases.append(("promise_eq", None))
+        cases += [
+            ("promise_disj", Margin(Fraction(j, n), n)) for j in range(1, n // 4 + 1)
+        ]
+        size = 1 << n
+        for kind, margin in cases:
+            want = [
+                [cell(kind, x, y, margin) for y in range(size)] for x in range(size)
+            ]
+            assert problem_matrix(kind, n, margin).entries.tolist() == want
 
 
 class TestFoolingSet:

@@ -5,9 +5,10 @@ import io
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from promisecc import cli
+from promisecc import automata, cli
 from promisecc.cli import (
     COMMANDS,
     EXIT_CONFIG,
@@ -165,6 +166,98 @@ class TestReductionSweep:
         assert summary["agreement"] is True
         assert summary["invariant_ok"] is True
         assert summary["cost"] == 1 + 2 * 6  # 35 states round up to 2^6
+
+    def test_dfa_failing_the_check_is_reported(self, tmp_path, monkeypatch, capsys):
+        import dataclasses
+
+        real = cli.automata.bruteforce_disjointness_dfa
+
+        def accepts_nothing(n):
+            return dataclasses.replace(real(n), accepting=frozenset())
+
+        monkeypatch.setattr(cli.automata, "bruteforce_disjointness_dfa", accepts_nothing)
+        out = tmp_path / "r.json"
+        cfg = ExperimentConfig(command="reduction", n=2, out=str(out))
+        assert run_experiment(cfg) == EXIT_INVARIANT
+        assert "fails the promise check" in capsys.readouterr().err
+        summary = _read_json_lines(out)[-1]
+        assert summary["agreement"] is False
+        assert summary["cost"] is None
+        assert summary["invariant_ok"] is False
+
+
+def _disj_oracle(n, xv, yv):
+    m = bin(xv & yv).count("1")
+    return "yes" if m == 0 else "no" if n <= 4 * m <= 3 * n else "outside"
+
+
+def _eq_oracle(n, xv, yv):
+    d = bin(xv ^ yv).count("1")
+    return "yes" if d == 0 else "no" if 2 * d == n else "outside"
+
+
+def _as_text(stream):
+    return [(str(x), str(y), label.value) for x, y, label in stream]
+
+
+def _brute_force(n, oracle):
+    return [
+        (format(xv, f"0{n}b"), format(yv, f"0{n}b"), oracle(n, xv, yv))
+        for xv in range(1 << n)
+        for yv in range(1 << n)
+        if oracle(n, xv, yv) != "outside"
+    ]
+
+
+def _drawn(n, count, oracle, seed):
+    # reference sampler: int64 draws of x then y, rejected outside the promise
+    rng = np.random.default_rng(seed)
+    pairs = []
+    while len(pairs) < count:
+        xv = int(rng.integers(0, 1 << n))
+        yv = int(rng.integers(0, 1 << n))
+        if oracle(n, xv, yv) != "outside":
+            pairs.append((format(xv, f"0{n}b"), format(yv, f"0{n}b"), oracle(n, xv, yv)))
+    return pairs
+
+
+class TestPairStreams:
+    def test_exhaustive_pairs_match_brute_force(self):
+        plan = ExperimentConfig(command="quantum-sweep", n=4).validated()
+        assert _as_text(cli._pair_stream(plan)) == _brute_force(4, _disj_oracle)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_exhaustive_word_pairs_match_brute_force(self, n):
+        plan = ExperimentConfig(command="qcfa-sweep", n=n).validated()
+        cases = [
+            (automata.equality_word_problem(n), automata.equality_word, _eq_oracle),
+            (automata.disjointness_word_problem(n), automata.disjointness_word,
+             _disj_oracle),
+        ]
+        for problem, builder, oracle in cases:
+            stream = cli._word_pair_stream(plan, problem, builder)
+            assert _as_text(stream) == _brute_force(n, oracle)
+
+    @pytest.mark.parametrize("n,seed", [(16, 5), (48, 11)])
+    def test_sampled_pairs_match_int64_draws(self, n, seed):
+        plan = ExperimentConfig(
+            command="quantum-sweep", n=n, mode="sample", samples=200, seed=seed
+        ).validated()
+        assert _as_text(cli._pair_stream(plan)) == _drawn(n, 200, _disj_oracle, seed)
+
+    def test_sampled_word_pairs_match_int64_draws(self):
+        n, seed = 16, 5
+        plan = ExperimentConfig(
+            command="qcfa-sweep", n=n, mode="sample", samples=100, seed=seed
+        ).validated()
+        eq = cli._word_pair_stream(
+            plan, automata.equality_word_problem(n), automata.equality_word
+        )
+        assert _as_text(eq) == _drawn(n, 100, _eq_oracle, (seed, 0))
+        disj = cli._word_pair_stream(
+            plan, automata.disjointness_word_problem(n), automata.disjointness_word
+        )
+        assert _as_text(disj) == _drawn(n, 100, _disj_oracle, (seed, 1))
 
 
 class TestReports:
