@@ -30,13 +30,20 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import ceil, log2
 
 import numpy as np
 
-from .bits import BitString, PromiseLabel, hamming_distance, intersection_size
+from .bits import (
+    BitString,
+    PromiseLabel,
+    disj_label,
+    eq_label,
+    hamming_distance,
+    intersection_size,
+    promise_pairs,
+)
 from . import qsim
 
 LEFT_MARKER = "^"
@@ -237,29 +244,24 @@ def _parse_blocks(word: str, count: int, n: int):
 
 
 def classify_word(problem: WordProblem, word: str) -> PromiseLabel:
-    """Label a word; malformed shapes fall outside the promise."""
+    """Label a word by the ``bits`` rules; malformed shapes are outside.
+
+    ``x#y`` follows :func:`eq_label`, so odd n has no NO words.  ``x#y#x``
+    follows :func:`disj_label` with lambda fixed at 1/4 by the automaton's
+    acceptance cap: ``(1 - 2m/n)**2 <= 1/4`` exactly when n/4 <= m <= 3n/4,
+    whose integer ends are ``(n + 3) // 4`` and ``3 * n // 4``.
+    """
     n = problem.n
     if problem.kind == "equality":
         parts = _parse_blocks(word, 2, n)
         if parts is None:
             return PromiseLabel.OUTSIDE
-        x, y = BitString(parts[0]), BitString(parts[1])
-        d = hamming_distance(x, y)
-        if d == 0:
-            return PromiseLabel.YES
-        if 2 * d == n:
-            return PromiseLabel.NO
-        return PromiseLabel.OUTSIDE
+        return eq_label(hamming_distance(BitString(parts[0]), BitString(parts[1])), n)
     parts = _parse_blocks(word, 3, n)
     if parts is None or parts[2] != parts[0]:
         return PromiseLabel.OUTSIDE
-    x, y = BitString(parts[0]), BitString(parts[1])
-    m = intersection_size(x, y)
-    if m == 0:
-        return PromiseLabel.YES
-    if Fraction(n, 4) <= m <= Fraction(3 * n, 4):
-        return PromiseLabel.NO
-    return PromiseLabel.OUTSIDE
+    m = intersection_size(BitString(parts[0]), BitString(parts[1]))
+    return disj_label(m, (n + 3) // 4, 3 * n // 4)
 
 
 def equality_word(x: BitString, y: BitString) -> str:
@@ -379,20 +381,11 @@ def bruteforce_disjointness_dfa(n: int) -> Dfa:
 def verify_promise_dfa(d: Dfa, n: int) -> bool:
     """Exhaustively check a DFA against every x#y#x promise word."""
     problem = disjointness_word_problem(n)
-    for xv in range(1 << n):
-        x = BitString(xv, n)
-        for yv in range(1 << n):
-            y = BitString(yv, n)
-            word = disjointness_word(x, y)
-            label = problem.classify(word)
-            if label is PromiseLabel.OUTSIDE:
-                continue
-            accepted = run_dfa(d, word)
-            if label is PromiseLabel.YES and not accepted:
-                return False
-            if label is PromiseLabel.NO and accepted:
-                return False
-    return True
+    pairs = promise_pairs(n, lambda x, y: problem.classify(disjointness_word(x, y)))
+    return all(
+        run_dfa(d, disjointness_word(x, y)) == (label is PromiseLabel.YES)
+        for x, y, label in pairs
+    )
 
 
 @dataclass(frozen=True)

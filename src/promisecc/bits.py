@@ -1,4 +1,4 @@
-"""Bit strings, Hamming metrics, and promise classification.
+"""Bit strings, Hamming metrics, the two promise rules and the pair stream.
 
 The two base problems live on pairs of equal-length binary words: equality
 (are ``x`` and ``y`` the same word?) and disjointness (do ``x`` and ``y``,
@@ -6,14 +6,18 @@ read as characteristic vectors of subsets of ``{1..n}``, share an index?).
 Their promise variants restrict attention to well-separated instances:
 
 * promise equality: yes-instances are equal pairs, no-instances are pairs
-  at Hamming distance exactly ``n/2``;
+  at Hamming distance exactly ``n/2`` (:func:`eq_label`);
 * promise disjointness with margin ``lam``: yes-instances have empty
-  intersection, no-instances have intersection size in ``[lam*n, (1-lam)*n]``.
+  intersection, no-instances have intersection size in ``[lam*n, (1-lam)*n]``
+  (:func:`disj_label`).
 
 Everything else is outside the promise and carries no correctness
-obligation.  The margin is kept as an exact rational with ``lam*n``
-integral so that band membership is an integer comparison, never a float
-one.
+obligation.  Both rules take an integer count (distance or overlap), so
+every caller -- pair classifiers, word classifiers, matrix builders --
+applies the same rule.  The margin is kept as an exact rational with
+``lam*n`` integral so that band membership is an integer comparison, never
+a float one.  :func:`promise_pairs` is the one enumerator of all pairs
+inside a promise.
 
 Words are written most-significant-position-first: ``str(x)[0]`` is the
 first bit of ``x``.
@@ -24,10 +28,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
-
-#: Largest n for which exhaustive enumeration over all 4**n pairs is allowed.
-EXHAUSTIVE_LIMIT = 10
+from functools import cached_property
+from typing import Callable, Iterator
 
 
 class PromiseLabel(enum.Enum):
@@ -174,11 +176,12 @@ class Margin:
         """Parse a 'p/q' rational (or plain integer) margin."""
         return cls(Fraction(text), n)
 
-    @property
+    # cached: every pair classification reads both ends
+    @cached_property
     def low(self) -> int:
         return int(self.fraction * self.n)
 
-    @property
+    @cached_property
     def high(self) -> int:
         return int((1 - self.fraction) * self.n)
 
@@ -208,17 +211,33 @@ def smallest_k(margin, slope: int, eps) -> int:
     return k
 
 
+def disj_label(m: int, low: int, high: int) -> PromiseLabel:
+    """Promise disjointness rule: overlap m is YES at 0, NO in [low, high]."""
+    if m == 0:
+        return PromiseLabel.YES
+    if low <= m <= high:
+        return PromiseLabel.NO
+    return PromiseLabel.OUTSIDE
+
+
+def eq_label(d: int, n: int) -> PromiseLabel:
+    """Promise equality rule: distance d is YES at 0, NO at exactly n/2.
+
+    No parity check: for odd n nothing is NO.
+    """
+    if d == 0:
+        return PromiseLabel.YES
+    if 2 * d == n:
+        return PromiseLabel.NO
+    return PromiseLabel.OUTSIDE
+
+
 def classify_disj_promise(x: BitString, y: BitString, margin: Margin) -> PromiseLabel:
     """Label a pair under promise disjointness with the given margin."""
     _check_same_length(x, y)
     if x.n != margin.n:
         raise ValueError(f"margin is for n={margin.n}, inputs have n={x.n}")
-    m = intersection_size(x, y)
-    if m == 0:
-        return PromiseLabel.YES
-    if margin.low <= m <= margin.high:
-        return PromiseLabel.NO
-    return PromiseLabel.OUTSIDE
+    return disj_label(intersection_size(x, y), margin.low, margin.high)
 
 
 def classify_eq_promise(x: BitString, y: BitString) -> PromiseLabel:
@@ -226,12 +245,7 @@ def classify_eq_promise(x: BitString, y: BitString) -> PromiseLabel:
     _check_same_length(x, y)
     if x.n % 2:
         raise ValueError("promise equality needs even length (n/2 threshold)")
-    d = hamming_distance(x, y)
-    if d == 0:
-        return PromiseLabel.YES
-    if d == x.n // 2:
-        return PromiseLabel.NO
-    return PromiseLabel.OUTSIDE
+    return eq_label(hamming_distance(x, y), x.n)
 
 
 def all_bitstrings(n: int) -> Iterator[BitString]:
@@ -240,27 +254,20 @@ def all_bitstrings(n: int) -> Iterator[BitString]:
         yield BitString(v, n)
 
 
-def enumerate_promise_pairs(
-    n: int,
-    margin: Margin,
-    label: PromiseLabel,
-    limit: int = EXHAUSTIVE_LIMIT,
-) -> Iterator[tuple[BitString, BitString]]:
-    """All pairs with the requested disjointness-promise label, in lex order.
+def promise_pairs(
+    n: int, classify: Callable[[BitString, BitString], PromiseLabel]
+) -> Iterator[tuple[BitString, BitString, PromiseLabel]]:
+    """Every pair inside a promise as ``(x, y, label)``, x then y in numeric order.
 
-    Refuses n beyond the exhaustive limit; sample such sweeps instead of
-    enumerating 4**n pairs.
+    ``classify(x, y)`` labels one pair; OUTSIDE pairs are skipped.  All
+    4**n pairs are visited, so keep n small.
     """
-    if n > limit:
-        raise ValueError(
-            f"n={n} exceeds the exhaustive bound {limit}; use sampled sweeps"
-        )
-    if margin.n != n:
-        raise ValueError(f"margin is for n={margin.n}, requested n={n}")
-    for x in all_bitstrings(n):
-        for y in all_bitstrings(n):
-            if classify_disj_promise(x, y, margin) is label:
-                yield x, y
+    words = list(all_bitstrings(n))
+    for x in words:
+        for y in words:
+            label = classify(x, y)
+            if label is not PromiseLabel.OUTSIDE:
+                yield x, y, label
 
 
 def weight_band(margin: Margin) -> list[BitString]:

@@ -39,6 +39,8 @@ from .bits import (
     PromiseLabel,
     all_bitstrings,
     classify_disj_promise,
+    disj_label,
+    eq_label,
     weight_band,
 )
 
@@ -137,47 +139,43 @@ def _parse_label(text: str):
     return text
 
 
-def _popcounts(n: int) -> np.ndarray:
-    table = np.arange(1 << n, dtype=np.int64)
-    counts = np.zeros(1 << n, dtype=np.int64)
-    while table.any():
-        counts += table & 1
-        table >>= 1
-    return counts
+_ENTRY = {PromiseLabel.YES: 1, PromiseLabel.NO: 0, PromiseLabel.OUTSIDE: UNDEFINED}
 
 
 def problem_matrix(kind: str, n: int, margin: Margin | None = None) -> CommMatrix:
-    """Matrix of one of the four problems over all length-n inputs."""
+    """Matrix of one of the four problems over all length-n inputs.
+
+    An entry depends only on the popcount of ``x ^ y`` (equality) or
+    ``x & y`` (disjointness), so the promise rule is evaluated once per
+    count 0..n and the matrix is read from that table.
+    """
     if kind not in PROBLEM_KINDS:
         raise ValueError(f"unknown problem kind {kind!r}")
     if not 1 <= n <= 10:
         raise ValueError("matrix construction supports 1 <= n <= 10")
-    labels = tuple(all_bitstrings(n))
-    values = np.arange(1 << n)
-    pc = _popcounts(n)
-    if kind in ("eq", "promise_eq"):
-        dist = pc[values[:, None] ^ values[None, :]]
-        if kind == "eq":
-            entries = (dist == 0).astype(np.int8)
-        else:
-            if n % 2:
-                raise ValueError("promise equality needs even n")
-            entries = np.full(dist.shape, UNDEFINED, dtype=np.int8)
-            entries[dist == 0] = 1
-            entries[2 * dist == n] = 0
+    counts = range(n + 1)
+    if kind == "promise_eq":
+        if n % 2:
+            raise ValueError("promise equality needs even n")
+        labels = [eq_label(c, n) for c in counts]
+    elif kind == "promise_disj":
+        if margin is None:
+            raise ValueError("promise disjointness needs a margin")
+        if margin.n != n:
+            raise ValueError("margin length does not match n")
+        labels = [disj_label(c, margin.low, margin.high) for c in counts]
     else:
-        inter = pc[values[:, None] & values[None, :]]
-        if kind == "disj":
-            entries = (inter == 0).astype(np.int8)
-        else:
-            if margin is None:
-                raise ValueError("promise disjointness needs a margin")
-            if margin.n != n:
-                raise ValueError("margin length does not match n")
-            entries = np.full(inter.shape, UNDEFINED, dtype=np.int8)
-            entries[inter == 0] = 1
-            entries[(inter >= margin.low) & (inter <= margin.high)] = 0
-    return CommMatrix(rows=labels, cols=labels, entries=entries)
+        # the total problems: count 0 is YES, every other count NO
+        labels = [PromiseLabel.YES] + [PromiseLabel.NO] * n
+    by_count = np.array([_ENTRY[label] for label in labels], dtype=np.int8)
+    by_value = by_count[[v.bit_count() for v in range(1 << n)]]
+    values = np.arange(1 << n)
+    if kind in ("eq", "promise_eq"):
+        pairs = values[:, None] ^ values[None, :]
+    else:
+        pairs = values[:, None] & values[None, :]
+    words = tuple(all_bitstrings(n))
+    return CommMatrix(rows=words, cols=words, entries=by_value[pairs])
 
 
 # ---------------------------------------------------------------------------

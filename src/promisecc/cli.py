@@ -4,9 +4,10 @@ Each command sweeps one capability over exhaustive or sampled inputs and
 writes one record per evaluated input plus a trailing summary record, as
 newline-delimited JSON or fixed-column CSV.  Sweeps re-assert the owning
 module's guarantees while running; a violated guarantee still writes the
-report but exits with status 2.  Per-input randomness derives from
-(seed, input index), so identical configurations produce byte-identical
-reports.
+report but exits with status 2.  Inputs come from one stream: every pair
+inside the promise, or uniform draws kept only inside it.  Per-input
+randomness derives from (seed, input index), so identical configurations
+produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import automata, bounds, quantum_protocol, randomized_protocol
-from .bits import BitString, Margin, PromiseLabel, classify_disj_promise
+from .bits import BitString, Margin, PromiseLabel, classify_disj_promise, promise_pairs
 
 OUTPUT_DIR_ENV = "PROMISECC_OUT_DIR"
 COMMANDS = ("quantum-sweep", "classical-sweep", "qcfa-sweep", "bounds", "reduction")
@@ -45,6 +46,8 @@ _EXHAUSTIVE_CAPS = {
     "bounds": 6,
     "reduction": 6,
 }
+#: Sample mode draws each word as one 64-bit integer.
+_SAMPLE_CAP = 64
 
 _COLUMNS = {
     "quantum-sweep": [
@@ -107,6 +110,8 @@ class ExperimentConfig:
                 raise ConfigError("sample mode needs --samples >= 1")
             if self.seed is None:
                 raise ConfigError("sample mode needs an explicit --seed")
+            if self.n > _SAMPLE_CAP:
+                raise ConfigError(f"sample mode supports n <= {_SAMPLE_CAP}")
         cap = _EXHAUSTIVE_CAPS[self.command]
         if self.mode == "exhaustive" and self.n > cap:
             raise ConfigError(
@@ -159,51 +164,44 @@ class _RunPlan:
 # input streams
 # ---------------------------------------------------------------------------
 
-def _pair_stream(plan: _RunPlan):
-    """Promise pairs for the protocol sweeps, exhaustive or sampled."""
-    cfg, margin = plan.config, plan.margin
-    n = cfg.n
-    if cfg.mode == "exhaustive":
-        for xv in range(1 << n):
-            for yv in range(1 << n):
-                x, y = BitString(xv, n), BitString(yv, n)
-                label = classify_disj_promise(x, y, margin)
-                if label is not PromiseLabel.OUTSIDE:
-                    yield x, y, label
-        return
-    master = np.random.default_rng(plan.seed)
-    for _ in range(cfg.samples):
-        while True:
-            x = BitString(int(master.integers(0, 1 << n)), n)
-            y = BitString(int(master.integers(0, 1 << n)), n)
-            label = classify_disj_promise(x, y, margin)
-            if label is not PromiseLabel.OUTSIDE:
-                yield x, y, label
-                break
+def _promise_stream(plan: _RunPlan, classify, seed):
+    """(x, y, label) for the pairs inside a promise, exhaustive or sampled.
 
-
-def _word_pair_stream(plan: _RunPlan, problem: automata.WordProblem, builder):
-    """Promise (x, y) pairs for one word problem, exhaustive or sampled."""
+    Exhaustive mode is :func:`promise_pairs`.  Sample mode draws x then y
+    uniformly from ``default_rng(seed)`` and redraws both until
+    ``classify(x, y)`` is inside the promise, ``--samples`` times.
+    """
     cfg = plan.config
     n = cfg.n
     if cfg.mode == "exhaustive":
-        for xv in range(1 << n):
-            for yv in range(1 << n):
-                x, y = BitString(xv, n), BitString(yv, n)
-                label = problem.classify(builder(x, y))
-                if label is not PromiseLabel.OUTSIDE:
-                    yield x, y, label
+        yield from promise_pairs(n, classify)
         return
-    stream = 0 if problem.kind == "equality" else 1
-    master = np.random.default_rng((plan.seed, stream))
+    master = np.random.default_rng(seed)
     for _ in range(cfg.samples):
         while True:
-            x = BitString(int(master.integers(0, 1 << n)), n)
-            y = BitString(int(master.integers(0, 1 << n)), n)
-            label = problem.classify(builder(x, y))
+            x = BitString(int(master.integers(0, 1 << n, dtype=np.uint64)), n)
+            y = BitString(int(master.integers(0, 1 << n, dtype=np.uint64)), n)
+            label = classify(x, y)
             if label is not PromiseLabel.OUTSIDE:
                 yield x, y, label
                 break
+
+
+def _pair_stream(plan: _RunPlan):
+    """Promise disjointness pairs for the protocol sweeps, seeded by the seed."""
+    margin = plan.margin
+    return _promise_stream(
+        plan, lambda x, y: classify_disj_promise(x, y, margin), plan.seed
+    )
+
+
+def _word_pair_stream(plan: _RunPlan, problem: automata.WordProblem, builder):
+    """Pairs whose word ``builder(x, y)`` is inside ``problem``'s promise,
+    seeded by (seed, 0) for equality and (seed, 1) for disjointness."""
+    stream = 0 if problem.kind == "equality" else 1
+    return _promise_stream(
+        plan, lambda x, y: problem.classify(builder(x, y)), (plan.seed, stream)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +366,8 @@ def _qcfa_sweep(plan: _RunPlan):
         p_yes, p_no, deviations = [], [], []
         count_yes = count_no = 0
         for x, y, label in _word_pair_stream(plan, problem, builder):
-            p = automata.accept_probability(machine, builder(x, y))
+            word = builder(x, y)
+            p = automata.accept_probability(machine, word)
             if name == "equality":
                 expected = 1.0 if label is PromiseLabel.YES else 0.0
             else:
@@ -376,20 +375,18 @@ def _qcfa_sweep(plan: _RunPlan):
             deviation = abs(p - expected)
             deviations.append(deviation)
             if deviation > PROB_TOL:
-                violations.append(
-                    f"{name} word {builder(x, y)} off by {deviation:.3e}"
-                )
+                violations.append(f"{name} word {word} off by {deviation:.3e}")
             if label is PromiseLabel.YES:
                 count_yes += 1
                 p_yes.append(p)
                 if p < 1.0 - PROB_TOL:
-                    violations.append(f"{name} yes word {builder(x, y)} not sure")
+                    violations.append(f"{name} yes word {word} not sure")
             else:
                 count_no += 1
                 p_no.append(p)
                 cap = 0.0 if name == "equality" else 0.25
                 if p > cap + PROB_TOL:
-                    violations.append(f"{name} no word {builder(x, y)} above cap")
+                    violations.append(f"{name} no word {word} above cap")
             records.append({
                 "record": "input",
                 "machine": name,
@@ -458,18 +455,17 @@ def _reduction_sweep(plan: _RunPlan):
         violations.append(f"brute-force DFA fails the promise check at n={n}")
         protocol = None
     else:
-        protocol = automata.protocol_from_dfa(dfa, n)
+        # the check above is the one protocol_from_dfa would repeat
+        protocol = automata.DfaProtocol(dfa, n)
         problem = automata.disjointness_word_problem(n)
-        for xv in range(1 << n):
-            for yv in range(1 << n):
-                x, y = BitString(xv, n), BitString(yv, n)
-                label = problem.classify(automata.disjointness_word(x, y))
-                if label is PromiseLabel.OUTSIDE:
-                    continue
-                want = 1 if label is PromiseLabel.YES else 0
-                if protocol.decide(x, y) != want:
-                    agreement = False
-                    violations.append(f"protocol answer wrong on {x},{y}")
+        pairs = promise_pairs(
+            n, lambda x, y: problem.classify(automata.disjointness_word(x, y))
+        )
+        for x, y, label in pairs:
+            want = 1 if label is PromiseLabel.YES else 0
+            if protocol.decide(x, y) != want:
+                agreement = False
+                violations.append(f"protocol answer wrong on {x},{y}")
     min_cc = None
     if n % 4 == 0 and (1 << n) <= bounds.MATRIX_SIZE_LIMIT:
         matrix = bounds.problem_matrix(

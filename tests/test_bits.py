@@ -11,13 +11,15 @@ from promisecc.bits import (
     all_bitstrings,
     classify_disj_promise,
     classify_eq_promise,
+    disj_label,
     disj_value,
-    enumerate_promise_pairs,
+    eq_label,
     hamming_distance,
     hamming_weight,
     intersection_size,
     pair_text,
     parse_pair,
+    promise_pairs,
     weight_band,
 )
 
@@ -135,6 +137,16 @@ class TestClassification:
         with pytest.raises(ValueError):
             classify_eq_promise(BitString("010"), BitString("010"))
 
+    def test_integer_rules(self):
+        assert [disj_label(m, 1, 3).value for m in range(5)] == [
+            "yes", "no", "no", "no", "outside",
+        ]
+        assert [eq_label(d, 4).value for d in range(5)] == [
+            "yes", "outside", "no", "outside", "outside",
+        ]
+        # odd n: no distance is n/2, so nothing is NO
+        assert all(eq_label(d, 5) is not PromiseLabel.NO for d in range(6))
+
 
 class TestEnumeration:
     def test_all_bitstrings_count_and_order(self):
@@ -144,23 +156,29 @@ class TestEnumeration:
 
     def test_promise_pair_counts(self):
         m = Margin.from_text("1/4", 4)
-        yes = list(enumerate_promise_pairs(4, m, PromiseLabel.YES))
-        no = list(enumerate_promise_pairs(4, m, PromiseLabel.NO))
+        pairs = list(promise_pairs(4, lambda x, y: classify_disj_promise(x, y, m)))
+        yes = [(x, y) for x, y, label in pairs if label is PromiseLabel.YES]
+        no = [(x, y) for x, y, label in pairs if label is PromiseLabel.NO]
         # 3^4 disjoint pairs; every other pair except (1111, 1111) lands
         # in the band [1, 3]
         assert len(yes) == 81
         assert len(no) == 174
         assert all(intersection_size(x, y) == 0 for x, y in yes)
+        assert [(x.value, y.value) for x, y, _ in pairs] == sorted(
+            (x.value, y.value) for x, y, _ in pairs
+        )
 
-    def test_promise_pairs_refuse_large_n(self):
-        m = Margin.from_text("1/4", 12)
-        with pytest.raises(ValueError):
-            list(enumerate_promise_pairs(12, m, PromiseLabel.YES))
+    def test_promise_pairs_equality(self):
+        pairs = list(promise_pairs(2, classify_eq_promise))
+        # 4 equal pairs and 8 at distance one
+        assert [label.value for _, _, label in pairs].count("yes") == 4
+        assert len(pairs) == 12
+        assert all(hamming_distance(x, y) in (0, 1) for x, y, _ in pairs)
 
     def test_promise_pairs_margin_length_mismatch(self):
         m = Margin.from_text("1/4", 8)
         with pytest.raises(ValueError):
-            list(enumerate_promise_pairs(4, m, PromiseLabel.YES))
+            list(promise_pairs(4, lambda x, y: classify_disj_promise(x, y, m)))
 
     def test_weight_band_n4(self):
         band = weight_band(Margin.from_text("1/4", 4))

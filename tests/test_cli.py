@@ -105,6 +105,30 @@ class TestQuantumSweep:
         assert len([r for r in records if r["record"] == "input"]) == 40
 
 
+class TestSampleModeSize:
+    @pytest.mark.parametrize("command", ["quantum-sweep", "classical-sweep"])
+    def test_n64_runs(self, command, tmp_path, capsys):
+        out = tmp_path / "s.json"
+        code = main([
+            "--cmd", command, "--n", "64", "--mode", "sample", "--samples", "20",
+            "--seed", "1", "--out", str(out),
+        ])
+        assert code == EXIT_OK
+        assert len(_read_json_lines(out)) == 21
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("command,lam", [
+        ("quantum-sweep", "1/4"), ("quantum-sweep", "1/5"), ("classical-sweep", "1/5"),
+    ])
+    def test_n65_is_a_config_error(self, command, lam, capsys):
+        code = main([
+            "--cmd", command, "--n", "65", "--lambda", lam, "--mode", "sample",
+            "--samples", "20", "--seed", "1",
+        ])
+        assert code == EXIT_CONFIG
+        assert "sample mode supports n <= 64" in capsys.readouterr().err
+
+
 class TestClassicalSweep:
     def test_exhaustive_n4(self, tmp_path):
         out = tmp_path / "c.json"
