@@ -134,10 +134,6 @@ def accept_probability(machine: Qcfa, word: str) -> float:
     return sum(float(abs(psi[index(o)]) ** 2) for o in machine.accept_outcomes)
 
 
-def rejection_probability(machine: Qcfa, word: str) -> float:
-    return 1.0 - accept_probability(machine, word)
-
-
 @lru_cache(maxsize=None)
 def equality_automaton(n: int) -> Qcfa:
     """Machine solving the x#y promise equality problem exactly.
@@ -285,12 +281,6 @@ class Dfa:
     transition: dict  # (state, symbol) -> state
     start: object
     accepting: frozenset
-
-    def validate(self) -> None:
-        for s in self.states:
-            for sym in self.alphabet:
-                if (s, sym) not in self.transition:
-                    raise ValueError(f"transition missing for {(s, sym)}")
 
     @property
     def size(self) -> int:

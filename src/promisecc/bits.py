@@ -102,9 +102,6 @@ class BitString:
         _check_same_length(self, other)
         return BitString(self.value & other.value, self.n)
 
-    def complement(self) -> "BitString":
-        return ~self
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, BitString)
@@ -145,11 +142,6 @@ def intersection_size(x: BitString, y: BitString) -> int:
     """Number of positions where both words carry a 1."""
     _check_same_length(x, y)
     return (x.value & y.value).bit_count()
-
-
-def disj_value(x: BitString, y: BitString) -> int:
-    """Total disjointness function: 1 iff no position has a 1 in both words."""
-    return 1 if intersection_size(x, y) == 0 else 0
 
 
 @dataclass(frozen=True)
@@ -280,15 +272,3 @@ def weight_band(margin: Margin) -> list[BitString]:
         for x in all_bitstrings(margin.n)
         if margin.low <= hamming_weight(x) <= margin.high
     ]
-
-
-def pair_text(x: BitString, y: BitString) -> str:
-    """Serialize a pair as 'x,y' ASCII words."""
-    return f"{x},{y}"
-
-
-def parse_pair(text: str) -> tuple[BitString, BitString]:
-    left, sep, right = text.partition(",")
-    if not sep:
-        raise ValueError(f"expected 'x,y', got {text!r}")
-    return BitString(left), BitString(right)

@@ -25,9 +25,6 @@ over a weight band, plus crossed-pair refutations) live here as well.
 
 from __future__ import annotations
 
-import io
-import csv
-import json
 from dataclasses import dataclass
 from math import ceil, log2
 
@@ -84,16 +81,9 @@ class CommMatrix:
     def shape(self):
         return self.entries.shape
 
-    def entry(self, i: int, j: int) -> int:
-        return int(self.entries[int(i), int(j)])
-
-    def defined_cells(self, value=None):
-        """Index pairs of defined cells, optionally of one value."""
-        if value is None:
-            mask = self.entries != UNDEFINED
-        else:
-            mask = self.entries == value
-        return [(int(i), int(j)) for i, j in np.argwhere(mask)]
+    def defined_cells(self, value: int):
+        """Index pairs of the cells holding value."""
+        return [(int(i), int(j)) for i, j in np.argwhere(self.entries == value)]
 
     def submatrix(self, row_indices, col_indices) -> "CommMatrix":
         ri = list(row_indices)
@@ -103,40 +93,6 @@ class CommMatrix:
             cols=tuple(self.cols[j] for j in ci),
             entries=self.entries[np.ix_(ri, ci)],
         )
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow([""] + [str(c) for c in self.cols])
-        symbols = {0: "0", 1: "1", UNDEFINED: "U"}
-        for i, r in enumerate(self.rows):
-            writer.writerow([str(r)] + [symbols[int(v)] for v in self.entries[i]])
-        return buf.getvalue()
-
-    @staticmethod
-    def from_csv(text: str) -> "CommMatrix":
-        """Inverse of to_csv; binary labels come back as BitString values."""
-        reader = list(csv.reader(io.StringIO(text)))
-        if not reader or len(reader[0]) < 2:
-            raise ValueError("matrix CSV needs a header row of column labels")
-        cols = tuple(_parse_label(c) for c in reader[0][1:])
-        rows, grid = [], []
-        values = {"0": 0, "1": 1, "U": UNDEFINED}
-        for line in reader[1:]:
-            if not line:
-                continue
-            rows.append(_parse_label(line[0]))
-            try:
-                grid.append([values[cell] for cell in line[1:]])
-            except KeyError as exc:
-                raise ValueError(f"bad matrix cell {exc.args[0]!r}") from None
-        return CommMatrix(rows=tuple(rows), cols=cols, entries=np.array(grid))
-
-
-def _parse_label(text: str):
-    if text and set(text) <= {"0", "1"}:
-        return BitString(text)
-    return text
 
 
 _ENTRY = {PromiseLabel.YES: 1, PromiseLabel.NO: 0, PromiseLabel.OUTSIDE: UNDEFINED}
@@ -193,12 +149,18 @@ def _cells_conflict(grid, a, b) -> bool:
     )
 
 
-def _greedy_clique(grid, ordered_cells):
-    chosen = []
-    for cell in ordered_cells:
-        if all(_cells_conflict(grid, cell, c) for c in chosen):
-            chosen.append(cell)
-    return chosen
+def _greedy_clique(grid, orders):
+    """Largest pairwise-conflicting cell set grown greedily along each scan
+    order; the first order wins ties."""
+    best = []
+    for order in orders:
+        chosen = []
+        for cell in order:
+            if all(_cells_conflict(grid, cell, c) for c in chosen):
+                chosen.append(cell)
+        if len(chosen) > len(best):
+            best = chosen
+    return best
 
 
 def _bitstring_labels(m: CommMatrix) -> bool:
@@ -240,12 +202,7 @@ def greedy_fooling_set(m: CommMatrix):
             return 2
 
         orders.insert(0, sorted(cells, key=lambda c: (structure(c), c[0], c[1])))
-    best = []
-    for order in orders:
-        found = _greedy_clique(grid, order)
-        if len(found) > len(best):
-            best = found
-    return [(r, c) for r, c, _ in best]
+    return [(r, c) for r, c, _ in _greedy_clique(grid, orders)]
 
 
 def fooling_pairs(margin: Margin):
@@ -347,10 +304,8 @@ class _ProtocolSearch:
                 for j, v in enumerate(row)
                 if v != UNDEFINED
             ]
-            fool = max(
-                len(_greedy_clique(sub, cells)),
-                len(_greedy_clique(sub, sorted(cells, key=lambda c: (c[2], c[0], c[1])))),
-            )
+            by_value = sorted(cells, key=lambda c: (c[2], c[0], c[1]))
+            fool = len(_greedy_clique(sub, (cells, by_value)))
             lower = max(1, ceil(log2(fool)))
             upper = 1 + min(ceil(log2(len(sub))), ceil(log2(len(sub[0]))))
             info = (False, lower, upper)
@@ -404,16 +359,17 @@ class _ProtocolSearch:
         return False
 
 
-def exact_deterministic_cc(m: CommMatrix, size_limit: int = MATRIX_SIZE_LIMIT) -> int:
+def exact_deterministic_cc(m: CommMatrix) -> int:
     """Minimum worst-case bits of a protocol whose transcript fixes the output.
 
     Announcing the answer counts toward the cost, so a nonconstant matrix
-    never comes out below 1 and equality over n bits costs n+1.
+    never comes out below 1 and equality over n bits costs n+1.  A side
+    longer than MATRIX_SIZE_LIMIT raises SearchTooWideError.
     """
     n_rows, n_cols = m.shape
-    if n_rows > size_limit or n_cols > size_limit:
+    if n_rows > MATRIX_SIZE_LIMIT or n_cols > MATRIX_SIZE_LIMIT:
         raise SearchTooWideError(
-            f"matrix {n_rows}x{n_cols} exceeds the search limit {size_limit}"
+            f"matrix {n_rows}x{n_cols} exceeds the search limit {MATRIX_SIZE_LIMIT}"
         )
     if n_rows == 0 or n_cols == 0:
         return 0
@@ -536,21 +492,21 @@ def _tight_rectangles(entries, value, cells):
     return rows_used, cols_used, rects
 
 
-def min_monochromatic_partition(
-    m: CommMatrix, value: int, max_cells: int = PARTITION_CELL_LIMIT
-) -> PartitionResult:
+def min_monochromatic_partition(m: CommMatrix, value: int) -> PartitionResult:
     """Minimum number of disjoint monochromatic rectangles covering all
     cells of the given value; rectangles may absorb undefined cells but
-    never overlap each other.
+    never overlap each other.  More than PARTITION_CELL_LIMIT such cells
+    raise SearchTooWideError.
     """
     if value not in (0, 1):
         raise ValueError("value must be 0 or 1")
     cells = m.defined_cells(value)
     if not cells:
         return PartitionResult(0, ())
-    if len(cells) > max_cells:
+    if len(cells) > PARTITION_CELL_LIMIT:
         raise SearchTooWideError(
-            f"{len(cells)} cells exceed the partition search limit {max_cells}"
+            f"{len(cells)} cells exceed the partition search limit"
+            f" {PARTITION_CELL_LIMIT}"
         )
     entries = m.entries.tolist()
     rows_used, cols_used, rects = _tight_rectangles(entries, value, cells)
@@ -584,19 +540,14 @@ def _partition_clique_mask(entries, value, cells) -> int:
     Each such cell forces its own rectangle, an admissible pruning bound.
     """
     tagged = [(r, c, value) for r, c in cells]
-    orders = [
+    orders = (
         tagged,
         sorted(tagged, key=lambda t: (t[1], t[0])),
-        list(reversed(tagged)),
-    ]
-    best = []
-    for order in orders:
-        found = _greedy_clique(entries, order)
-        if len(found) > len(best):
-            best = found
+        tagged[::-1],
+    )
     index = {cell: k for k, cell in enumerate(cells)}
     mask = 0
-    for r, c, _ in best:
+    for r, c, _ in _greedy_clique(entries, orders):
         mask |= 1 << index[(r, c)]
     return mask
 
@@ -768,9 +719,6 @@ class RectangleBoundReport:
             "C1": self.one_partition,
             "bound_ok": self.holds,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_record(), sort_keys=True)
 
 
 def check_rectangle_bound(m: CommMatrix) -> RectangleBoundReport:

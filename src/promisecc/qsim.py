@@ -57,20 +57,20 @@ def norm(psi: np.ndarray) -> float:
     return float(np.linalg.norm(psi))
 
 
-def is_unit(psi: np.ndarray, atol: float = ATOL) -> bool:
-    return abs(norm(psi) - 1.0) <= atol
+def is_unit(psi: np.ndarray) -> bool:
+    return abs(norm(psi) - 1.0) <= ATOL
 
 
-def is_unitary(u: np.ndarray, atol: float = ATOL) -> bool:
+def is_unitary(u: np.ndarray) -> bool:
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         return False
     eye = np.eye(u.shape[0])
-    return bool(np.max(np.abs(u.conj().T @ u - eye)) <= atol)
+    return bool(np.max(np.abs(u.conj().T @ u - eye)) <= ATOL)
 
 
-def assert_unitary(u: np.ndarray, atol: float = ATOL) -> None:
-    if not is_unitary(u, atol):
+def assert_unitary(u: np.ndarray) -> None:
+    if not is_unitary(u):
         raise ValueError("matrix is not unitary within tolerance")
 
 

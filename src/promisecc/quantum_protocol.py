@@ -20,7 +20,6 @@ Each round moves the register twice plus one answer bit:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,7 +33,6 @@ from .bits import (
     PromiseLabel,
     classify_disj_promise,
     intersection_size,
-    margin_fraction,
     smallest_k,
 )
 from . import qsim
@@ -85,17 +83,13 @@ def closed_form_accept_probability(x: BitString, y: BitString) -> float:
 
 def repetition_count(margin, eps=Fraction(1, 3)) -> int:
     """Rounds needed so unanimous acceptance errs at most eps on band pairs:
-    the smallest k with (1 - 3*lam)**k <= eps."""
-    return smallest_k(margin, 3, eps)
+    the smallest k with (1 - 3*lam)**k <= eps.
 
-
-def min_rejection_rate(margin) -> Fraction:
-    """Guaranteed single-round rejection probability on any band instance: 3*lam.
-
-    One round rejects with probability 1 - ((n-2m)/n)**2 >= 1 - (1-2*lam)**2
-    = 4*lam*(1-lam) >= 3*lam for lam <= 1/4.
+    Slope 3 because one round rejects a band pair with probability
+    1 - ((n-2m)/n)**2 >= 1 - (1-2*lam)**2 = 4*lam*(1-lam) >= 3*lam for
+    lam <= 1/4.
     """
-    return 3 * margin_fraction(margin)
+    return smallest_k(margin, 3, eps)
 
 
 def qubit_cost(n: int, k: int = 1) -> int:
@@ -138,9 +132,6 @@ class QuantumProtocolReport:
             "decision": self.decision,
             "qubits": self.qubits,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_record())
 
 
 def run_protocol(

@@ -8,9 +8,7 @@ she sends the literal answer 1 in a single bit instead.
 Disjoint pairs are never rejected.  On a band pair the chance that one
 sampled position lands in the intersection is m/H(x) >= lam, so the miss
 probability after k samples is (1 - m/H(x))**k <= (1 - lam)**k; the k that
-pushes this under a target error is computed exactly in rationals.  An
-optional without-replacement mode (detection 1 - C(H-m, k)/C(H, k), which
-is never smaller) is available for comparison.
+pushes this under a target error is computed exactly in rationals.
 
 At tiny n a band pair can itself have fewer than k ones, forcing the
 literal-1 branch and a certain error; reports flag this instead of hiding
@@ -19,7 +17,6 @@ it.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,16 +26,10 @@ import numpy as np
 from .bits import BitString, hamming_weight, intersection_size, smallest_k
 
 
-def exact_detection_probability(
-    x: BitString,
-    y: BitString,
-    k: int,
-    with_replacement: bool = True,
-) -> float:
-    """Probability that k sampled 1-positions of x hit the intersection.
-
-    With replacement: 1 - (1 - m/H)**k.  Without: 1 - C(H-m, k)/C(H, k).
-    Undefined when x has no ones (the protocol never samples then).
+def exact_detection_probability(x: BitString, y: BitString, k: int) -> float:
+    """Probability that k sampled 1-positions of x hit the intersection:
+    1 - (1 - m/H)**k.  Undefined when x has no ones (the protocol never
+    samples then).
     """
     if x.n != y.n:
         raise ValueError(f"length mismatch: {x.n} vs {y.n}")
@@ -48,11 +39,7 @@ def exact_detection_probability(
     if h == 0:
         raise ValueError("detection undefined for weight-0 x (literal-1 branch)")
     m = intersection_size(x, y)
-    if with_replacement:
-        return 1.0 - (1.0 - m / h) ** k
-    if k > h - m:
-        return 1.0
-    return 1.0 - math.comb(h - m, k) / math.comb(h, k)
+    return 1.0 - (1.0 - m / h) ** k
 
 
 def positions_count(margin, eps=Fraction(1, 3)) -> int:
@@ -97,9 +84,6 @@ class ClassicalProtocolReport:
             "exact_error": self.exact_error_probability,
             "literal_branch": self.literal_branch,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_record())
 
 
 def run_one_way(

@@ -21,7 +21,6 @@ from promisecc.automata import (
     protocol_from_dfa,
     qcfa_from_json,
     qcfa_to_json,
-    rejection_probability,
     run_dfa,
     verify_promise_dfa,
 )
@@ -120,12 +119,6 @@ class TestEqualityAutomaton:
         p = accept_probability(machine, equality_word(x, y))
         d = hamming_distance(x, y)
         assert p == pytest.approx((1 - 2 * d / 4) ** 2, abs=1e-9)
-
-    def test_rejection_probability_complements(self):
-        machine = equality_automaton(4)
-        w = equality_word(BitString("0101"), BitString("0110"))
-        total = accept_probability(machine, w) + rejection_probability(machine, w)
-        assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_rejects_bad_symbols(self):
         machine = equality_automaton(2)
@@ -246,18 +239,6 @@ class TestDfa:
     def test_extended_transition(self):
         d = _parity_dfa()
         assert extended_transition(d, "even", "111") == "odd"
-
-    def test_validate_rejects_partial_transitions(self):
-        d = _parity_dfa()
-        broken = Dfa(
-            states=d.states,
-            alphabet=d.alphabet,
-            transition={("even", "0"): "even"},
-            start="even",
-            accepting=frozenset({"even"}),
-        )
-        with pytest.raises(ValueError):
-            broken.validate()
 
     def test_unknown_symbol_raises(self):
         with pytest.raises(ValueError):

@@ -12,13 +12,10 @@ from promisecc.bits import (
     classify_disj_promise,
     classify_eq_promise,
     disj_label,
-    disj_value,
     eq_label,
     hamming_distance,
     hamming_weight,
     intersection_size,
-    pair_text,
-    parse_pair,
     promise_pairs,
     weight_band,
 )
@@ -44,7 +41,6 @@ class TestBitString:
 
     def test_invert(self):
         assert ~BitString("0110") == BitString("1001")
-        assert BitString("0110").complement() == BitString("1001")
 
     def test_and_xor(self):
         a, b = BitString("0111"), BitString("0101")
@@ -73,10 +69,6 @@ class TestWeights:
 
     def test_intersection_size(self):
         assert intersection_size(BitString("1100"), BitString("0110")) == 1
-
-    def test_disj_value(self):
-        assert disj_value(BitString("1100"), BitString("0011")) == 1
-        assert disj_value(BitString("1100"), BitString("0110")) == 0
 
 
 class TestMargin:
@@ -190,9 +182,3 @@ class TestEnumeration:
         band = weight_band(Margin.from_text("1/4", 8))
         assert len(band) == 238
         assert len(band) >= 2**8 // 2
-
-
-class TestPairText:
-    def test_roundtrip(self):
-        x, y = BitString("0110"), BitString("1010")
-        assert parse_pair(pair_text(x, y)) == (x, y)

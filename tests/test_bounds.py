@@ -28,13 +28,8 @@ class TestCommMatrix:
     def test_entry_and_shape(self):
         m = problem_matrix("eq", 1)
         assert m.shape == (2, 2)
-        assert m.entry(0, 0) == 1
-        assert m.entry(0, 1) == 0
-
-    def test_entry_rejects_label_indices(self):
-        m = problem_matrix("eq", 1)
-        with pytest.raises(TypeError):
-            m.entry(BitString("0"), BitString("0"))
+        assert m.entries[0, 0] == 1
+        assert m.entries[0, 1] == 0
 
     def test_rejects_bad_entries(self):
         with pytest.raises(ValueError):
@@ -66,21 +61,8 @@ class TestCommMatrix:
         sub = m.submatrix([0, 1], [0, 1])
         assert sub.shape == (2, 2)
         assert sub.rows == (BitString("00"), BitString("01"))
-        assert sub.entry(0, 0) == 1
-        assert sub.entry(0, 1) == 0
-
-    def test_csv_roundtrip_with_undefined(self):
-        m = problem_matrix("promise_eq", 2)
-        restored = CommMatrix.from_csv(m.to_csv())
-        assert restored.rows == m.rows
-        assert restored.cols == m.cols
-        assert np.array_equal(restored.entries, m.entries)
-
-    def test_csv_symbols(self):
-        text = problem_matrix("promise_eq", 2).to_csv()
-        body = text.strip().splitlines()[1:]
-        symbols = set("".join(line.split(",", 1)[1] for line in body).replace(",", ""))
-        assert symbols == {"0", "1", "U"}
+        assert sub.entries[0, 0] == 1
+        assert sub.entries[0, 1] == 0
 
 
 class TestProblemMatrix:
@@ -207,9 +189,9 @@ class TestExactCc:
         assert exact_deterministic_cc(m) == 0
 
     def test_size_limit(self):
-        m = problem_matrix("eq", 4)
+        # 128 rows pass MATRIX_SIZE_LIMIT
         with pytest.raises(SearchTooWideError):
-            exact_deterministic_cc(m, size_limit=8)
+            exact_deterministic_cc(problem_matrix("eq", 7))
 
     def test_promise_eq_n4(self):
         assert exact_deterministic_cc(problem_matrix("promise_eq", 4)) == 3
@@ -353,10 +335,6 @@ class TestRectangleBound:
         report = check_rectangle_bound(problem_matrix("eq", 7))
         assert report.depth is None
         assert report.holds is None
-
-    def test_json_is_sorted(self):
-        report = check_rectangle_bound(problem_matrix("eq", 1))
-        assert report.to_json() == '{"C0": 2, "C1": 2, "D": 2, "bound_ok": true}'
 
 
 def _brute_depth(rows):

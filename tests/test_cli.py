@@ -46,6 +46,33 @@ class TestConfigValidation:
         with pytest.raises(cli.ConfigError):
             cfg.validated()
 
+    def test_exact_commands_cap_without_sample_hint(self):
+        cfg = ExperimentConfig(command="bounds", n=7)
+        with pytest.raises(cli.ConfigError, match=r"n <= 6$"):
+            cfg.validated()
+
+    @pytest.mark.parametrize("command", ["bounds", "reduction"])
+    def test_sample_mode_only_for_sweeps(self, command):
+        cfg = ExperimentConfig(command=command, n=4, mode="sample", samples=5, seed=1)
+        with pytest.raises(cli.ConfigError, match="has no sample mode"):
+            cfg.validated()
+
+    def test_samples_need_sample_mode(self):
+        cfg = ExperimentConfig(command="quantum-sweep", n=4, samples=5)
+        with pytest.raises(cli.ConfigError, match="needs --mode sample"):
+            cfg.validated()
+
+    @pytest.mark.parametrize("command", ["qcfa-sweep", "bounds", "reduction"])
+    def test_k_only_for_protocol_sweeps(self, command):
+        cfg = ExperimentConfig(command=command, n=4, k=2)
+        with pytest.raises(cli.ConfigError, match="takes no --k"):
+            cfg.validated()
+
+    def test_negative_seed_is_one_line(self, capsys):
+        code = main(["--cmd", "quantum-sweep", "--n", "4", "--seed", "-1"])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: seed must be non-negative\n"
+
     def test_bad_margin_fatal_for_protocol_sweeps(self):
         cfg = ExperimentConfig(command="quantum-sweep", n=4, margin_text="1/3")
         with pytest.raises(cli.ConfigError):

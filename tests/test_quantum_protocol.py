@@ -9,7 +9,6 @@ from promisecc.bits import BitString, Margin, PromiseLabel, all_bitstrings, inte
 from promisecc.quantum_protocol import (
     QuantumProtocolReport,
     closed_form_accept_probability,
-    min_rejection_rate,
     qubit_cost,
     repetition_count,
     round_accept_probability,
@@ -94,10 +93,6 @@ class TestRepetition:
     def test_rejects_margin_out_of_range(self):
         with pytest.raises(ValueError):
             repetition_count(Fraction(1, 3))
-
-    def test_min_rejection_rate(self):
-        assert min_rejection_rate(Fraction(1, 4)) == Fraction(3, 4)
-        assert min_rejection_rate(Fraction(1, 8)) == Fraction(3, 8)
 
 
 class TestQubitCost:

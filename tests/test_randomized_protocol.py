@@ -1,7 +1,6 @@
 """One-way randomized protocol: exact detection, sampling, and cost."""
 
 from fractions import Fraction
-from math import comb
 
 import numpy as np
 import pytest
@@ -21,11 +20,6 @@ class TestExactDetection:
         # weight 4, overlap 2, two samples: 1 - (1/2)^2
         p = exact_detection_probability(BitString("1111"), BitString("1100"), 2)
         assert p == pytest.approx(0.75)
-
-    def test_without_replacement_formula(self):
-        x, y = BitString("1111"), BitString("1100")
-        p = exact_detection_probability(x, y, 2, with_replacement=False)
-        assert p == pytest.approx(1 - comb(2, 2) / comb(4, 2))
 
     def test_disjoint_pair_never_detected(self):
         p = exact_detection_probability(BitString("1100"), BitString("0011"), 5)
