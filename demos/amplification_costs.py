@@ -10,10 +10,12 @@ ceilings and verifies one amplified sweep end to end.
 from fractions import Fraction
 
 from promisecc import (
-    BitString,
+    Margin,
+    PromiseLabel,
     bit_cost,
-    emit_cost_table,
+    classify_disj_promise,
     positions_count,
+    promise_pairs,
     qubit_cost,
     repetition_count,
     round_accept_probability_fast,
@@ -39,13 +41,16 @@ for lam in margins:
 # The cost table joins counts with register sizes: k*(3 + 2*ceil(log2 n))
 # qubits against k*ceil(log2 n) classical bits.
 # ---------------------------------------------------------------------------
-rows = emit_cost_table(margins=[Fraction(1, 4), Fraction(1, 8)],
-                       epsilons=[Fraction(1, 3)], ns=[8, 64, 1024])
+eps = Fraction(1, 3)
 print("\ncommunication budgets at eps = 1/3")
 header = ("lambda", "n", "k_quantum", "qubits", "k_classical", "bits")
 print(" ".join(f"{h:>12}" for h in header))
-for row in rows:
-    print(" ".join(f"{row[h]:>12}" for h in header))
+for lam in (Fraction(1, 4), Fraction(1, 8)):
+    kq = repetition_count(lam, eps)
+    kc = positions_count(lam, eps)
+    for n in (8, 64, 1024):
+        row = (str(lam), n, kq, qubit_cost(n, kq), kc, bit_cost(n, kc))
+        print(" ".join(f"{v:>12}" for v in row))
 
 print(f"\nsingle-round registers: n=16 -> {qubit_cost(16, 1)} qubits, "
       f"k=4 classical samples at n=16 -> {bit_cost(16, 4)} bits")
@@ -56,14 +61,11 @@ print(f"\nsingle-round registers: n=16 -> {qubit_cost(16, 1)} qubits, "
 # ---------------------------------------------------------------------------
 n = 8
 lam = Fraction(1, 8)
+margin = Margin(lam, n)
 k = repetition_count(lam, Fraction(1, 3))
 worst = 0.0
-for xv in range(1 << n):
-    x = BitString(xv, n)
-    for yv in range(1 << n):
-        m = (xv & yv).bit_count()
-        if lam * n <= m <= (1 - lam) * n:
-            p = round_accept_probability_fast(x, BitString(yv, n))
-            worst = max(worst, p**k)
+for x, y, label in promise_pairs(n, lambda x, y: classify_disj_promise(x, y, margin)):
+    if label is PromiseLabel.NO:
+        worst = max(worst, round_accept_probability_fast(x, y) ** k)
 print(f"\nlambda={lam}, n={n}: k={k} rounds, worst No acceptance "
       f"{worst:.4f} <= 1/3 = {float(Fraction(1, 3)):.4f}")

@@ -3,23 +3,23 @@
 For each problem a matrix over the promise inputs is built (with holes
 where the promise excludes a pair). A protocol-tree search computes the
 exact deterministic cost D, a cover search computes the smallest
-partitions of the 1s and 0s into monochromatic rectangles, and rank plus
-fooling-set arguments certify the answers from below. The script walks
-these on the smallest instances and shows the complement-pair family
-that forces the exponential equality bound.
+partitions of the 1s and 0s into monochromatic rectangles, and fooling
+sets bound the partitions from below. The script walks these on the
+smallest instances, then shows the complement-pair family of promise
+disjointness and a crossed pair that is a No instance.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 from promisecc import (
     Margin,
     PromiseLabel,
+    all_bitstrings,
     check_rectangle_bound,
     classify_disj_promise,
     exact_deterministic_cc,
-    find_cross_refutation,
-    fooling_pairs,
-    greedy_fooling_set,
+    intersection_size,
     min_monochromatic_partition,
     problem_matrix,
 )
@@ -55,31 +55,38 @@ for rect in ones.rectangles:
           f"cols={[str(c) for c in cols]}")
 
 # ---------------------------------------------------------------------------
-# Fooling sets certify lower bounds: cells that no rectangle can share.
-# On equality the diagonal plus mixed-value conflicts already force the
-# full cost at n=2.
+# Fooling sets bound the partitions from below: ones that no 1-rectangle
+# can share. On equality any two diagonal ones cross to zeros, so the
+# 2^n diagonal cells need 2^n rectangles, which the search matches.
 # ---------------------------------------------------------------------------
-cells = greedy_fooling_set(problem_matrix("eq", 2))
-print(f"\ngreedy conflict set on equality n=2: {len(cells)} cells "
-      f"-> D >= ceil(log2 {len(cells)}) = {max(1, (len(cells) - 1).bit_length())}")
+matrix = problem_matrix("eq", 2)
+size = len(matrix.rows)
+fooling = all(matrix.entries[i, j] == 0
+              for i in range(size) for j in range(size) if i != j)
+print(f"\nequality n=2: diagonal is a fooling set: {fooling} -> C1 >= {size}; "
+      f"search: C1 = {min_monochromatic_partition(matrix, 1).count}")
 
 # ---------------------------------------------------------------------------
-# The complement-pair family: every (x, ~x) over the middle weight band
-# is a Yes instance of promise disjointness, and the family has at least
-# 2^n/2 members, so the Yes side alone needs exponentially many
-# rectangles. Crossing two members produces a No instance, which is the
-# single fact the fooling argument needs.
+# The complement-pair family of promise disjointness: every (x, ~x) with
+# x in the middle weight band is a Yes instance. Two members can share no
+# 1-rectangle when a crossed pair such as (z, ~x) is a No instance. At
+# n=4 every two members cross that way, so the family is a fooling set;
+# at n=8 some do not, so only part of the family is one.
 # ---------------------------------------------------------------------------
-print("\ncomplement-pair family sizes")
+print("\ncomplement-pair family")
 for n in (4, 8):
     margin = Margin(Fraction(1, 4), n)
-    pairs = fooling_pairs(margin)
-    all_yes = all(classify_disj_promise(x, y, margin) is PromiseLabel.YES
-                  for x, y in pairs)
-    print(f"  n={n}: |F|={len(pairs)} >= {2**n // 2} (all Yes: {all_yes})")
 
-margin4 = Margin(Fraction(1, 4), 4)
-x, z = find_cross_refutation(margin4)
-print(f"\ncross refutation at n=4: members ({x},{~x}) and ({z},{~z}); "
-      f"the crossed pair ({z},{~x}) has overlap "
-      f"{len([i for i in range(4) if z[i] and (~x)[i]])} -> No instance")
+    def label(x, y):
+        return classify_disj_promise(x, y, margin)
+
+    # (x, x) overlaps in |x|, so it is a No instance iff x is in the band
+    band = [x for x in all_bitstrings(n) if label(x, x) is PromiseLabel.NO]
+    all_yes = all(label(x, ~x) is PromiseLabel.YES for x in band)
+    members = list(combinations(band, 2))
+    crossed = sum(PromiseLabel.NO in (label(z, ~x), label(x, ~z)) for x, z in members)
+    print(f"  n={n}: {len(band)} pairs, all Yes: {all_yes}; "
+          f"{crossed} of {len(members)} member pairs cross to a No instance")
+    x, z = next((x, z) for x, z in members if label(z, ~x) is PromiseLabel.NO)
+    print(f"    e.g. ({x},{~x}) and ({z},{~z}): ({z},{~x}) overlaps in "
+          f"{intersection_size(z, ~x)} -> {label(z, ~x).value}")

@@ -75,20 +75,13 @@ class Qcfa:
     classical_tr: dict  # (classical state, symbol) -> classical state
     initial_quantum: object
     initial_classical: object
-    accepting_states: frozenset = frozenset()
-    rejecting_states: frozenset = frozenset()
     accept_outcomes: frozenset = frozenset()
 
     @property
     def dim(self) -> int:
         return len(self.quantum_labels)
 
-    def halting_states(self) -> frozenset:
-        return self.accepting_states | self.rejecting_states
-
     def validate(self) -> None:
-        if self.accepting_states & self.rejecting_states:
-            raise ValueError("accepting and rejecting classical states overlap")
         if len(set(self.quantum_labels)) != self.dim:
             raise ValueError("quantum labels must be distinct")
         for label in (self.initial_quantum, *self.accept_outcomes):
@@ -113,20 +106,14 @@ class Qcfa:
 def accept_probability(machine: Qcfa, word: str) -> float:
     """Run the machine on ``word`` (markers added here) and return
     the probability that the final measurement lands in an accepting outcome.
-
-    If the classical control enters a halting state mid-word, remaining
-    transitions are skipped and the measurement is applied immediately.
     """
     for sym in word:
         if sym not in machine.alphabet:
             raise ValueError(f"symbol {sym!r} outside the input alphabet")
-    halting = machine.halting_states()
     index = machine.quantum_labels.index
     s = machine.initial_classical
     psi = qsim.basis_state(machine.dim, index(machine.initial_quantum))
     for sym in (LEFT_MARKER, *word, RIGHT_MARKER):
-        if s in halting:
-            break
         u = machine.quantum_tr.get((s, sym))
         if u is not None:
             psi = u @ psi
@@ -433,6 +420,13 @@ def _label_from_json(l):
     return tuple(l) if isinstance(l, list) else l
 
 
+#: The keys :func:`qcfa_to_json` writes; :func:`qcfa_from_json` reads no other.
+_JSON_KEYS = frozenset({
+    "quantum_labels", "classical_states", "alphabet", "initial_quantum",
+    "initial_classical", "accept_outcomes", "quantum_tr", "classical_tr",
+})
+
+
 def qcfa_to_json(machine: Qcfa) -> str:
     """JSON description: labels, states and the transitions given.
 
@@ -445,8 +439,6 @@ def qcfa_to_json(machine: Qcfa) -> str:
         "alphabet": list(machine.alphabet),
         "initial_quantum": _label_to_json(machine.initial_quantum),
         "initial_classical": machine.initial_classical,
-        "accepting_states": sorted(machine.accepting_states),
-        "rejecting_states": sorted(machine.rejecting_states),
         "accept_outcomes": [_label_to_json(o) for o in sorted(machine.accept_outcomes)],
         "quantum_tr": [
             {"state": s, "symbol": sym, **_operator_to_json(u)}
@@ -463,6 +455,9 @@ def qcfa_to_json(machine: Qcfa) -> str:
 def qcfa_from_json(text: str) -> Qcfa:
     """Inverse of :func:`qcfa_to_json`; the machine is validated on the way in."""
     d = json.loads(text)
+    unknown = set(d) - _JSON_KEYS
+    if unknown:
+        raise ValueError(f"unknown QCFA fields {sorted(unknown)}")
     machine = Qcfa(
         quantum_labels=tuple(_label_from_json(l) for l in d["quantum_labels"]),
         classical_states=tuple(_label_from_json(s) for s in d["classical_states"]),
@@ -477,8 +472,6 @@ def qcfa_from_json(text: str) -> Qcfa:
         },
         initial_quantum=_label_from_json(d["initial_quantum"]),
         initial_classical=_label_from_json(d["initial_classical"]),
-        accepting_states=frozenset(_label_from_json(s) for s in d["accepting_states"]),
-        rejecting_states=frozenset(_label_from_json(s) for s in d["rejecting_states"]),
         accept_outcomes=frozenset(
             _label_from_json(o) for o in d["accept_outcomes"]
         ),

@@ -260,15 +260,3 @@ def promise_pairs(
             label = classify(x, y)
             if label is not PromiseLabel.OUTSIDE:
                 yield x, y, label
-
-
-def weight_band(margin: Margin) -> list[BitString]:
-    """Words whose Hamming weight falls in the margin band, in lex order.
-
-    The band is closed under bitwise complement since weight(~x) = n - weight(x).
-    """
-    return [
-        x
-        for x in all_bitstrings(margin.n)
-        if margin.low <= hamming_weight(x) <= margin.high
-    ]

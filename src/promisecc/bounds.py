@@ -18,9 +18,6 @@ searches are provided.
 The searches run on plain Python data: a sub-matrix is a tuple of row
 tuples, row and column sets are int bitmasks, and the rank bound uses
 fraction-free integer elimination, so every step is exact.
-
-The fooling-set constructions for promise disjointness (complement pairs
-over a weight band, plus crossed-pair refutations) live here as well.
 """
 
 from __future__ import annotations
@@ -31,14 +28,13 @@ from math import ceil, log2
 import numpy as np
 
 from .bits import (
-    BitString,
     Margin,
     PromiseLabel,
     all_bitstrings,
+    # not called here; perfbench/tracer.py wraps bounds.classify_disj_promise
     classify_disj_promise,
     disj_label,
     eq_label,
-    weight_band,
 )
 
 UNDEFINED = -1
@@ -135,7 +131,7 @@ def problem_matrix(kind: str, n: int, margin: Margin | None = None) -> CommMatri
 
 
 # ---------------------------------------------------------------------------
-# fooling sets
+# conflicting cells
 # ---------------------------------------------------------------------------
 
 def _cells_conflict(grid, a, b) -> bool:
@@ -161,70 +157,6 @@ def _greedy_clique(grid, orders):
         if len(chosen) > len(best):
             best = chosen
     return best
-
-
-def _bitstring_labels(m: CommMatrix) -> bool:
-    return (
-        all(isinstance(r, BitString) for r in m.rows)
-        and all(isinstance(c, BitString) for c in m.cols)
-        and len({r.n for r in m.rows} | {c.n for c in m.cols}) == 1
-    )
-
-
-def greedy_fooling_set(m: CommMatrix):
-    """A pairwise-conflicting set of defined cells, greedily grown.
-
-    Several scan orders are tried and the largest result kept; any such
-    set lower-bounds the leaf count of every correct protocol tree.
-    """
-    grid = m.entries.tolist()
-    cells = [
-        (i, j, grid[i][j])
-        for i in range(len(grid))
-        for j in range(len(grid[0]))
-        if grid[i][j] != UNDEFINED
-    ]
-    orders = [
-        cells,
-        sorted(cells, key=lambda c: (c[2], c[0], c[1])),
-        sorted(cells, key=lambda c: (-c[2], c[0], c[1])),
-    ]
-    if _bitstring_labels(m):
-        # complementary pairs conflict with each other densely, so scan
-        # them first, then diagonal cells, then the rest
-        def structure(cell):
-            i, j, _ = cell
-            x, y = m.rows[i], m.cols[j]
-            if y == ~x:
-                return 0
-            if y == x:
-                return 1
-            return 2
-
-        orders.insert(0, sorted(cells, key=lambda c: (structure(c), c[0], c[1])))
-    return [(r, c) for r, c, _ in _greedy_clique(grid, orders)]
-
-
-def fooling_pairs(margin: Margin):
-    """Complement pairs (x, ~x) over the weight band; all Yes instances."""
-    return [(x, ~x) for x in weight_band(margin)]
-
-
-def cross_pair_refutation(x: BitString, z: BitString, margin: Margin) -> PromiseLabel:
-    """Label of the crossed pair (z, ~x) for two band members x and z."""
-    return classify_disj_promise(z, ~x, margin)
-
-
-def find_cross_refutation(margin: Margin):
-    """First pair of band members whose crossed pair is a No instance."""
-    band = weight_band(margin)
-    for x in band:
-        for z in band:
-            if z == x:
-                continue
-            if cross_pair_refutation(x, z, margin) is PromiseLabel.NO:
-                return x, z
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -378,21 +310,8 @@ def exact_deterministic_cc(m: CommMatrix) -> int:
         return 0
     search = _ProtocolSearch()
     canon = _canonical(grid)
-    _, lower, upper = search._info(canon)
-    # the label-aware greedy usually beats the plain scans, so seed the
-    # deepening with whichever clique came out larger
-    lower = max(lower, ceil(log2(len(greedy_fooling_set(m)))))
-    if all(UNDEFINED not in row for row in grid):
-        # a depth-d tree has at most 2^d transcripts, whose rectangles
-        # partition the matrix into constant pieces, so 2^d is at least
-        # the rank of the one-cells plus the rank of the zero-cells
-        rank_sum = sum(
-            _indicator_rank(cells)
-            for cells in (m.defined_cells(1), m.defined_cells(0))
-            if cells
-        )
-        lower = max(lower, ceil(log2(rank_sum)))
-    depth = lower
+    # deepen from the root's own clique bound
+    _, depth, upper = search._info(canon)
     while depth < upper and not search.solvable(canon, depth):
         depth += 1
     return depth

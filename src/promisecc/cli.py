@@ -52,6 +52,12 @@ _SAMPLE_CAP = 64
 _SAMPLE_COMMANDS = ("quantum-sweep", "classical-sweep", "qcfa-sweep")
 #: Commands whose repetition or sample count --k overrides.
 _K_COMMANDS = ("quantum-sweep", "classical-sweep")
+#: Commands that read --lambda, and its default.
+_MARGIN_COMMANDS = ("quantum-sweep", "classical-sweep", "bounds")
+DEFAULT_MARGIN = "1/4"
+#: Commands that read --eps, and its default.
+_EPS_COMMANDS = ("quantum-sweep", "classical-sweep")
+DEFAULT_EPS = "1/3"
 
 _COLUMNS = {
     "quantum-sweep": [
@@ -91,8 +97,8 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     command: str
     n: int
-    margin_text: str = "1/4"
-    eps_text: str = "1/3"
+    margin_text: str | None = None
+    eps_text: str | None = None
     k: int | None = None
     mode: str = "exhaustive"
     samples: int = 0
@@ -113,6 +119,10 @@ class ExperimentConfig:
             raise ConfigError("seed must be non-negative")
         if self.k is not None and self.command not in _K_COMMANDS:
             raise ConfigError(f"{self.command} takes no --k")
+        if self.margin_text is not None and self.command not in _MARGIN_COMMANDS:
+            raise ConfigError(f"{self.command} takes no --lambda")
+        if self.eps_text is not None and self.command not in _EPS_COMMANDS:
+            raise ConfigError(f"{self.command} takes no --eps")
         if self.mode == "sample":
             if self.command not in _SAMPLE_COMMANDS:
                 raise ConfigError(f"{self.command} has no sample mode")
@@ -131,20 +141,24 @@ class ExperimentConfig:
                 f"{self.command} exhaustive mode supports n <= {cap}"
                 + (hint if self.command in _SAMPLE_COMMANDS else "")
             )
-        try:
-            eps = Fraction(self.eps_text)
-        except (ValueError, ZeroDivisionError):
-            raise ConfigError(f"bad error bound {self.eps_text!r}") from None
-        if not 0 < eps < 1:
-            raise ConfigError("error bound must be in (0, 1)")
+        eps = None
+        if self.command in _EPS_COMMANDS:
+            eps_text = DEFAULT_EPS if self.eps_text is None else self.eps_text
+            try:
+                eps = Fraction(eps_text)
+            except (ValueError, ZeroDivisionError):
+                raise ConfigError(f"bad error bound {eps_text!r}") from None
+            if not 0 < eps < 1:
+                raise ConfigError("error bound must be in (0, 1)")
         margin = None
-        margin_error = None
-        try:
-            margin = Margin.from_text(self.margin_text, self.n)
-        except (ValueError, ZeroDivisionError) as exc:
-            margin_error = str(exc)
-        if margin is None and self.command in ("quantum-sweep", "classical-sweep"):
-            raise ConfigError(f"bad margin: {margin_error}")
+        if self.command in _MARGIN_COMMANDS:
+            margin_text = DEFAULT_MARGIN if self.margin_text is None else self.margin_text
+            try:
+                margin = Margin.from_text(margin_text, self.n)
+            except (ValueError, ZeroDivisionError) as exc:
+                # with the default margin, bounds skips promise disjointness
+                if self.command != "bounds" or self.margin_text is not None:
+                    raise ConfigError(f"bad margin: {exc}") from None
         if self.k is not None and self.k < 1:
             raise ConfigError("k override must be positive")
         return _RunPlan(
@@ -159,7 +173,7 @@ class ExperimentConfig:
 class _RunPlan:
     config: ExperimentConfig
     margin: Margin | None
-    eps: Fraction
+    eps: Fraction | None
     seed: int
 
     def output_path(self) -> Path:
@@ -275,6 +289,7 @@ def _quantum_sweep(plan: _RunPlan):
 def _classical_sweep(plan: _RunPlan):
     cfg, margin = plan.config, plan.margin
     k = cfg.k or randomized_protocol.positions_count(margin, plan.eps)
+    miss_cap = float((1 - margin.fraction) ** k)
     records, violations = [], []
     err_yes, err_no, det_no = [], [], []
     literal_no = 0
@@ -325,8 +340,7 @@ def _classical_sweep(plan: _RunPlan):
                 literal_no += 1
             else:
                 det_no.append(detect)
-                cap = float((1 - margin.fraction) ** k)
-                if report.exact_error_probability > cap + PROB_TOL:
+                if report.exact_error_probability > miss_cap + PROB_TOL:
                     violations.append(f"no pair {x},{y} above miss cap")
     d_min, d_max, d_mean = _label_stats(det_no)
     records.append({
@@ -576,46 +590,6 @@ def run_experiment(cfg: ExperimentConfig) -> int:
 
 
 # ---------------------------------------------------------------------------
-# cost table
-# ---------------------------------------------------------------------------
-
-def emit_cost_table(margins, epsilons, ns):
-    """Rows of repetition counts and costs with their analytic ceilings.
-
-    The ceilings log2(1/eps)/(3*lam) and log2(1/eps)/lam dominate the
-    exact counts because -log2(1-t) >= t for t in (0, 1).
-    """
-    margins, epsilons, ns = list(margins), list(epsilons), list(ns)
-    if not margins or not epsilons or not ns:
-        raise ValueError("all three grids must be nonempty")
-    rows = []
-    for lam in margins:
-        lam = Fraction(lam)
-        for eps in epsilons:
-            eps = Fraction(eps)
-            k_quantum = quantum_protocol.repetition_count(lam, eps)
-            k_classical = randomized_protocol.positions_count(lam, eps)
-            target_bits = math.log2(1 / eps)
-            quantum_limit = target_bits / (3 * float(lam))
-            classical_limit = target_bits / float(lam)
-            if k_quantum > quantum_limit or k_classical > classical_limit:
-                raise AssertionError("computed count exceeds its analytic ceiling")
-            for n in ns:
-                rows.append({
-                    "lambda": str(lam),
-                    "eps": str(eps),
-                    "n": n,
-                    "k_quantum": k_quantum,
-                    "qubits": quantum_protocol.qubit_cost(n, k_quantum),
-                    "k_classical": k_classical,
-                    "bits": randomized_protocol.bit_cost(n, k_classical),
-                    "k_quantum_limit": quantum_limit,
-                    "k_classical_limit": classical_limit,
-                })
-    return rows
-
-
-# ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
 
@@ -627,10 +601,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--cmd", required=True, choices=COMMANDS,
                         help="experiment to run")
     parser.add_argument("--n", required=True, type=int, help="input length")
-    parser.add_argument("--lambda", dest="margin_text", default="1/4",
-                        metavar="P/Q", help="promise band fraction (default 1/4)")
-    parser.add_argument("--eps", dest="eps_text", default="1/3",
-                        metavar="P/Q", help="error target (default 1/3)")
+    parser.add_argument("--lambda", dest="margin_text", default=None, metavar="P/Q",
+                        help=f"promise band fraction (default {DEFAULT_MARGIN}; "
+                        "quantum and classical sweeps, bounds)")
+    parser.add_argument("--eps", dest="eps_text", default=None, metavar="P/Q",
+                        help=f"error target (default {DEFAULT_EPS}; "
+                        "quantum and classical sweeps)")
     parser.add_argument("--k", type=int, default=None,
                         help="repetition/sample count (quantum and classical sweeps)")
     parser.add_argument("--mode", choices=("exhaustive", "sample"),

@@ -20,7 +20,6 @@ from promisecc import (
     bruteforce_disjointness_dfa,
     check_rectangle_bound,
     classify_disj_promise,
-    cross_pair_refutation,
     detection_frequency,
     disjointness_automaton,
     disjointness_word,
@@ -28,8 +27,6 @@ from promisecc import (
     equality_word,
     exact_detection_probability,
     exact_deterministic_cc,
-    find_cross_refutation,
-    fooling_pairs,
     problem_matrix,
     protocol_from_dfa,
     qubit_cost,
@@ -349,27 +346,36 @@ def test_smallest_dfa_reduction_respects_lower_bound(capsys):
 
 def test_complement_band_forms_large_yes_family(capsys):
     parts, ok = [], True
-    for n in (4, 8):
+    bands = {}
+    for n, want_size in ((4, 14), (8, 238)):
         margin = Margin(Fraction(1, 4), n)
-        pairs = fooling_pairs(margin)
-        size_ok = len(pairs) >= (1 << n) // 2
+        band = [
+            BitString(v, n) for v in range(1 << n)
+            if n // 4 <= v.bit_count() <= n - n // 4
+        ]
+        bands[n] = band
+        size_ok = len(band) == want_size and len(band) >= (1 << n) // 2
         all_yes = all(
-            classify_disj_promise(x, y, margin) is PromiseLabel.YES
-            for x, y in pairs
+            classify_disj_promise(x, ~x, margin) is PromiseLabel.YES for x in band
         )
         ok = ok and size_ok and all_yes
-        parts.append(f"n={n}: |F|={len(pairs)}>={(1 << n) // 2} all_yes={all_yes}")
+        parts.append(f"n={n}: |F|={len(band)}>={(1 << n) // 2} all_yes={all_yes}")
     margin4 = Margin(Fraction(1, 4), 4)
-    witness = find_cross_refutation(margin4)
-    wit_ok = (
-        witness is not None
-        and cross_pair_refutation(*witness, margin4) is PromiseLabel.NO
+    witness = next(
+        (
+            (x, z) for x in bands[4] for z in bands[4]
+            if z != x and classify_disj_promise(z, ~x, margin4) is PromiseLabel.NO
+        ),
+        None,
     )
-    ok = ok and wit_ok
+    wit_ok = False
     if witness is not None:
         x, z = witness
-        parts.append(f"cross ({z},{~x}) is No")
-    _verdict(capsys, "complement-pair fooling family", ok, "; ".join(parts))
+        overlap = (z.value & ~x.value).bit_count()  # |z & ~x|, counted inline
+        wit_ok = 1 <= overlap <= 3
+        parts.append(f"cross ({z},{~x}) overlaps in {overlap}: No")
+    ok = ok and wit_ok
+    _verdict(capsys, "complement-pair yes family", ok, "; ".join(parts))
 
 
 def test_reports_are_byte_reproducible(capsys, tmp_path):

@@ -205,6 +205,13 @@ class TestSerialization:
         with pytest.raises(ValueError):
             qcfa_from_json(json.dumps(payload))
 
+    def test_from_json_rejects_unknown_fields(self):
+        # a payload from a machine with halting states must not load as one without
+        payload = json.loads(qcfa_to_json(equality_automaton(2)))
+        payload["accepting_states"] = [3]
+        with pytest.raises(ValueError, match="unknown QCFA fields"):
+            qcfa_from_json(json.dumps(payload))
+
     def test_missing_transitions_are_identity_and_stay(self):
         machine = disjointness_automaton(3)
         # reading 0 in the x block moves the counter but leaves the register

@@ -1,4 +1,4 @@
-"""Bit-string primitives, promise classification, and weight bands."""
+"""Bit-string primitives, promise classification, and the pair stream."""
 
 from fractions import Fraction
 
@@ -17,7 +17,6 @@ from promisecc.bits import (
     hamming_weight,
     intersection_size,
     promise_pairs,
-    weight_band,
 )
 
 
@@ -171,14 +170,3 @@ class TestEnumeration:
         m = Margin.from_text("1/4", 8)
         with pytest.raises(ValueError):
             list(promise_pairs(4, lambda x, y: classify_disj_promise(x, y, m)))
-
-    def test_weight_band_n4(self):
-        band = weight_band(Margin.from_text("1/4", 4))
-        assert len(band) == 14
-        assert all(1 <= hamming_weight(x) <= 3 for x in band)
-        assert band == sorted(band)
-
-    def test_weight_band_n8_size(self):
-        band = weight_band(Margin.from_text("1/4", 8))
-        assert len(band) == 238
-        assert len(band) >= 2**8 // 2

@@ -6,18 +6,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from promisecc.bits import BitString, Margin, PromiseLabel, hamming_weight, weight_band
+from promisecc.bits import (
+    BitString,
+    Margin,
+    PromiseLabel,
+    classify_disj_promise,
+    hamming_weight,
+)
 from promisecc.bounds import (
     CommMatrix,
     Rectangle,
     SearchTooWideError,
     UNDEFINED,
     check_rectangle_bound,
-    cross_pair_refutation,
     exact_deterministic_cc,
-    find_cross_refutation,
-    fooling_pairs,
-    greedy_fooling_set,
     min_monochromatic_partition,
     problem_matrix,
     verify_partition,
@@ -125,36 +127,6 @@ class TestProblemMatrix:
             assert problem_matrix(kind, n, margin).entries.tolist() == want
 
 
-class TestFoolingSet:
-    def test_equality_mixed_clique(self):
-        # the four diagonal ones conflict pairwise, and cells of opposite
-        # value conflict with everything, so the greedy beats the plain
-        # diagonal fooling set
-        m = problem_matrix("eq", 2)
-        found = greedy_fooling_set(m)
-        assert len(found) == 6
-        assert {(0, 0), (1, 1), (2, 2), (3, 3)} <= set(found)
-
-    def test_promise_disj_band_beats_square_root(self):
-        margin = Margin.from_text("1/4", 4)
-        m = problem_matrix("promise_disj", 4, margin)
-        found = greedy_fooling_set(m)
-        assert len(found) >= 2**4
-
-    def test_fooling_pairs_all_yes(self):
-        margin = Margin.from_text("1/4", 4)
-        pairs = fooling_pairs(margin)
-        assert len(pairs) == len(weight_band(margin))
-        assert all(y == ~x for x, y in pairs)
-
-    def test_cross_refutation_witness(self):
-        margin = Margin.from_text("1/4", 4)
-        witness = find_cross_refutation(margin)
-        assert witness is not None
-        x, z = witness
-        assert cross_pair_refutation(x, z, margin) is PromiseLabel.NO
-
-
 class TestExactCc:
     @pytest.mark.parametrize(
         "kind,n,expected",
@@ -175,6 +147,11 @@ class TestExactCc:
         margin = Margin.from_text("1/4", 4)
         m = problem_matrix("promise_disj", 4, margin)
         assert exact_deterministic_cc(m) == 5
+
+    @pytest.mark.parametrize("n,lam,expected", [(5, "1/5", 6), (6, "1/6", 7)])
+    def test_promise_disj_margin_one_over_n(self, n, lam, expected):
+        m = problem_matrix("promise_disj", n, Margin.from_text(lam, n))
+        assert exact_deterministic_cc(m) == expected
 
     def test_promise_eq_n2(self):
         # the distance-two don't-cares let two bits suffice
@@ -241,11 +218,20 @@ class TestPartition:
         assert min_monochromatic_partition(m, 0).count == 0
 
     def test_band_complement_square(self):
-        """Rows from the band against complement columns force one
-        rectangle per fooling pair."""
+        """Rows from the weight band against complement columns force one
+        rectangle per complement pair."""
         margin = Margin.from_text("1/4", 4)
-        band = weight_band(margin)
         m = problem_matrix("promise_disj", 4, margin)
+        # (x, x) overlaps in |x|, so it is a No instance iff x is in the band
+        band = [
+            x for x in m.rows if classify_disj_promise(x, x, margin) is PromiseLabel.NO
+        ]
+        assert len(band) == 14
+        assert all(1 <= hamming_weight(x) <= 3 for x in band)
+        assert band == sorted(band)
+        assert all(
+            classify_disj_promise(x, ~x, margin) is PromiseLabel.YES for x in band
+        )
         rows = [m.rows.index(x) for x in band]
         cols = [m.cols.index(~x) for x in band]
         sub = m.submatrix(rows, cols)

@@ -16,7 +16,6 @@ from promisecc.cli import (
     EXIT_OK,
     ExperimentConfig,
     build_parser,
-    emit_cost_table,
     main,
     run_experiment,
 )
@@ -68,6 +67,23 @@ class TestConfigValidation:
         with pytest.raises(cli.ConfigError, match="takes no --k"):
             cfg.validated()
 
+    @pytest.mark.parametrize("command,flag", [
+        ("qcfa-sweep", "--lambda"), ("reduction", "--lambda"),
+        ("qcfa-sweep", "--eps"), ("bounds", "--eps"), ("reduction", "--eps"),
+    ])
+    def test_lambda_and_eps_only_where_read(self, command, flag, capsys):
+        code = main(["--cmd", command, "--n", "4", flag, "1/4"])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {command} takes no {flag}\n"
+
+    def test_defaults_only_for_commands_that_read_them(self):
+        bounds_plan = ExperimentConfig(command="bounds", n=4).validated()
+        assert bounds_plan.margin.fraction == Fraction(1, 4)
+        assert bounds_plan.eps is None
+        for command in ("qcfa-sweep", "reduction"):
+            plan = ExperimentConfig(command=command, n=4).validated()
+            assert plan.margin is None and plan.eps is None
+
     def test_negative_seed_is_one_line(self, capsys):
         code = main(["--cmd", "quantum-sweep", "--n", "4", "--seed", "-1"])
         assert code == EXIT_CONFIG
@@ -82,6 +98,11 @@ class TestConfigValidation:
         # the bounds sweep simply skips the promise-disjointness matrix
         plan = ExperimentConfig(command="bounds", n=3).validated()
         assert plan.margin is None
+
+    @pytest.mark.parametrize("lam", ["1/2", "abc", "1/3"])
+    def test_bad_explicit_margin_fatal_for_bounds(self, lam):
+        with pytest.raises(cli.ConfigError, match="bad margin"):
+            ExperimentConfig(command="bounds", n=4, margin_text=lam).validated()
 
     def test_bad_eps(self):
         cfg = ExperimentConfig(command="classical-sweep", n=4, eps_text="5/3")
@@ -401,11 +422,18 @@ class TestExitCodes:
 class TestParser:
     def test_defaults(self):
         args = build_parser().parse_args(["--cmd", "quantum-sweep", "--n", "4"])
-        assert args.margin_text == "1/4"
-        assert args.eps_text == "1/3"
+        # None means "not given"; the plan applies 1/4 and 1/3
+        assert args.margin_text is None
+        assert args.eps_text is None
         assert args.mode == "exhaustive"
         assert args.fmt == "json"
         assert args.seed is None
+        plan = ExperimentConfig(
+            command=args.cmd, n=args.n,
+            margin_text=args.margin_text, eps_text=args.eps_text,
+        ).validated()
+        assert plan.margin.fraction == Fraction(1, 4)
+        assert plan.eps == Fraction(1, 3)
 
     def test_lambda_flag_maps_to_margin(self):
         args = build_parser().parse_args(
@@ -417,27 +445,3 @@ class TestParser:
         parser = build_parser()
         for command in COMMANDS:
             assert parser.parse_args(["--cmd", command, "--n", "2"]).cmd == command
-
-
-class TestCostTable:
-    def test_rows_and_ceilings(self):
-        rows = emit_cost_table(
-            margins=[Fraction(1, 4), Fraction(1, 8)],
-            epsilons=[Fraction(1, 3)],
-            ns=[4, 8],
-        )
-        assert len(rows) == 4
-        quarter_n8 = next(
-            r for r in rows if r["lambda"] == "1/4" and r["n"] == 8
-        )
-        assert quarter_n8["k_quantum"] == 1
-        assert quarter_n8["qubits"] == 9
-        assert quarter_n8["k_classical"] == 4
-        assert quarter_n8["bits"] == 12
-        for row in rows:
-            assert row["k_quantum"] <= row["k_quantum_limit"]
-            assert row["k_classical"] <= row["k_classical_limit"]
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError):
-            emit_cost_table([], [Fraction(1, 3)], [4])

@@ -1,5 +1,6 @@
 """Quantum disjointness protocol: round probabilities, amplification, cost."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,7 @@ from promisecc.quantum_protocol import (
     round_accept_probability_fast,
     run_protocol,
 )
+from promisecc.randomized_protocol import bit_cost, positions_count
 
 
 class TestRoundProbability:
@@ -111,6 +113,24 @@ class TestQubitCost:
             qubit_cost(0)
         with pytest.raises(ValueError):
             qubit_cost(4, 0)
+
+
+class TestCostCeilings:
+    """Exact counts against their analytic ceilings: k_q <= log2(1/eps)/(3*lam)
+    rounds and k_c <= log2(1/eps)/lam positions, as -log2(1-t) >= t on (0, 1)."""
+
+    @pytest.mark.parametrize("lam", [Fraction(1, 4), Fraction(1, 8), Fraction(1, 16)])
+    @pytest.mark.parametrize("eps", [Fraction(1, 3), Fraction(1, 10), Fraction(1, 100)])
+    def test_counts_within_ceilings(self, lam, eps):
+        target_bits = math.log2(1 / eps)
+        assert repetition_count(lam, eps) <= target_bits / (3 * float(lam))
+        assert positions_count(lam, eps) <= target_bits / float(lam)
+
+    def test_quarter_margin_n8_costs(self):
+        k_quantum = repetition_count(Fraction(1, 4), Fraction(1, 3))
+        k_classical = positions_count(Fraction(1, 4), Fraction(1, 3))
+        assert (k_quantum, qubit_cost(8, k_quantum)) == (1, 9)
+        assert (k_classical, bit_cost(8, k_classical)) == (4, 12)
 
 
 class TestRunProtocol:
