@@ -170,3 +170,22 @@ class TestEnumeration:
         m = Margin.from_text("1/4", 8)
         with pytest.raises(ValueError):
             list(promise_pairs(4, lambda x, y: classify_disj_promise(x, y, m)))
+
+    @staticmethod
+    def _band(margin):
+        # (x, x) overlaps in |x|, so it is a No instance iff |x| is in the band
+        return [
+            x for x in all_bitstrings(margin.n)
+            if classify_disj_promise(x, x, margin) is PromiseLabel.NO
+        ]
+
+    def test_weight_band_n4(self):
+        band = self._band(Margin.from_text("1/4", 4))
+        assert len(band) == 14
+        assert all(1 <= hamming_weight(x) <= 3 for x in band)
+        assert band == sorted(band)
+
+    def test_weight_band_n8_size(self):
+        band = self._band(Margin.from_text("1/4", 8))
+        assert len(band) == 238
+        assert len(band) >= 2**8 // 2

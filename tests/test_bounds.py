@@ -127,6 +127,45 @@ class TestProblemMatrix:
             assert problem_matrix(kind, n, margin).entries.tolist() == want
 
 
+class TestFoolingSet:
+    @staticmethod
+    def _band(margin, m):
+        # (x, x) overlaps in |x|, so it is a No instance iff |x| is in the band
+        return [
+            x for x in m.rows if classify_disj_promise(x, x, margin) is PromiseLabel.NO
+        ]
+
+    def test_fooling_pairs_all_yes(self):
+        margin = Margin.from_text("1/4", 4)
+        m = problem_matrix("promise_disj", 4, margin)
+        pairs = [(x, ~x) for x in self._band(margin, m)]
+        assert len(pairs) == 14
+        assert all(
+            classify_disj_promise(x, y, margin) is PromiseLabel.YES for x, y in pairs
+        )
+        assert all(
+            m.entries[m.rows.index(x), m.cols.index(y)] == 1 for x, y in pairs
+        )
+
+    def test_cross_refutation_witness(self):
+        margin = Margin.from_text("1/4", 4)
+        m = problem_matrix("promise_disj", 4, margin)
+        band = self._band(margin, m)
+        witness = next(
+            (
+                (x, z) for x in band for z in band
+                if z != x and classify_disj_promise(z, ~x, margin) is PromiseLabel.NO
+            ),
+            None,
+        )
+        assert witness is not None
+        x, z = witness
+        # (x, ~x) and (z, ~z) are Yes, but the crossed pair is a No instance
+        assert classify_disj_promise(x, ~x, margin) is PromiseLabel.YES
+        assert classify_disj_promise(z, ~z, margin) is PromiseLabel.YES
+        assert 1 <= hamming_weight(BitString(z.value & ~x.value, 4)) <= 3
+
+
 class TestExactCc:
     @pytest.mark.parametrize(
         "kind,n,expected",
