@@ -8,6 +8,12 @@ report but exits with status 2.  Inputs come from one stream: every pair
 inside the promise, or uniform draws kept only inside it.  Per-input
 randomness derives from (seed, input index), so identical configurations
 produce byte-identical reports.
+
+Reports are streamed: each sweep is a generator of records, the quantum
+sweep runs its protocol rounds on chunks of ``SWEEP_CHUNK`` pairs, and
+records reach the file a chunk at a time while summary statistics are
+accumulated on the way.  No list of all records is built, so memory does
+not grow with the number of pairs.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -26,7 +33,14 @@ from pathlib import Path
 import numpy as np
 
 from . import automata, bounds, quantum_protocol, randomized_protocol
-from .bits import BitString, Margin, PromiseLabel, classify_disj_promise, promise_pairs
+from .bits import (
+    BitString,
+    Margin,
+    PromiseLabel,
+    classify_disj_promise,
+    hamming_weight,
+    promise_pairs,
+)
 
 OUTPUT_DIR_ENV = "PROMISECC_OUT_DIR"
 COMMANDS = ("quantum-sweep", "classical-sweep", "qcfa-sweep", "bounds", "reduction")
@@ -38,6 +52,8 @@ PROB_TOL = 1e-9
 MC_TRIALS = 1000
 #: Allowed Monte Carlo deviation in binomial standard deviations.
 MC_SIGMA_LIMIT = 5.0
+#: Pairs per batched protocol round, and records per report write.
+SWEEP_CHUNK = 1024
 
 _EXHAUSTIVE_CAPS = {
     "quantum-sweep": 10,
@@ -233,70 +249,110 @@ def _word_pair_stream(plan: _RunPlan, problem: automata.WordProblem, builder):
 # per-command sweeps
 # ---------------------------------------------------------------------------
 
-def _label_stats(values):
-    if not values:
-        return None, None, None
-    return min(values), max(values), sum(values) / len(values)
+class _Running:
+    """Count, minimum, maximum and sum of a stream of numbers.
+
+    They equal ``len``, ``min``, ``max`` and ``sum`` over the list of the
+    same numbers (``sum`` adding left to right, as it does for floats up
+    to Python 3.11), without keeping the list.
+    """
+
+    __slots__ = ("count", "low", "high", "total")
+
+    def __init__(self):
+        self.count, self.low, self.high, self.total = 0, None, None, 0
+
+    def add(self, value) -> None:
+        if self.count == 0:
+            self.low = self.high = value
+        elif value < self.low:
+            self.low = value
+        elif value > self.high:
+            self.high = value
+        self.count += 1
+        self.total += value
+
+    @property
+    def mean(self):
+        return self.total / self.count if self.count else None
 
 
-def _quantum_sweep(plan: _RunPlan):
+def _chunks(items):
+    """Consecutive lists of up to SWEEP_CHUNK items."""
+    items = iter(items)
+    while chunk := list(itertools.islice(items, SWEEP_CHUNK)):
+        yield chunk
+
+
+def _quantum_sweep(plan: _RunPlan, violations: list):
     cfg, margin = plan.config, plan.margin
+    n = cfg.n
     k = cfg.k or quantum_protocol.repetition_count(margin, plan.eps)
-    check_eps = cfg.k is None
+    # with --k the error target is not what k was chosen for
+    eps_cap = float(plan.eps) + PROB_TOL if cfg.k is None else math.inf
     single_cap = float((1 - 2 * margin.fraction) ** 2)
-    records, violations = [], []
-    p_yes, p_no, accept_k_no = [], [], []
-    for idx, (x, y, label) in enumerate(_pair_stream(plan)):
-        rng = np.random.default_rng((plan.seed, idx))
-        report = quantum_protocol.run_protocol(x, y, margin, k, rng)
-        rec = {"record": "input", **report.to_record()}
-        records.append(rec)
-        if label is PromiseLabel.YES:
-            p_yes.append(report.p_single)
-            if report.p_single < 1.0 - PROB_TOL:
-                violations.append(f"yes pair {x},{y} accepted with {report.p_single}")
-        else:
-            p_no.append(report.p_single)
-            accept_k_no.append(report.p_accept_all)
-            if report.p_single > single_cap + PROB_TOL:
-                violations.append(f"no pair {x},{y} above single-round cap")
-            if check_eps and report.p_accept_all > float(plan.eps) + PROB_TOL:
-                violations.append(f"no pair {x},{y} above error target")
-    y_min, y_max, y_mean = _label_stats(p_yes)
-    n_min, n_max, n_mean = _label_stats(p_no)
-    qubits = quantum_protocol.qubit_cost(cfg.n, k)
-    records.append({
+    qubits = quantum_protocol.qubit_cost(n, k)
+    p_yes, p_no, accept_k_no = _Running(), _Running(), _Running()
+    idx = 0
+    for chunk in _chunks(_pair_stream(plan)):
+        probabilities = quantum_protocol.round_accept_probabilities(
+            [x.value for x, _, _ in chunk], [y.value for _, y, _ in chunk], n
+        )
+        for (x, y, label), p in zip(chunk, probabilities):
+            rng = np.random.default_rng((plan.seed, idx))
+            idx += 1
+            report = quantum_protocol.QuantumProtocolReport(
+                x=x, y=y, margin=margin, label=label, p_single=p, k=k,
+                decision=quantum_protocol.sample_decision(p, k, rng),
+                qubits=qubits,
+            )
+            yield {"record": "input", **report.to_record()}
+            if label is PromiseLabel.YES:
+                p_yes.add(p)
+                if p < 1.0 - PROB_TOL:
+                    violations.append(f"yes pair {x},{y} accepted with {p}")
+            else:
+                p_no.add(p)
+                accept_k_no.add(report.p_accept_all)
+                if p > single_cap + PROB_TOL:
+                    violations.append(f"no pair {x},{y} above single-round cap")
+                if report.p_accept_all > eps_cap:
+                    violations.append(f"no pair {x},{y} above error target")
+    yield {
         "record": "summary",
-        "n": cfg.n,
+        "n": n,
         "lambda": str(margin.fraction),
         "k": k,
         "qubits": qubits,
-        "count_yes": len(p_yes),
-        "count_no": len(p_no),
-        "p_yes_min": y_min,
-        "p_yes_max": y_max,
-        "p_yes_mean": y_mean,
-        "p_no_min": n_min,
-        "p_no_max": n_max,
-        "p_no_mean": n_mean,
-        "p_accept_k_no_max": max(accept_k_no, default=None),
-        "qubits_total": qubits * (len(p_yes) + len(p_no)),
+        "count_yes": p_yes.count,
+        "count_no": p_no.count,
+        "p_yes_min": p_yes.low,
+        "p_yes_max": p_yes.high,
+        "p_yes_mean": p_yes.mean,
+        "p_no_min": p_no.low,
+        "p_no_max": p_no.high,
+        "p_no_mean": p_no.mean,
+        "p_accept_k_no_max": accept_k_no.high,
+        "qubits_total": qubits * (p_yes.count + p_no.count),
         "invariant_ok": not violations,
-    })
-    return records, violations
+    }
 
 
-def _classical_sweep(plan: _RunPlan):
+def _classical_sweep(plan: _RunPlan, violations: list):
     cfg, margin = plan.config, plan.margin
     k = cfg.k or randomized_protocol.positions_count(margin, plan.eps)
     miss_cap = float((1 - margin.fraction) ** k)
-    records, violations = [], []
-    err_yes, err_no, det_no = [], [], []
+    lam = str(margin.fraction)
+    err_yes, err_no, det_no = _Running(), _Running(), _Running()
     literal_no = 0
     sigma_max = 0.0
     bits_total = 0
     for idx, (x, y, label) in enumerate(_pair_stream(plan)):
-        rng = np.random.default_rng((plan.seed, idx))
+        # a pair whose x has fewer than k ones takes the literal branch,
+        # which draws nothing
+        rng = None
+        if hamming_weight(x) >= k:
+            rng = np.random.default_rng((plan.seed, idx))
         report = randomized_protocol.run_one_way(x, y, k, rng)
         detect = None
         if not report.literal_branch:
@@ -315,55 +371,52 @@ def _classical_sweep(plan: _RunPlan):
                 violations.append(
                     f"pair {x},{y} Monte Carlo frequency {sigma:.1f} sigma off"
                 )
-        rec = {
+        yield {
             "record": "input",
-            "lambda": str(margin.fraction),
+            "lambda": lam,
             "label": label.value,
             **report.to_record(),
             "p_detect_exact": detect,
             "mc_frequency": mc_freq,
             "mc_trials": mc_trials,
         }
-        records.append(rec)
         bits_total += report.bits_communicated
         if label is PromiseLabel.YES:
-            err_yes.append(report.exact_error_probability)
+            err_yes.add(report.exact_error_probability)
             if report.decision != 1:
                 violations.append(f"yes pair {x},{y} rejected")
             if report.exact_error_probability != 0.0:
                 violations.append(f"yes pair {x},{y} has nonzero error")
         else:
-            err_no.append(report.exact_error_probability)
+            err_no.add(report.exact_error_probability)
             if report.literal_branch:
                 # tiny-n band pair with fewer ones than samples: surfaced,
                 # not treated as a protocol failure
                 literal_no += 1
             else:
-                det_no.append(detect)
+                det_no.add(detect)
                 if report.exact_error_probability > miss_cap + PROB_TOL:
                     violations.append(f"no pair {x},{y} above miss cap")
-    d_min, d_max, d_mean = _label_stats(det_no)
-    records.append({
+    yield {
         "record": "summary",
         "n": cfg.n,
         "lambda": str(margin.fraction),
         "k": k,
-        "count_yes": len(err_yes),
-        "count_no": len(err_no),
-        "err_yes_max": max(err_yes, default=None),
-        "err_no_max": max(err_no, default=None),
-        "det_no_min": d_min,
-        "det_no_max": d_max,
-        "det_no_mean": d_mean,
+        "count_yes": err_yes.count,
+        "count_no": err_no.count,
+        "err_yes_max": err_yes.high,
+        "err_no_max": err_no.high,
+        "det_no_min": det_no.low,
+        "det_no_max": det_no.high,
+        "det_no_mean": det_no.mean,
         "literal_no_count": literal_no,
         "mc_sigma_max": sigma_max,
         "bits_total": bits_total,
         "invariant_ok": not violations,
-    })
-    return records, violations
+    }
 
 
-def _qcfa_sweep(plan: _RunPlan):
+def _qcfa_sweep(plan: _RunPlan, violations: list):
     cfg = plan.config
     n = cfg.n
     machines = [
@@ -384,12 +437,10 @@ def _qcfa_sweep(plan: _RunPlan):
             2 * n + 2,
         ),
     ]
-    records, violations = [], []
     for name, machine, problem, builder, want_q, want_c in machines:
         if len(machine.quantum_labels) != want_q or len(machine.classical_states) != want_c:
             violations.append(f"{name} machine has unexpected state counts")
-        p_yes, p_no, deviations = [], [], []
-        count_yes = count_no = 0
+        p_yes, p_no, deviations = _Running(), _Running(), _Running()
         for x, y, label in _word_pair_stream(plan, problem, builder):
             word = builder(x, y)
             p = automata.accept_probability(machine, word)
@@ -398,21 +449,19 @@ def _qcfa_sweep(plan: _RunPlan):
             else:
                 expected = quantum_protocol.round_accept_probability_fast(x, y)
             deviation = abs(p - expected)
-            deviations.append(deviation)
+            deviations.add(deviation)
             if deviation > PROB_TOL:
                 violations.append(f"{name} word {word} off by {deviation:.3e}")
             if label is PromiseLabel.YES:
-                count_yes += 1
-                p_yes.append(p)
+                p_yes.add(p)
                 if p < 1.0 - PROB_TOL:
                     violations.append(f"{name} yes word {word} not sure")
             else:
-                count_no += 1
-                p_no.append(p)
+                p_no.add(p)
                 cap = 0.0 if name == "equality" else 0.25
                 if p > cap + PROB_TOL:
                     violations.append(f"{name} no word {word} above cap")
-            records.append({
+            yield {
                 "record": "input",
                 "machine": name,
                 "n": n,
@@ -422,58 +471,54 @@ def _qcfa_sweep(plan: _RunPlan):
                 "p_accept": p,
                 "expected": expected,
                 "deviation": deviation,
-            })
-        records.append({
+            }
+        yield {
             "record": "summary",
             "machine": name,
             "n": n,
-            "count_yes": count_yes,
-            "count_no": count_no,
-            "p_yes_min": min(p_yes, default=None),
-            "p_no_max": max(p_no, default=None),
-            "deviation_max": max(deviations, default=None),
+            "count_yes": p_yes.count,
+            "count_no": p_no.count,
+            "p_yes_min": p_yes.low,
+            "p_no_max": p_no.high,
+            "deviation_max": deviations.high,
             "quantum_states": len(machine.quantum_labels),
             "classical_states": len(machine.classical_states),
             "invariant_ok": not violations,
-        })
-    return records, violations
+        }
 
 
-def _bounds_sweep(plan: _RunPlan):
+def _bounds_sweep(plan: _RunPlan, violations: list):
     cfg, margin = plan.config, plan.margin
     problems = ["eq", "disj"]
     if cfg.n % 2 == 0:
         problems.append("promise_eq")
     if margin is not None:
         problems.append("promise_disj")
-    records, violations = [], []
     for problem in problems:
         matrix = bounds.problem_matrix(problem, cfg.n, margin)
         report = bounds.check_rectangle_bound(matrix)
         lam = str(margin.fraction) if problem == "promise_disj" else None
-        records.append({
+        yield {
             "record": "input",
             "problem": problem,
             "n": cfg.n,
             "lambda": lam,
             **report.to_record(),
-        })
+        }
         # None means the exact searches refused the size, not a failure
         if report.holds is False:
             violations.append(f"rectangle bound fails on {problem} at n={cfg.n}")
-    records.append({
+    yield {
         "record": "summary",
         "n": cfg.n,
         "problems": len(problems),
         "all_bounds_ok": not violations,
-    })
-    return records, violations
+    }
 
 
-def _reduction_sweep(plan: _RunPlan):
+def _reduction_sweep(plan: _RunPlan, violations: list):
     cfg = plan.config
     n = cfg.n
-    records, violations = [], []
     dfa = automata.bruteforce_disjointness_dfa(n)
     agreement = automata.verify_promise_dfa(dfa, n)
     if not agreement:
@@ -506,7 +551,7 @@ def _reduction_sweep(plan: _RunPlan):
         cost_ok = cost >= min_cc
         if not cost_ok:
             violations.append("reduction cost beats the exact lower bound")
-    records.append({
+    yield {
         "record": "input",
         "n": n,
         "dfa_states": dfa.size,
@@ -514,8 +559,8 @@ def _reduction_sweep(plan: _RunPlan):
         "agreement": agreement,
         "min_cc": min_cc,
         "cost_ge_min_cc": cost_ok,
-    })
-    records.append({
+    }
+    yield {
         "record": "summary",
         "n": n,
         "dfa_states": dfa.size,
@@ -523,10 +568,11 @@ def _reduction_sweep(plan: _RunPlan):
         "agreement": agreement,
         "min_cc": min_cc,
         "invariant_ok": not violations,
-    })
-    return records, violations
+    }
 
 
+#: Each sweep is a generator of records that appends every violated
+#: guarantee to the list it is given; the summary comes last.
 _SWEEPS = {
     "quantum-sweep": _quantum_sweep,
     "classical-sweep": _classical_sweep,
@@ -540,15 +586,19 @@ _SWEEPS = {
 # report writing
 # ---------------------------------------------------------------------------
 
+_JSON = json.JSONEncoder(sort_keys=True)
+
+
 def _render_json(records) -> str:
-    return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+    return "".join(_JSON.encode(r) + "\n" for r in records)
 
 
-def _render_csv(command: str, records) -> str:
+def _render_csv(command: str, records, header: bool) -> str:
     columns = _COLUMNS[command]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
+    if header:
+        writer.writerow(columns)
     for rec in records:
         row = []
         for col in columns:
@@ -563,23 +613,34 @@ def _render_csv(command: str, records) -> str:
     return buf.getvalue()
 
 
-def render_report(command: str, records, fmt: str) -> str:
-    return _render_json(records) if fmt == "json" else _render_csv(command, records)
+def render_report(command: str, records, fmt: str, header: bool = True) -> str:
+    """Report text for ``records``; ``header=False`` leaves out the CSV
+    column line, for every chunk after the first."""
+    if fmt == "json":
+        return _render_json(records)
+    return _render_csv(command, records, header)
 
 
 def run_experiment(cfg: ExperimentConfig) -> int:
-    """Validate, sweep, write the report; 0 ok, 1 bad config, 2 violation."""
+    """Validate, sweep, write the report; 0 ok, 1 bad config, 2 violation.
+
+    Records go to the report a chunk at a time as the sweep makes them.
+    """
     try:
         plan = cfg.validated()
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    records, violations = _SWEEPS[cfg.command](plan)
+    violations = []
+    records = _SWEEPS[cfg.command](plan, violations)
     path = plan.output_path()
     path.parent.mkdir(parents=True, exist_ok=True)
-    text = render_report(cfg.command, records, cfg.fmt)
-    path.write_text(text)
-    print(f"wrote {len(records)} records to {path}")
+    count = 0
+    with open(path, "w") as report:
+        for chunk in _chunks(records):
+            report.write(render_report(cfg.command, chunk, cfg.fmt, header=not count))
+            count += len(chunk)
+    print(f"wrote {count} records to {path}")
     if violations:
         for message in violations[:20]:
             print(f"invariant violation: {message}", file=sys.stderr)

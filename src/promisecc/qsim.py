@@ -28,6 +28,7 @@ O(n) numpy operations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -134,24 +135,30 @@ class SignedPermutation:
     """Operator ``psi -> sign * psi[perm]``: row k of its matrix holds
     ``sign[k]`` in column ``perm[k]``.
 
+    A batch of N operators has ``perm`` and ``sign`` of shape (N, dim);
+    ``op @ psi`` then applies row r to ``psi`` itself (one state, shape
+    (dim,)) or to ``psi[r]`` (N states, shape (N, dim)), giving N states.
+
     The constructor trusts its arguments; :meth:`validate` checks them
     where they come from outside the package.
     """
 
-    perm: np.ndarray  # integer index vector
+    perm: np.ndarray  # integer index vector, or one per row
     sign: np.ndarray  # entries +1 or -1, aligned with perm
 
     @property
     def dim(self) -> int:
-        return self.perm.shape[0]
+        return self.perm.shape[-1]
 
     def __matmul__(self, psi: np.ndarray) -> np.ndarray:
-        if psi.shape != self.perm.shape:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {psi.shape}")
-        return self.sign * psi[self.perm]
+        if psi.shape == self.perm.shape[-1:]:
+            return self.sign * psi[self.perm]
+        if psi.ndim == 2 and psi.shape == self.perm.shape:
+            return self.sign * np.take_along_axis(psi, self.perm, axis=1)
+        raise ValueError(f"dimension mismatch: {self.perm.shape} vs {psi.shape}")
 
     def to_matrix(self) -> np.ndarray:
-        """Dense reference matrix."""
+        """Dense reference matrix of one operator."""
         u = np.zeros((self.dim, self.dim), dtype=complex)
         u[np.arange(self.dim), self.perm] = self.sign
         return u
@@ -166,24 +173,60 @@ class SignedPermutation:
             raise ValueError("sign must hold one +1 or -1 per index")
 
 
-def _ones(x: BitString) -> np.ndarray:
-    """Boolean mask of the 1-positions of x, first bit first."""
-    return np.frombuffer(str(x).encode(), dtype=np.uint8) == ord("1")
+@lru_cache(maxsize=None)
+def _bit_masks(n: int) -> np.ndarray:
+    """The value of each position, first bit first: 2**(n-1), ..., 2, 1.
+
+    uint64 up to n = 64; Python integers beyond.
+    """
+    masks = np.array([1 << shift for shift in range(n - 1, -1, -1)],
+                     dtype=np.uint64 if n <= 64 else object)
+    masks.setflags(write=False)  # shared by every caller
+    return masks
 
 
-def swap(x: BitString) -> SignedPermutation:
-    """Swap (i,0) and (i,1) at every position where x has a 1; an involution."""
-    n = x.n
-    ones = _ones(x)
-    perm = np.arange(2 * n)
-    perm[:n][ones] += n
-    perm[n:][ones] -= n
-    return SignedPermutation(perm, np.ones(2 * n))
+def _ones(x, n: int | None = None) -> np.ndarray:
+    """Boolean mask of the 1-positions, first bit first.
+
+    ``x`` is a :class:`BitString` (shape ``(n,)``) or an array of N word
+    values of length ``n`` (shape ``(N, n)``).
+    """
+    if isinstance(x, BitString):
+        x, n = x.value, x.n
+    masks = _bit_masks(n)
+    values = np.asarray(x, dtype=masks.dtype)
+    return np.bitwise_and(values[..., None], masks).astype(bool)
 
 
-def phase(y: BitString) -> SignedPermutation:
-    """Sign flip: -1 on (i,1) where y has a 1, +1 elsewhere."""
-    n = y.n
-    sign = np.ones(2 * n)
-    sign[n:][_ones(y)] = -1.0
-    return SignedPermutation(np.arange(2 * n), sign)
+def _identity(shape: tuple[int, ...]) -> np.ndarray:
+    """Identity permutation(s) of shape[-1] indices, one per leading index."""
+    perm = np.empty(shape, dtype=np.intp)
+    perm[...] = np.arange(shape[-1])
+    return perm
+
+
+def swap(x, n: int | None = None) -> SignedPermutation:
+    """Swap (i,0) and (i,1) at every position where x has a 1; an involution.
+
+    ``x`` is one :class:`BitString`, or an array of N word values of
+    length ``n`` for a batch of N operators.
+    """
+    ones = _ones(x, n)
+    n = ones.shape[-1]
+    offset = ones * n
+    perm = np.concatenate((offset, -offset), axis=-1)
+    perm += np.arange(2 * n)
+    return SignedPermutation(perm, np.ones(perm.shape))
+
+
+def phase(y, n: int | None = None) -> SignedPermutation:
+    """Sign flip: -1 on (i,1) where y has a 1, +1 elsewhere.
+
+    ``y`` is one :class:`BitString`, or an array of N word values of
+    length ``n`` for a batch of N operators.
+    """
+    ones = _ones(y, n)
+    n = ones.shape[-1]
+    sign = np.ones(ones.shape[:-1] + (2 * n,))
+    sign[..., n:][ones] = -1.0
+    return SignedPermutation(_identity(sign.shape), sign)

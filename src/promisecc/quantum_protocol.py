@@ -7,7 +7,8 @@ the collect operator and measures in the pair basis.  The amplitude left
 on outcome ``(1, 0)`` is the mean of ``(-1)^(x_i & y_i)``, so the round
 accepts with probability ``((n - 2m)/n)**2`` where ``m`` is the
 intersection size: certainty when the sets are disjoint, at most
-``(1 - 2*lam)**2`` anywhere in the margin band.
+``(1 - 2*lam)**2`` anywhere in the margin band.  The dense simulation
+runs on a batch of pairs at once; one pair is a batch of one.
 
 Repeating the round k times and accepting only on unanimous acceptance
 drives the error on band instances below any target; the count that
@@ -40,24 +41,42 @@ from . import qsim
 
 @lru_cache(maxsize=None)
 def _round_operators(n: int):
-    return qsim.spread_op(n), qsim.collect_op(n)
+    """The state after the spread, spread @ e_(1,0), and the collect."""
+    spread = qsim.spread_op(n)
+    accept = qsim.basis_state(2 * n, qsim.pair_index(1, 0, n))
+    psi = qsim.apply(spread, accept)
+    psi.setflags(write=False)  # shared by every round at this n
+    return psi, qsim.collect_op(n)
+
+
+def round_accept_probabilities(x_values, y_values, n: int) -> list[float]:
+    """Exact dense simulation of one protocol round on a batch of pairs.
+
+    ``x_values`` and ``y_values`` hold N word values of length ``n``
+    (below ``2**n``), pair r being ``(x_values[r], y_values[r])``.
+    Returns, per pair, the probability that the final measurement yields
+    (1, 0).
+    """
+    if len(x_values) != len(y_values):
+        raise ValueError(f"batch mismatch: {len(x_values)} vs {len(y_values)}")
+    psi, collect = _round_operators(n)
+    swap = qsim.swap(x_values, n)
+    psi = swap @ (qsim.phase(y_values, n) @ (swap @ psi))
+    accept = qsim.pair_index(1, 0, n)
+    # one collect @ psi per pair: a single product over the whole batch
+    # rounds some last bits differently, and the values must not depend on
+    # how pairs are batched
+    return [float(abs((collect @ row)[accept]) ** 2) for row in psi]
 
 
 def round_accept_probability(x: BitString, y: BitString) -> float:
-    """Exact dense simulation of one protocol round.
+    """Exact dense simulation of one protocol round: a batch of one.
 
     Returns the probability that the final measurement yields (1, 0).
     """
     if x.n != y.n:
         raise ValueError(f"length mismatch: {x.n} vs {y.n}")
-    n = x.n
-    spread, collect = _round_operators(n)
-    swap = qsim.swap(x)
-    accept = qsim.pair_index(1, 0, n)
-    psi = qsim.apply(spread, qsim.basis_state(2 * n, accept))
-    psi = swap @ (qsim.phase(y) @ (swap @ psi))
-    psi = qsim.apply(collect, psi)
-    return float(abs(psi[accept]) ** 2)
+    return round_accept_probabilities([x.value], [y.value], x.n)[0]
 
 
 def round_accept_probability_fast(x: BitString, y: BitString) -> float:
@@ -134,6 +153,11 @@ class QuantumProtocolReport:
         }
 
 
+def sample_decision(p: float, k: int, rng: np.random.Generator) -> int:
+    """1 iff k sampled rounds, each accepting with probability p, all accept."""
+    return int(max(rng.random(k).tolist()) < p)
+
+
 def run_protocol(
     x: BitString,
     y: BitString,
@@ -149,8 +173,6 @@ def run_protocol(
     if k < 1:
         raise ValueError("k must be positive")
     p = round_accept_probability(x, y)
-    outcomes = rng.random(k) < p
-    decision = int(bool(outcomes.all()))
     return QuantumProtocolReport(
         x=x,
         y=y,
@@ -158,6 +180,6 @@ def run_protocol(
         label=classify_disj_promise(x, y, margin),
         p_single=p,
         k=k,
-        decision=decision,
+        decision=sample_decision(p, k, rng),
         qubits=qubit_cost(x.n, k),
     )

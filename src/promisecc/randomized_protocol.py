@@ -90,12 +90,14 @@ def run_one_way(
     x: BitString,
     y: BitString,
     k: int,
-    rng: np.random.Generator,
+    rng: np.random.Generator | None,
 ) -> ClassicalProtocolReport:
     """One sampled run of the k-position protocol.
 
     The exact error probability (of answering 1 on an intersecting pair,
-    or 0 on a disjoint one) rides along in the report.
+    or 0 on a disjoint one) rides along in the report.  ``rng`` is not
+    read on the literal branch (x has fewer than k ones), so it may be
+    None there.
     """
     if x.n != y.n:
         raise ValueError(f"length mismatch: {x.n} vs {y.n}")
@@ -114,8 +116,8 @@ def run_one_way(
             exact_error_probability=0.0 if m == 0 else 1.0,
             literal_branch=True,
         )
-    ones = [i for i, bit in enumerate(x.bits) if bit]
-    picks = rng.integers(0, h, size=k)
+    ones = [i for i, bit in enumerate(str(x)) if bit == "1"]
+    picks = rng.integers(0, h, size=k).tolist()
     hit = any(y[ones[j]] for j in picks)
     decision = 0 if hit else 1
     # disjoint pairs are never detected, so only intersecting pairs can err

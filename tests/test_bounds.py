@@ -217,6 +217,22 @@ class TestExactCc:
         with pytest.raises(SearchTooWideError):
             exact_deterministic_cc(m)
 
+    def test_promise_eq_n6_is_two_bits_by_parity(self):
+        # D = 2 where the search above refuses: Alice sends the parity of
+        # x and Bob answers whether his parity is the same.  A No pair
+        # differs in n/2 = 3 positions, so its parities differ.
+        m = problem_matrix("promise_eq", 6)
+        row_parity = np.array([hamming_weight(x) % 2 for x in m.rows])
+        col_parity = np.array([hamming_weight(y) % 2 for y in m.cols])
+        answer = (row_parity[:, None] == col_parity[None, :]).astype(m.entries.dtype)
+        defined = m.entries != UNDEFINED
+        assert defined.sum() == 64 + 64 * 20  # the diagonal, and C(6, 3) per row
+        assert np.array_equal(m.entries[defined], answer[defined])
+        # and no single bit suffices: every row and every column holds a
+        # Yes and a No cell, so neither party can name the answer alone
+        for line in (*m.entries, *m.entries.T):
+            assert {0, 1} <= set(line.tolist())
+
 
 class TestPartition:
     @pytest.mark.parametrize(

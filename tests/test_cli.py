@@ -393,14 +393,12 @@ class TestExitCodes:
 
     def test_invariant_violation_is_two(self, tmp_path, monkeypatch, capsys):
         # force a wrong single-round probability so the sweep flags it
-        import dataclasses
+        real = cli.quantum_protocol.round_accept_probabilities
 
-        real = cli.quantum_protocol.run_protocol
+        def broken(x_values, y_values, n):
+            return [0.5 for _ in real(x_values, y_values, n)]
 
-        def broken(x, y, margin, k, rng):
-            return dataclasses.replace(real(x, y, margin, k, rng), p_single=0.5)
-
-        monkeypatch.setattr(cli.quantum_protocol, "run_protocol", broken)
+        monkeypatch.setattr(cli.quantum_protocol, "round_accept_probabilities", broken)
         out = tmp_path / "q.json"
         cfg = ExperimentConfig(command="quantum-sweep", n=4, out=str(out))
         assert run_experiment(cfg) == EXIT_INVARIANT

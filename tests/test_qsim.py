@@ -118,6 +118,55 @@ class TestSignedPermutation:
         with pytest.raises(ValueError):
             qsim.swap(BitString("01")) @ qsim.basis_state(6, 0)
 
+    @pytest.mark.parametrize("n", [1, 3, 8, 64, 70])
+    def test_batch_rows_are_the_single_operators(self, n):
+        rng = np.random.default_rng(n)
+        words = [BitString(rng.integers(0, 2, size=n).tolist()) for _ in range(6)]
+        values = [w.value for w in words]
+        for build in (qsim.swap, qsim.phase):
+            batch = build(values, n)
+            assert batch.perm.shape == batch.sign.shape == (6, 2 * n)
+            assert batch.dim == 2 * n
+            for row, word in enumerate(words):
+                single = build(word)
+                assert np.array_equal(batch.perm[row], single.perm)
+                assert np.array_equal(batch.sign[row], single.sign)
+
+    def test_batch_applies_row_by_row(self):
+        rng = np.random.default_rng(3)
+        n, values = 5, [0, 0b10110, 0b11111]
+        psi = _random_state(rng, 2 * n)
+        states = np.array([_random_state(rng, 2 * n) for _ in values])
+        swaps = qsim.swap(values, n)
+        # one state goes to every operator of the batch
+        shared = swaps @ psi
+        # a batch of states goes one to each operator
+        paired = swaps @ states
+        for row, v in enumerate(values):
+            single = qsim.swap(BitString(v, n))
+            assert np.array_equal(shared[row], single @ psi)
+            assert np.array_equal(paired[row], single @ states[row])
+
+    def test_batch_rejects_mismatched_states(self):
+        swaps = qsim.swap([1, 2, 3], 2)
+        with pytest.raises(ValueError):
+            swaps @ np.zeros((2, 4), dtype=complex)  # two states, three operators
+        with pytest.raises(ValueError):
+            swaps @ np.zeros(6, dtype=complex)
+        with pytest.raises(ValueError):
+            qsim.swap(BitString("01")) @ np.zeros((3, 4), dtype=complex)
+
+    @pytest.mark.parametrize("n", [1, 5, 63, 64, 65, 130])
+    def test_ones_mask_matches_the_written_word(self, n):
+        rng = np.random.default_rng(n)
+        words = [BitString(rng.integers(0, 2, size=n).tolist()) for _ in range(4)]
+        words += [BitString(0, n), ~BitString(0, n)]
+        for word in words:
+            expected = [c == "1" for c in str(word)]
+            assert qsim._ones(word).tolist() == expected
+        batch = qsim._ones([w.value for w in words], n)
+        assert batch.tolist() == [[c == "1" for c in str(w)] for w in words]
+
     @pytest.mark.parametrize("perm,sign", [
         ([0, 0, 2], [1, 1, 1]),  # repeated index
         ([0, 1, 3], [1, 1, 1]),  # index out of range
