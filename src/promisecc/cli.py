@@ -635,11 +635,15 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     records = _SWEEPS[cfg.command](plan, violations)
     path = plan.output_path()
     path.parent.mkdir(parents=True, exist_ok=True)
+    # the report appears under its name only once complete, so a sweep
+    # that stops half way leaves a .part file, not a short report
+    partial = path.with_name(path.name + ".part")
     count = 0
-    with open(path, "w") as report:
+    with open(partial, "w") as report:
         for chunk in _chunks(records):
             report.write(render_report(cfg.command, chunk, cfg.fmt, header=not count))
             count += len(chunk)
+    partial.replace(path)
     print(f"wrote {count} records to {path}")
     if violations:
         for message in violations[:20]:

@@ -198,13 +198,6 @@ def _ones(x, n: int | None = None) -> np.ndarray:
     return np.bitwise_and(values[..., None], masks).astype(bool)
 
 
-def _identity(shape: tuple[int, ...]) -> np.ndarray:
-    """Identity permutation(s) of shape[-1] indices, one per leading index."""
-    perm = np.empty(shape, dtype=np.intp)
-    perm[...] = np.arange(shape[-1])
-    return perm
-
-
 def swap(x, n: int | None = None) -> SignedPermutation:
     """Swap (i,0) and (i,1) at every position where x has a 1; an involution.
 
@@ -229,4 +222,6 @@ def phase(y, n: int | None = None) -> SignedPermutation:
     n = ones.shape[-1]
     sign = np.ones(ones.shape[:-1] + (2 * n,))
     sign[..., n:][ones] = -1.0
-    return SignedPermutation(_identity(sign.shape), sign)
+    perm = np.empty(sign.shape, dtype=np.intp)
+    perm[...] = np.arange(2 * n)
+    return SignedPermutation(perm, sign)

@@ -405,6 +405,27 @@ class TestExitCodes:
         assert "invariant violation" in capsys.readouterr().err
         assert out.exists()  # the report is still written
 
+    def test_sweep_stopped_half_way_leaves_no_report(self, tmp_path, monkeypatch):
+        # records are streamed, so a sweep that raises after some of them
+        # must not leave a short report under the output name
+        real = cli.quantum_protocol.round_accept_probabilities
+        calls = []
+
+        def broken(x_values, y_values, n):
+            calls.append(n)
+            if len(calls) > 2:
+                raise RuntimeError("stopped")
+            return real(x_values, y_values, n)
+
+        monkeypatch.setattr(cli, "SWEEP_CHUNK", 3)
+        monkeypatch.setattr(cli.quantum_protocol, "round_accept_probabilities", broken)
+        out = tmp_path / "q.json"
+        out.write_text("earlier report\n")
+        cfg = ExperimentConfig(command="quantum-sweep", n=4, out=str(out))
+        with pytest.raises(RuntimeError):
+            run_experiment(cfg)
+        assert out.read_text() == "earlier report\n"
+
     def test_main_bad_flag_is_config_error(self, capsys):
         assert main(["--cmd", "nope", "--n", "4"]) == EXIT_CONFIG
         capsys.readouterr()
