@@ -22,7 +22,8 @@ Only the fixed column of the spread and the fixed row of the collect are
 forced by the protocol; the rest of those two dense matrices is completed
 by Gram-Schmidt against the standard basis, which makes construction
 deterministic.  Swaps and sign flips are signed permutations, built in
-O(n) numpy operations.
+O(n) numpy operations; given an array of word values, :func:`swap` and
+:func:`phase` build a batch of them, one operator per row.
 """
 
 from __future__ import annotations
