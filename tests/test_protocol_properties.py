@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from promisecc import cli
-
 from promisecc.automata import (
     accept_probability,
     disjointness_automaton,
