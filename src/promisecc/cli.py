@@ -5,15 +5,17 @@ writes one record per evaluated input plus a trailing summary record, as
 newline-delimited JSON or fixed-column CSV.  Sweeps re-assert the owning
 module's guarantees while running; a violated guarantee still writes the
 report but exits with status 2.  Inputs come from one stream: every pair
-inside the promise, or uniform draws kept only inside it.  Per-input
-randomness derives from (seed, input index), so identical configurations
-produce byte-identical reports.
+inside the promise, or uniform draws kept only inside it.  The protocol
+sweeps draw their random decisions from one stream per sweep, seeded by
+the seed and read in pair order a chunk at a time; the draws do not
+depend on the chunk size.  Monte Carlo trials draw from (seed, pair index,
+1).  So identical configurations produce byte-identical reports.
 
-Reports are streamed: each sweep is a generator of records, the quantum
-sweep runs its protocol rounds on chunks of ``SWEEP_CHUNK`` pairs, and
-records reach the file a chunk at a time while summary statistics are
-accumulated on the way.  No list of all records is built, so memory does
-not grow with the number of pairs.
+Reports are streamed: each sweep is a generator of records, the protocol
+sweeps take their pairs in chunks of ``SWEEP_CHUNK``, and records reach
+the file a chunk at a time while summary statistics are accumulated on
+the way.  No list of all records is built, so memory does not grow with
+the number of pairs.
 """
 
 from __future__ import annotations
@@ -50,8 +52,9 @@ EXIT_INVARIANT = 2
 PROB_TOL = 1e-9
 #: Monte Carlo trials per pair in sampled classical sweeps.
 MC_TRIALS = 1000
-#: Allowed Monte Carlo deviation in binomial standard deviations.
-MC_SIGMA_LIMIT = 5.0
+#: Chance that a sampled classical sweep flags some correct Monte Carlo
+#: frequency, shared over its pairs (Bonferroni).
+MC_FALSE_ALARM = 1e-6
 #: Pairs per batched protocol round, and records per report write.
 SWEEP_CHUNK = 1024
 
@@ -245,6 +248,17 @@ def _word_pair_stream(plan: _RunPlan, problem: automata.WordProblem, builder):
     )
 
 
+def _decision_stream(plan: _RunPlan) -> np.random.Generator:
+    """The one generator a protocol sweep draws its decisions from, read
+    in pair order a chunk at a time.
+
+    Its entropy (seed, 2) is no other stream's in the same run: the pair
+    sampler uses the seed alone, the word streams (seed, 0) and (seed, 1),
+    the Monte Carlo trials (seed, index, 1).
+    """
+    return np.random.default_rng((plan.seed, 2))
+
+
 # ---------------------------------------------------------------------------
 # per-command sweeps
 # ---------------------------------------------------------------------------
@@ -293,18 +307,16 @@ def _quantum_sweep(plan: _RunPlan, violations: list):
     single_cap = float((1 - 2 * margin.fraction) ** 2)
     qubits = quantum_protocol.qubit_cost(n, k)
     p_yes, p_no, accept_k_no = _Running(), _Running(), _Running()
-    idx = 0
+    stream = _decision_stream(plan)
     for chunk in _chunks(_pair_stream(plan)):
         probabilities = quantum_protocol.round_accept_probabilities(
             [x.value for x, _, _ in chunk], [y.value for _, y, _ in chunk], n
         )
-        for (x, y, label), p in zip(chunk, probabilities):
-            rng = np.random.default_rng((plan.seed, idx))
-            idx += 1
+        decisions = quantum_protocol.sample_decisions(probabilities, k, stream)
+        for (x, y, label), p, decision in zip(chunk, probabilities, decisions):
             report = quantum_protocol.QuantumProtocolReport(
                 x=x, y=y, margin=margin, label=label, p_single=p, k=k,
-                decision=quantum_protocol.sample_decision(p, k, rng),
-                qubits=qubits,
+                decision=decision, qubits=qubits,
             )
             yield {"record": "input", **report.to_record()}
             if label is PromiseLabel.YES:
@@ -338,6 +350,38 @@ def _quantum_sweep(plan: _RunPlan, violations: list):
     }
 
 
+def _bernoulli_divergence(f: float, p: float) -> float:
+    """KL(f || p) of two coins, in nats.
+
+    By the Chernoff bound, the frequency of N tosses of a p-coin lies at f
+    or beyond, on f's side of p, with probability at most
+    exp(-N * KL(f || p)).
+    """
+    def term(a, b):
+        if a == 0:
+            return 0.0
+        return math.inf if b == 0 else a * math.log(a / b)
+
+    return term(f, p) + term(1.0 - f, 1.0 - p)
+
+
+def _one_way_runs(plan: _RunPlan, k: int):
+    """(x, y, label, report) per pair, Alice's draws taken a chunk at a
+    time from the decision stream."""
+    stream = _decision_stream(plan)
+    for chunk in _chunks(_pair_stream(plan)):
+        # a pair whose x has fewer than k ones takes the literal branch,
+        # which draws nothing
+        weights = [hamming_weight(x) for x, _, _ in chunk]
+        drawn = [h for h in weights if h >= k]
+        picks = iter(randomized_protocol.sample_positions(drawn, k, stream))
+        for (x, y, label), h in zip(chunk, weights):
+            report = randomized_protocol.one_way_report(
+                x, y, k, next(picks) if h >= k else None
+            )
+            yield x, y, label, report
+
+
 def _classical_sweep(plan: _RunPlan, violations: list):
     cfg, margin = plan.config, plan.margin
     k = cfg.k or randomized_protocol.positions_count(margin, plan.eps)
@@ -347,13 +391,10 @@ def _classical_sweep(plan: _RunPlan, violations: list):
     literal_no = 0
     sigma_max = 0.0
     bits_total = 0
-    for idx, (x, y, label) in enumerate(_pair_stream(plan)):
-        # a pair whose x has fewer than k ones takes the literal branch,
-        # which draws nothing
-        rng = None
-        if hamming_weight(x) >= k:
-            rng = np.random.default_rng((plan.seed, idx))
-        report = randomized_protocol.run_one_way(x, y, k, rng)
+    # a frequency is flagged when the chance of one as far off, on either
+    # side, is below MC_FALSE_ALARM over the pairs: 2 exp(-N KL) < rate / pairs
+    mc_exponent = math.log(2 * max(cfg.samples, 1) / MC_FALSE_ALARM)
+    for idx, (x, y, label, report) in enumerate(_one_way_runs(plan, k)):
         detect = None
         if not report.literal_branch:
             detect = randomized_protocol.exact_detection_probability(x, y, k)
@@ -367,9 +408,10 @@ def _classical_sweep(plan: _RunPlan, violations: list):
             spread = math.sqrt(max(detect * (1.0 - detect), 1e-12) / MC_TRIALS)
             sigma = abs(mc_freq - detect) / spread
             sigma_max = max(sigma_max, sigma)
-            if sigma > MC_SIGMA_LIMIT:
+            if MC_TRIALS * _bernoulli_divergence(mc_freq, detect) > mc_exponent:
                 violations.append(
-                    f"pair {x},{y} Monte Carlo frequency {sigma:.1f} sigma off"
+                    f"pair {x},{y} Monte Carlo frequency {mc_freq} against "
+                    f"{detect:.6f} ({sigma:.1f} sigma off)"
                 )
         yield {
             "record": "input",

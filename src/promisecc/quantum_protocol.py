@@ -153,9 +153,16 @@ class QuantumProtocolReport:
         }
 
 
-def sample_decision(p: float, k: int, rng: np.random.Generator) -> int:
-    """1 iff k sampled rounds, each accepting with probability p, all accept."""
-    return int(max(rng.random(k).tolist()) < p)
+def sample_decisions(p_values, k: int, rng: np.random.Generator) -> list[int]:
+    """Per pair, 1 iff k sampled rounds, each accepting with probability
+    ``p_values[r]``, all accept.
+
+    One ``rng.random((N, k))`` draw: row r equals the k draws pair r would
+    take alone, so a batch reads the generator in pair order and gives what
+    batches of one would.
+    """
+    draws = rng.random((len(p_values), k))
+    return (draws.max(axis=1) < np.asarray(p_values, dtype=float)).astype(int).tolist()
 
 
 def run_protocol(
@@ -180,6 +187,6 @@ def run_protocol(
         label=classify_disj_promise(x, y, margin),
         p_single=p,
         k=k,
-        decision=sample_decision(p, k, rng),
+        decision=sample_decisions([p], k, rng)[0],
         qubits=qubit_cost(x.n, k),
     )

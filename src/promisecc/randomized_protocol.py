@@ -86,18 +86,31 @@ class ClassicalProtocolReport:
         }
 
 
-def run_one_way(
+def sample_positions(weights, k: int, rng: np.random.Generator) -> list[list[int]]:
+    """Alice's k draws for each of N pairs: row r holds k indices into pair
+    r's 1-positions, uniform below ``weights[r]``, her number of ones.
+
+    One ``rng.integers`` call: row r equals the draw pair r would take
+    alone, so a batch reads the generator in pair order and gives what
+    batches of one would.
+    """
+    highs = np.asarray(weights, dtype=np.int64)[:, None]
+    return rng.integers(0, highs, size=(len(highs), k)).tolist()
+
+
+def one_way_report(
     x: BitString,
     y: BitString,
     k: int,
-    rng: np.random.Generator | None,
+    picks: list[int] | None,
 ) -> ClassicalProtocolReport:
-    """One sampled run of the k-position protocol.
+    """The run of the k-position protocol in which Alice draws ``picks``.
 
-    The exact error probability (of answering 1 on an intersecting pair,
-    or 0 on a disjoint one) rides along in the report.  ``rng`` is not
-    read on the literal branch (x has fewer than k ones), so it may be
-    None there.
+    ``picks`` holds k indices into x's 1-positions (see
+    :func:`sample_positions`), or is None on the literal branch, where x
+    has fewer than k ones and nothing is drawn.  The exact error
+    probability (of answering 1 on an intersecting pair, or 0 on a
+    disjoint one) rides along in the report.
     """
     if x.n != y.n:
         raise ValueError(f"length mismatch: {x.n} vs {y.n}")
@@ -117,7 +130,6 @@ def run_one_way(
             literal_branch=True,
         )
     ones = [i for i, bit in enumerate(str(x)) if bit == "1"]
-    picks = rng.integers(0, h, size=k).tolist()
     hit = any(y[ones[j]] for j in picks)
     decision = 0 if hit else 1
     # disjoint pairs are never detected, so only intersecting pairs can err
@@ -131,6 +143,22 @@ def run_one_way(
         exact_error_probability=error,
         literal_branch=False,
     )
+
+
+def run_one_way(
+    x: BitString,
+    y: BitString,
+    k: int,
+    rng: np.random.Generator | None,
+) -> ClassicalProtocolReport:
+    """One sampled run of the k-position protocol, drawing from ``rng``.
+
+    ``rng`` is not read on the literal branch (x has fewer than k ones),
+    so it may be None there.
+    """
+    h = hamming_weight(x)
+    picks = sample_positions([h], k, rng)[0] if 1 <= k <= h else None
+    return one_way_report(x, y, k, picks)
 
 
 def detection_frequency(

@@ -31,6 +31,7 @@ from promisecc import (
     protocol_from_dfa,
     qubit_cost,
     repetition_count,
+    round_accept_probabilities,
     round_accept_probability,
     round_accept_probability_fast,
     run_one_way,
@@ -89,11 +90,11 @@ def test_single_round_sweep_matches_interference_form(capsys):
 def test_repetition_count_caps_no_acceptance_at_one_third(capsys):
     n = 8
     start = time.perf_counter()
-    singles = np.empty((1 << n, 1 << n))
-    for xv in range(1 << n):
-        x = BitString(xv, n)
-        for yv in range(1 << n):
-            singles[xv, yv] = round_accept_probability_fast(x, BitString(yv, n))
+    # one batched dense round over all pairs, x-major
+    xs, ys = np.divmod(np.arange(1 << (2 * n)), 1 << n)
+    singles = np.array(
+        round_accept_probabilities(xs.tolist(), ys.tolist(), n)
+    ).reshape(1 << n, 1 << n)
     meets = np.array(
         [[_popcount(xv & yv) for yv in range(1 << n)] for xv in range(1 << n)]
     )

@@ -26,25 +26,25 @@ CASES = {
     "quantum-n4-json": (
         dict(command="quantum-sweep", n=4, seed=1),
         256,
-        "271decd4d63ef945e1da06ca084000225169f04a389a7799721702c045ac94b8",
+        "3f843a69c139650e901482729e2258722bc5fe9caa01db46ac648b1778e883bd",
     ),
     "classical-n4-json": (
         dict(command="classical-sweep", n=4, seed=1),
         256,
-        "372f6d744ff539399b218847c94fca52e7728d9ae550f27a7678b156ff716fe5",
+        "9cf32f79d181edb4ba2db85b52513a2138ffa2a6a42348a34b8cfc4471f9423e",
     ),
     "quantum-n16-sample-csv": (
         dict(command="quantum-sweep", n=16, mode="sample", samples=300, seed=1,
              fmt="csv"),
         301,
-        "a28b35ee00096805827f49134b8d33f2da2529e3c1930c64f17d64b66f89436f",
+        "fb6f5f083d26797a5b1c6d9f05fcfde77d6c9e832db99044ccc8f46577a436ce",
     ),
     # sample mode adds the Monte Carlo trials
     "classical-n16-sample-csv": (
         dict(command="classical-sweep", n=16, mode="sample", samples=300, seed=1,
              fmt="csv"),
         301,
-        "ac7fbc70709999f81a126b73fa8600b9f33997d60d42f7c45b3ddef8bc4fbd4b",
+        "1286f92539db9c29577d3f353f3d8926d83a48572ca56090ce55d22a8ea681f1",
     ),
     "qcfa-n3-json": (
         dict(command="qcfa-sweep", n=3, seed=1),
