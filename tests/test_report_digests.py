@@ -77,17 +77,19 @@ WITHOUT_DECISION = {
 }
 
 
-def _run(case, tmp_path, capsys) -> str:
+def _run(case, tmp_path, capsys) -> bytes:
     options, records, _ = CASES[case]
     out = tmp_path / case
     assert run_experiment(ExperimentConfig(out=str(out), **options)) == EXIT_OK
     assert f"wrote {records} records" in capsys.readouterr().out
-    return out.read_text()
+    return out.read_bytes()
 
 
-def _without_decision(text: str, fmt: str) -> str:
+def _without_decision(report: bytes, fmt: str) -> str:
     """The report with the ``decision`` field or column dropped, re-written
     as sorted-key JSON lines or as CSV."""
+    # bytes.decode keeps every "\r", which reading the file as text would not
+    text = report.decode()
     if fmt == "json":
         records = [json.loads(line) for line in text.splitlines()]
         for record in records:
@@ -104,8 +106,8 @@ def _without_decision(text: str, fmt: str) -> str:
 
 @pytest.mark.parametrize("case", CASES)
 def test_report_digest(case, tmp_path, capsys):
-    text = _run(case, tmp_path, capsys)
-    assert hashlib.sha256(text.encode()).hexdigest() == CASES[case][2]
+    report = _run(case, tmp_path, capsys)
+    assert hashlib.sha256(report).hexdigest() == CASES[case][2]
 
 
 @pytest.mark.parametrize("case", WITHOUT_DECISION)
