@@ -40,7 +40,6 @@ from .bits import (
     Margin,
     PromiseLabel,
     classify_disj_promise,
-    hamming_weight,
     promise_pairs,
 )
 
@@ -365,23 +364,6 @@ def _bernoulli_divergence(f: float, p: float) -> float:
     return term(f, p) + term(1.0 - f, 1.0 - p)
 
 
-def _one_way_runs(plan: _RunPlan, k: int):
-    """(x, y, label, report) per pair, Alice's draws taken a chunk at a
-    time from the decision stream."""
-    stream = _decision_stream(plan)
-    for chunk in _chunks(_pair_stream(plan)):
-        # a pair whose x has fewer than k ones takes the literal branch,
-        # which draws nothing
-        weights = [hamming_weight(x) for x, _, _ in chunk]
-        drawn = [h for h in weights if h >= k]
-        picks = iter(randomized_protocol.sample_positions(drawn, k, stream))
-        for (x, y, label), h in zip(chunk, weights):
-            report = randomized_protocol.one_way_report(
-                x, y, k, next(picks) if h >= k else None
-            )
-            yield x, y, label, report
-
-
 def _classical_sweep(plan: _RunPlan, violations: list):
     cfg, margin = plan.config, plan.margin
     k = cfg.k or randomized_protocol.positions_count(margin, plan.eps)
@@ -394,10 +376,16 @@ def _classical_sweep(plan: _RunPlan, violations: list):
     # a frequency is flagged when the chance of one as far off, on either
     # side, is below MC_FALSE_ALARM over the pairs: 2 exp(-N KL) < rate / pairs
     mc_exponent = math.log(2 * max(cfg.samples, 1) / MC_FALSE_ALARM)
-    for idx, (x, y, label, report) in enumerate(_one_way_runs(plan, k)):
-        detect = None
-        if not report.literal_branch:
-            detect = randomized_protocol.exact_detection_probability(x, y, k)
+    stream = _decision_stream(plan)
+    runs = (
+        (pair, report)
+        for chunk in _chunks(_pair_stream(plan))
+        for pair, report in zip(chunk, randomized_protocol.one_way_runs(
+            [x for x, _, _ in chunk], [y for _, y, _ in chunk], k, stream
+        ))
+    )
+    for idx, ((x, y, label), report) in enumerate(runs):
+        detect = report.p_detect
         mc_freq, mc_trials = None, 0
         if cfg.mode == "sample" and not report.literal_branch:
             mc_rng = np.random.default_rng((plan.seed, idx, 1))

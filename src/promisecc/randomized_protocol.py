@@ -72,6 +72,9 @@ class ClassicalProtocolReport:
     bits_communicated: int
     exact_error_probability: float  # chance of outputting the wrong disjointness value
     literal_branch: bool  # Alice had fewer than k ones and sent the answer 1
+    # chance that one of the k samples lands in the intersection; None on
+    # the literal branch, which samples nothing
+    p_detect: float | None
 
     def to_record(self) -> dict:
         return {
@@ -98,51 +101,62 @@ def sample_positions(weights, k: int, rng: np.random.Generator) -> list[list[int
     return rng.integers(0, highs, size=(len(highs), k)).tolist()
 
 
-def one_way_report(
-    x: BitString,
-    y: BitString,
+def one_way_runs(
+    xs: list[BitString],
+    ys: list[BitString],
     k: int,
-    picks: list[int] | None,
-) -> ClassicalProtocolReport:
-    """The run of the k-position protocol in which Alice draws ``picks``.
+    rng: np.random.Generator | None,
+) -> list[ClassicalProtocolReport]:
+    """One sampled run of the k-position protocol per pair (xs[r], ys[r]).
 
-    ``picks`` holds k indices into x's 1-positions (see
-    :func:`sample_positions`), or is None on the literal branch, where x
-    has fewer than k ones and nothing is drawn.  The exact error
-    probability (of answering 1 on an intersecting pair, or 0 on a
-    disjoint one) rides along in the report.
+    Alice's draws for every pair that samples come from one
+    :func:`sample_positions` call, so a batch reads ``rng`` in pair order
+    and gives what batches of one would.  A pair whose x has fewer than k
+    ones takes the literal branch and draws nothing; ``rng`` may be None
+    when every pair does.  The exact error probability (of answering 1 on
+    an intersecting pair, or 0 on a disjoint one) and the exact detection
+    probability ride along in each report.
     """
-    if x.n != y.n:
-        raise ValueError(f"length mismatch: {x.n} vs {y.n}")
     if k < 1:
         raise ValueError("k must be positive")
-    h = hamming_weight(x)
-    m = intersection_size(x, y)
-    if h < k:
-        # literal answer: certain error exactly when the pair intersects
-        return ClassicalProtocolReport(
+    weights = []
+    for x, y in zip(xs, ys, strict=True):
+        if x.n != y.n:
+            raise ValueError(f"length mismatch: {x.n} vs {y.n}")
+        weights.append(hamming_weight(x))
+    drawn = [h for h in weights if h >= k]
+    picks = iter(sample_positions(drawn, k, rng) if drawn else ())
+    reports = []
+    for x, y, h in zip(xs, ys, weights):
+        m = intersection_size(x, y)
+        if h < k:
+            # literal answer: certain error exactly when the pair intersects
+            reports.append(ClassicalProtocolReport(
+                x=x,
+                y=y,
+                k=k,
+                decision=1,
+                bits_communicated=1,
+                exact_error_probability=0.0 if m == 0 else 1.0,
+                literal_branch=True,
+                p_detect=None,
+            ))
+            continue
+        ones = [i for i, bit in enumerate(str(x)) if bit == "1"]
+        hit = any(y[ones[j]] for j in next(picks))
+        miss = (1.0 - m / h) ** k
+        reports.append(ClassicalProtocolReport(
             x=x,
             y=y,
             k=k,
-            decision=1,
-            bits_communicated=1,
-            exact_error_probability=0.0 if m == 0 else 1.0,
-            literal_branch=True,
-        )
-    ones = [i for i, bit in enumerate(str(x)) if bit == "1"]
-    hit = any(y[ones[j]] for j in picks)
-    decision = 0 if hit else 1
-    # disjoint pairs are never detected, so only intersecting pairs can err
-    error = 0.0 if m == 0 else (1.0 - m / h) ** k
-    return ClassicalProtocolReport(
-        x=x,
-        y=y,
-        k=k,
-        decision=decision,
-        bits_communicated=bit_cost(x.n, k),
-        exact_error_probability=error,
-        literal_branch=False,
-    )
+            decision=0 if hit else 1,
+            bits_communicated=bit_cost(x.n, k),
+            # disjoint pairs are never detected, so only intersecting pairs can err
+            exact_error_probability=0.0 if m == 0 else miss,
+            literal_branch=False,
+            p_detect=1.0 - miss,
+        ))
+    return reports
 
 
 def run_one_way(
@@ -151,14 +165,9 @@ def run_one_way(
     k: int,
     rng: np.random.Generator | None,
 ) -> ClassicalProtocolReport:
-    """One sampled run of the k-position protocol, drawing from ``rng``.
-
-    ``rng`` is not read on the literal branch (x has fewer than k ones),
-    so it may be None there.
-    """
-    h = hamming_weight(x)
-    picks = sample_positions([h], k, rng)[0] if 1 <= k <= h else None
-    return one_way_report(x, y, k, picks)
+    """One sampled run of the k-position protocol: a batch of one of
+    :func:`one_way_runs`."""
+    return one_way_runs([x], [y], k, rng)[0]
 
 
 def detection_frequency(

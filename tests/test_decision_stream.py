@@ -18,7 +18,13 @@ from hypothesis import given, strategies as st
 from promisecc import cli
 from promisecc.cli import EXIT_INVARIANT, EXIT_OK, ExperimentConfig, run_experiment
 from promisecc.quantum_protocol import sample_decisions
-from promisecc.randomized_protocol import sample_positions
+from promisecc.bits import BitString, hamming_weight
+from promisecc.randomized_protocol import (
+    exact_detection_probability,
+    one_way_runs,
+    run_one_way,
+    sample_positions,
+)
 
 #: Chance that a statistical check below fails on correct code.
 FALSE_ALARM = 1e-9
@@ -45,6 +51,57 @@ def test_batched_picks_equal_draws_one_pair_at_a_time(chunks, k, seed):
     alone = [single.integers(0, h, size=k).tolist() for chunk in chunks for h in chunk]
     assert together == alone
     assert all(0 <= j < h for row, h in zip(together, sum(chunks, [])) for j in row)
+
+
+@given(
+    st.integers(1, 10).flatmap(
+        lambda n: chunkings(st.lists(
+            st.tuples(st.integers(0, 2**n - 1), st.integers(0, 2**n - 1)).map(
+                lambda xy: (BitString(xy[0], n), BitString(xy[1], n))
+            ),
+            min_size=1, max_size=40,
+        ))
+    ),
+    st.integers(1, 6),
+    st.integers(0, 2**63),
+)
+def test_batched_runs_equal_runs_one_pair_at_a_time(chunks, k, seed):
+    # literal-branch pairs (fewer than k ones) sit among sampling ones
+    batched, single = np.random.default_rng(seed), np.random.default_rng(seed)
+    together = [
+        report
+        for chunk in chunks
+        for report in one_way_runs([x for x, _ in chunk], [y for _, y in chunk],
+                                   k, batched)
+    ]
+    alone = [run_one_way(x, y, k, single) for chunk in chunks for x, y in chunk]
+    assert together == alone
+    # only the sampling pairs read the generator, each with the scalar call
+    # a pair made alone before the draws were batched
+    scalar = np.random.default_rng(seed)
+    for report in together:
+        if not report.literal_branch:
+            scalar.integers(0, hamming_weight(report.x), size=k)
+    assert batched.random() == scalar.random()
+    for report in together:
+        if report.literal_branch:
+            assert report.p_detect is None
+        else:
+            assert report.p_detect == exact_detection_probability(
+                report.x, report.y, k
+            )
+
+
+def test_batched_runs_reject_bad_batches():
+    x, y = BitString("1100"), BitString("0110")
+    with pytest.raises(ValueError):
+        one_way_runs([x, x], [y], 2, np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        one_way_runs([x], [BitString("011")], 2, np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        one_way_runs([x], [y], 0, np.random.default_rng(0))
+    # an all-literal batch reads no generator
+    assert one_way_runs([x], [y], 3, None)[0].literal_branch
 
 
 @given(
