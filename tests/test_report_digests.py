@@ -51,6 +51,23 @@ CASES = {
         73,
         "9b11380cf999270c3f985e92baa2c49ea6d2ed4785f02d78a91ea45abfb14fff",
     ),
+    # every word at n=6, then the rejection-sampled words at n=32 and n=64
+    "qcfa-n6-csv": (
+        dict(command="qcfa-sweep", n=6, seed=1, fmt="csv"),
+        3965,
+        "87278a388ee651c48f6ad906473e6c741d5b653150dcd4771387dde7402f432b",
+    ),
+    "qcfa-n32-sample-csv": (
+        dict(command="qcfa-sweep", n=32, mode="sample", samples=200, seed=1,
+             fmt="csv"),
+        402,
+        "62434e4179f4d5cdc481b98e06f10068cb54670974ef73521ab2a8a0d6be4176",
+    ),
+    "qcfa-n64-sample-json": (
+        dict(command="qcfa-sweep", n=64, mode="sample", samples=50, seed=1),
+        102,
+        "e40faaea374aa2cba931ed17a70ad19789181ef52c011c64b8744cbe60d89f77",
+    ),
     "bounds-n3-json": (
         dict(command="bounds", n=3, seed=1),
         3,
@@ -60,6 +77,11 @@ CASES = {
         dict(command="reduction", n=4, seed=1),
         2,
         "b02f7a27648a3ea7a2d6198955513ddc29e8eb85b43ca558d010d97c17d2cfbb",
+    ),
+    "reduction-n6-json": (
+        dict(command="reduction", n=6, seed=1),
+        2,
+        "5ec7cd4ce22777b8a47054285231e1fc8d04be44dea2face96aca3d8ca38bdeb",
     ),
 }
 
