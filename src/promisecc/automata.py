@@ -7,6 +7,9 @@ dense unitary) and a successor control state; a (state, symbol) pair with
 no entry leaves the register alone and the control where it is.  After
 the right marker the register is measured once in its basis, whose states
 are named by ``quantum_labels``, and the accepting labels decide.
+:func:`accept_probabilities` runs a batch of equal-length words at once,
+rows grouped by (control state, symbol) at each step, and gives each word
+the value it gets alone; :func:`accept_probability` is a batch of one.
 
 Two concrete machines are built here over the alphabet ``{0, 1, #}``:
 
@@ -19,6 +22,10 @@ Two concrete machines are built here over the alphabet ``{0, 1, #}``:
   the first x block, sign flips on the y block, swaps again on the second
   x block.
 
+Each word problem labels a pair by one rule,
+:meth:`WordProblem.classify_pair`, without building its word;
+:func:`classify_word` parses a word and applies the same rule.
+
 A brute-force DFA for the ``x#y#x`` problem (tracking the first block
 verbatim plus the running intersection count) witnesses the classical
 cost, and :func:`protocol_from_dfa` turns any verified DFA into the
@@ -30,7 +37,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import ceil, log2
 
 import numpy as np
@@ -81,6 +88,11 @@ class Qcfa:
     def dim(self) -> int:
         return len(self.quantum_labels)
 
+    @cached_property
+    def _steps(self) -> "_Steps":
+        """The step table :func:`accept_probabilities` reads and fills."""
+        return _Steps(self)
+
     def validate(self) -> None:
         if len(set(self.quantum_labels)) != self.dim:
             raise ValueError("quantum labels must be distinct")
@@ -103,22 +115,113 @@ class Qcfa:
             qsim.assert_unitary(u)
 
 
+def accept_probabilities(machine: Qcfa, words) -> list[float]:
+    """Run the machine on a batch of equal-length words (markers added
+    here); per word, the probability that the final measurement lands in
+    an accepting outcome.
+
+    At each step the rows are grouped by (control state, symbol), so each
+    group shares one operator and one successor.  A signed permutation
+    moves and negates entries of the whole group in place, which is exact;
+    a dense operator is applied row by row, since one product over the
+    batch rounds some last bits differently.  So a word's value does not
+    depend on its batch.
+    """
+    if not words:
+        return []
+    length = len(words[0])
+    if any(len(w) != length for w in words):
+        raise ValueError("words in a batch must have equal length")
+    text = "".join(words)
+    if not set(text) <= set(machine.alphabet):
+        sym = next(c for c in text if c not in machine.alphabet)
+        raise ValueError(f"symbol {sym!r} outside the input alphabet")
+    # one code point per symbol, so a (state, symbol) key is one integer
+    codes = np.frombuffer(text.encode("utf-32-le"), dtype="<u4")
+    codes = codes.reshape(len(words), length)
+    index = machine.quantum_labels.index
+    psi = np.zeros((len(words), machine.dim), dtype=complex)
+    psi[:, index(machine.initial_quantum)] = 1.0
+    steps = machine._steps
+    state = np.zeros(len(words), dtype=np.int64)  # the start state's number
+    columns = (np.full(len(words), ord(LEFT_MARKER)), *codes.T,
+               np.full(len(words), ord(RIGHT_MARKER)))
+    for column in columns:
+        keys = state * _CODES + column
+        if len(keys) == 1 or (keys == keys[0]).all():
+            groups = [(int(keys[0]), slice(None))]
+        else:
+            distinct, group = np.unique(keys, return_inverse=True)
+            groups = [(key, np.flatnonzero(group == g)[:, None])
+                      for g, key in enumerate(distinct.tolist())]
+        for key, rows in groups:
+            u, successor = steps.at(key)
+            state[rows] = successor
+            if u is not None:
+                _apply(u, psi, rows)
+    accept = [index(o) for o in machine.accept_outcomes]
+    return [sum(float(abs(a) ** 2) for a in row) for row in psi[:, accept]]
+
+
+#: Code points per control state in a step key: state * _CODES + symbol.
+_CODES = 0x110000
+
+
+class _Steps:
+    """A machine's step table, filled in as keys are first reached.
+
+    A key is ``number * _CODES + ord(symbol)``, control states being
+    numbered as they are reached (the start state is 0).  Its entry is the
+    operator as :func:`_apply` takes it, None for the identity, and the
+    successor's number.
+    """
+
+    def __init__(self, machine: Qcfa):
+        self.machine = machine
+        self.states = [machine.initial_classical]
+        self.numbers = {machine.initial_classical: 0}
+        self.entries = {}
+
+    def at(self, key: int):
+        if key not in self.entries:
+            m = self.machine
+            s, sym = self.states[key // _CODES], chr(key % _CODES)
+            t = m.classical_tr.get((s, sym), s)
+            if t not in self.numbers:
+                self.numbers[t] = len(self.states)
+                self.states.append(t)
+            u = m.quantum_tr.get((s, sym))
+            if isinstance(u, qsim.SignedPermutation):
+                # sign[k] * psi[perm[k]] changes only these entries
+                moved = np.flatnonzero(u.perm != np.arange(u.dim))
+                u = moved, u.perm[moved], np.flatnonzero(u.sign < 0)
+            self.entries[key] = u, self.numbers[t]
+        return self.entries[key]
+
+
+def _apply(u, psi: np.ndarray, rows) -> None:
+    """Apply an operator to the states ``psi[rows]`` in place.
+
+    ``rows`` is ``slice(None)`` or a column of row numbers.  ``u`` is a
+    dense matrix, applied row by row, or a signed permutation as the
+    entries it moves, where they come from, and the entries it negates.
+    """
+    if isinstance(u, tuple):
+        moved, source, negated = u
+        if moved.size:
+            psi[rows, moved] = psi[rows, source]
+        if negated.size:
+            psi[rows, negated] *= -1
+        return
+    for r in np.arange(len(psi))[rows].ravel():
+        psi[r] = u @ psi[r]
+
+
 def accept_probability(machine: Qcfa, word: str) -> float:
     """Run the machine on ``word`` (markers added here) and return
     the probability that the final measurement lands in an accepting outcome.
     """
-    for sym in word:
-        if sym not in machine.alphabet:
-            raise ValueError(f"symbol {sym!r} outside the input alphabet")
-    index = machine.quantum_labels.index
-    s = machine.initial_classical
-    psi = qsim.basis_state(machine.dim, index(machine.initial_quantum))
-    for sym in (LEFT_MARKER, *word, RIGHT_MARKER):
-        u = machine.quantum_tr.get((s, sym))
-        if u is not None:
-            psi = u @ psi
-        s = machine.classical_tr.get((s, sym), s)
-    return sum(float(abs(psi[index(o)]) ** 2) for o in machine.accept_outcomes)
+    return accept_probabilities(machine, [word])[0]
 
 
 @lru_cache(maxsize=None)
@@ -207,6 +310,22 @@ class WordProblem:
     def classify(self, word: str) -> PromiseLabel:
         return classify_word(self, word)
 
+    def classify_pair(self, x: BitString, y: BitString) -> PromiseLabel:
+        """Label the word of the pair, ``x#y`` or ``x#y#x``, without building it.
+
+        ``x#y`` follows :func:`eq_label`, so odd n has no NO words.
+        ``x#y#x`` follows :func:`disj_label` with lambda fixed at 1/4 by the
+        automaton's acceptance cap: ``(1 - 2m/n)**2 <= 1/4`` exactly when
+        n/4 <= m <= 3n/4, whose integer ends are ``(n + 3) // 4`` and
+        ``3 * n // 4``.
+        """
+        n = self.n
+        if x.n != n or y.n != n:
+            raise ValueError(f"words of length {x.n} and {y.n}, problem has n={n}")
+        if self.kind == "equality":
+            return eq_label(hamming_distance(x, y), n)
+        return disj_label(intersection_size(x, y), (n + 3) // 4, 3 * n // 4)
+
 
 def equality_word_problem(n: int) -> WordProblem:
     return WordProblem(n, "equality")
@@ -227,24 +346,17 @@ def _parse_blocks(word: str, count: int, n: int):
 
 
 def classify_word(problem: WordProblem, word: str) -> PromiseLabel:
-    """Label a word by the ``bits`` rules; malformed shapes are outside.
-
-    ``x#y`` follows :func:`eq_label`, so odd n has no NO words.  ``x#y#x``
-    follows :func:`disj_label` with lambda fixed at 1/4 by the automaton's
-    acceptance cap: ``(1 - 2m/n)**2 <= 1/4`` exactly when n/4 <= m <= 3n/4,
-    whose integer ends are ``(n + 3) // 4`` and ``3 * n // 4``.
-    """
-    n = problem.n
+    """Label a word by :meth:`WordProblem.classify_pair`; malformed shapes,
+    and an ``x#y#x`` word whose third block is not its first, are outside."""
     if problem.kind == "equality":
-        parts = _parse_blocks(word, 2, n)
-        if parts is None:
-            return PromiseLabel.OUTSIDE
-        return eq_label(hamming_distance(BitString(parts[0]), BitString(parts[1])), n)
-    parts = _parse_blocks(word, 3, n)
-    if parts is None or parts[2] != parts[0]:
+        parts = _parse_blocks(word, 2, problem.n)
+    else:
+        parts = _parse_blocks(word, 3, problem.n)
+        if parts is not None and parts[2] != parts[0]:
+            parts = None
+    if parts is None:
         return PromiseLabel.OUTSIDE
-    m = intersection_size(BitString(parts[0]), BitString(parts[1]))
-    return disj_label(m, (n + 3) // 4, 3 * n // 4)
+    return problem.classify_pair(BitString(parts[0]), BitString(parts[1]))
 
 
 def equality_word(x: BitString, y: BitString) -> str:
@@ -358,7 +470,7 @@ def bruteforce_disjointness_dfa(n: int) -> Dfa:
 def verify_promise_dfa(d: Dfa, n: int) -> bool:
     """Exhaustively check a DFA against every x#y#x promise word."""
     problem = disjointness_word_problem(n)
-    pairs = promise_pairs(n, lambda x, y: problem.classify(disjointness_word(x, y)))
+    pairs = promise_pairs(n, problem.classify_pair)
     return all(
         run_dfa(d, disjointness_word(x, y)) == (label is PromiseLabel.YES)
         for x, y, label in pairs

@@ -12,10 +12,11 @@ depend on the chunk size.  Monte Carlo trials draw from (seed, pair index,
 1).  So identical configurations produce byte-identical reports.
 
 Reports are streamed: each sweep is a generator of records, the protocol
-sweeps take their pairs in chunks of ``SWEEP_CHUNK``, and records reach
-the file a chunk at a time while summary statistics are accumulated on
-the way.  No list of all records is built, so memory does not grow with
-the number of pairs.
+sweeps and the automaton sweep take their pairs in chunks of
+``SWEEP_CHUNK`` (the automaton sweep runs each chunk of words through a
+machine at once), and records reach the file a chunk at a time while
+summary statistics are accumulated on the way.  No list of all records is
+built, so memory does not grow with the number of pairs.
 """
 
 from __future__ import annotations
@@ -54,7 +55,8 @@ MC_TRIALS = 1000
 #: Chance that a sampled classical sweep flags some correct Monte Carlo
 #: frequency, shared over its pairs (Bonferroni).
 MC_FALSE_ALARM = 1e-6
-#: Pairs per batched protocol round, and records per report write.
+#: Pairs per batched protocol round or automaton run, and records per
+#: report write.
 SWEEP_CHUNK = 1024
 
 _EXHAUSTIVE_CAPS = {
@@ -150,6 +152,12 @@ class ExperimentConfig:
                 raise ConfigError("sample mode needs an explicit --seed")
             if self.n > _SAMPLE_CAP:
                 raise ConfigError(f"sample mode supports n <= {_SAMPLE_CAP}")
+            if self.command == "qcfa-sweep" and self.n % 2:
+                # the sampler would wait for x == y, one draw in 2**n
+                raise ConfigError(
+                    "promise equality has no NO words at odd n; "
+                    "use an even n or exhaustive mode"
+                )
         elif self.samples:
             raise ConfigError("--samples needs --mode sample")
         cap = _EXHAUSTIVE_CAPS[self.command]
@@ -238,13 +246,16 @@ def _pair_stream(plan: _RunPlan):
     )
 
 
-def _word_pair_stream(plan: _RunPlan, problem: automata.WordProblem, builder):
-    """Pairs whose word ``builder(x, y)`` is inside ``problem``'s promise,
-    seeded by (seed, 0) for equality and (seed, 1) for disjointness."""
+def _word_pair_stream(plan: _RunPlan, problem: automata.WordProblem, builder=None):
+    """Pairs whose word is inside ``problem``'s promise, seeded by
+    (seed, 0) for equality and (seed, 1) for disjointness.
+
+    Pairs are labelled by ``problem.classify_pair``, so the word itself,
+    ``builder(x, y)``, is never built here; ``builder`` is accepted so that
+    a problem and its builder can be passed together.
+    """
     stream = 0 if problem.kind == "equality" else 1
-    return _promise_stream(
-        plan, lambda x, y: problem.classify(builder(x, y)), (plan.seed, stream)
-    )
+    return _promise_stream(plan, problem.classify_pair, (plan.seed, stream))
 
 
 def _decision_stream(plan: _RunPlan) -> np.random.Generator:
@@ -468,40 +479,47 @@ def _qcfa_sweep(plan: _RunPlan, violations: list):
         ),
     ]
     for name, machine, problem, builder, want_q, want_c in machines:
+        # this machine's violations; its summary answers for these alone
+        failed = []
         if len(machine.quantum_labels) != want_q or len(machine.classical_states) != want_c:
-            violations.append(f"{name} machine has unexpected state counts")
+            failed.append(f"{name} machine has unexpected state counts")
+        cap = 0.0 if name == "equality" else 0.25
         p_yes, p_no, deviations = _Running(), _Running(), _Running()
-        for x, y, label in _word_pair_stream(plan, problem, builder):
-            word = builder(x, y)
-            p = automata.accept_probability(machine, word)
+        for chunk in _chunks(_word_pair_stream(plan, problem, builder)):
+            words = [builder(x, y) for x, y, _ in chunk]
+            probabilities = automata.accept_probabilities(machine, words)
             if name == "equality":
-                expected = 1.0 if label is PromiseLabel.YES else 0.0
+                expected = [1.0 if label is PromiseLabel.YES else 0.0
+                            for _, _, label in chunk]
             else:
-                expected = quantum_protocol.round_accept_probability_fast(x, y)
-            deviation = abs(p - expected)
-            deviations.add(deviation)
-            if deviation > PROB_TOL:
-                violations.append(f"{name} word {word} off by {deviation:.3e}")
-            if label is PromiseLabel.YES:
-                p_yes.add(p)
-                if p < 1.0 - PROB_TOL:
-                    violations.append(f"{name} yes word {word} not sure")
-            else:
-                p_no.add(p)
-                cap = 0.0 if name == "equality" else 0.25
-                if p > cap + PROB_TOL:
-                    violations.append(f"{name} no word {word} above cap")
-            yield {
-                "record": "input",
-                "machine": name,
-                "n": n,
-                "x": str(x),
-                "y": str(y),
-                "label": label.value,
-                "p_accept": p,
-                "expected": expected,
-                "deviation": deviation,
-            }
+                expected = quantum_protocol.round_accept_probabilities_fast(
+                    [x.value for x, _, _ in chunk], [y.value for _, y, _ in chunk], n
+                )
+            for (x, y, label), word, p, want in zip(chunk, words, probabilities, expected):
+                deviation = abs(p - want)
+                deviations.add(deviation)
+                if deviation > PROB_TOL:
+                    failed.append(f"{name} word {word} off by {deviation:.3e}")
+                if label is PromiseLabel.YES:
+                    p_yes.add(p)
+                    if p < 1.0 - PROB_TOL:
+                        failed.append(f"{name} yes word {word} not sure")
+                else:
+                    p_no.add(p)
+                    if p > cap + PROB_TOL:
+                        failed.append(f"{name} no word {word} above cap")
+                yield {
+                    "record": "input",
+                    "machine": name,
+                    "n": n,
+                    "x": str(x),
+                    "y": str(y),
+                    "label": label.value,
+                    "p_accept": p,
+                    "expected": want,
+                    "deviation": deviation,
+                }
+        violations.extend(failed)
         yield {
             "record": "summary",
             "machine": name,
@@ -513,7 +531,7 @@ def _qcfa_sweep(plan: _RunPlan, violations: list):
             "deviation_max": deviations.high,
             "quantum_states": len(machine.quantum_labels),
             "classical_states": len(machine.classical_states),
-            "invariant_ok": not violations,
+            "invariant_ok": not failed,
         }
 
 
@@ -558,10 +576,7 @@ def _reduction_sweep(plan: _RunPlan, violations: list):
         # the check above is the one protocol_from_dfa would repeat
         protocol = automata.DfaProtocol(dfa, n)
         problem = automata.disjointness_word_problem(n)
-        pairs = promise_pairs(
-            n, lambda x, y: problem.classify(automata.disjointness_word(x, y))
-        )
-        for x, y, label in pairs:
+        for x, y, label in promise_pairs(n, problem.classify_pair):
             want = 1 if label is PromiseLabel.YES else 0
             if protocol.decide(x, y) != want:
                 agreement = False

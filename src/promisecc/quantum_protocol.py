@@ -8,7 +8,8 @@ on outcome ``(1, 0)`` is the mean of ``(-1)^(x_i & y_i)``, so the round
 accepts with probability ``((n - 2m)/n)**2`` where ``m`` is the
 intersection size: certainty when the sets are disjoint, at most
 ``(1 - 2*lam)**2`` anywhere in the margin band.  The dense simulation
-runs on a batch of pairs at once; one pair is a batch of one.
+runs on a batch of pairs at once, and so does the fast path; one pair
+is a batch of one.
 
 Repeating the round k times and accepting only on unanimous acceptance
 drives the error on band instances below any target; the count that
@@ -79,16 +80,25 @@ def round_accept_probability(x: BitString, y: BitString) -> float:
     return round_accept_probabilities([x.value], [y.value], x.n)[0]
 
 
+def round_accept_probabilities_fast(x_values, y_values, n: int) -> list[float]:
+    """O(n)-per-pair path through the same round on a batch: no dense
+    matrix at all.  Arguments as for :func:`round_accept_probabilities`.
+    """
+    if len(x_values) != len(y_values):
+        raise ValueError(f"batch mismatch: {len(x_values)} vs {len(y_values)}")
+    swap = qsim.swap(x_values, n)
+    psi = swap @ (qsim.phase(y_values, n) @ (swap @ qsim.uniform_over(2 * n, n)))
+    # collect's first row is uniform over the low block; one sum per pair,
+    # so a value does not depend on the batch
+    root = math.sqrt(n)
+    return [abs(complex(np.sum(row[:n])) / root) ** 2 for row in psi]
+
+
 def round_accept_probability_fast(x: BitString, y: BitString) -> float:
-    """O(n) path through the same round: no dense matrix at all."""
+    """O(n) path through the same round: a batch of one."""
     if x.n != y.n:
         raise ValueError(f"length mismatch: {x.n} vs {y.n}")
-    n = x.n
-    swap = qsim.swap(x)
-    psi = swap @ (qsim.phase(y) @ (swap @ qsim.uniform_over(2 * n, n)))
-    # collect's first row is uniform over the low block
-    amp = complex(np.sum(psi[:n])) / math.sqrt(n)
-    return abs(amp) ** 2
+    return round_accept_probabilities_fast([x.value], [y.value], x.n)[0]
 
 
 def closed_form_accept_probability(x: BitString, y: BitString) -> float:

@@ -16,7 +16,7 @@ from promisecc import (
     BitString,
     Margin,
     PromiseLabel,
-    accept_probability,
+    accept_probabilities,
     bruteforce_disjointness_dfa,
     check_rectangle_bound,
     classify_disj_promise,
@@ -218,21 +218,22 @@ def test_equality_machine_is_exact_on_promise_words(capsys):
             len(machine.quantum_labels) == n
             and len(machine.classical_states) == n + 2
         )
-        worst = 0.0
-        checked = 0
+        words, targets = [], []
         for xv in range(1 << n):
             x = BitString(xv, n)
             for yv in range(1 << n):
                 d = _popcount(xv ^ yv)
                 if d == 0:
-                    target = 1.0
+                    targets.append(1.0)
                 elif d == n // 2:
-                    target = 0.0
+                    targets.append(0.0)
                 else:
                     continue
-                p = accept_probability(machine, equality_word(x, BitString(yv, n)))
-                worst = max(worst, abs(p - target))
-                checked += 1
+                words.append(equality_word(x, BitString(yv, n)))
+        # every word of this n in one batched run
+        probabilities = accept_probabilities(machine, words)
+        worst = max(abs(p - t) for p, t in zip(probabilities, targets))
+        checked = len(words)
         good = shape_ok and worst <= PROB_TOL
         ok = ok and good
         parts.append(f"n={n}: {checked} words dev={worst:.1e}")
@@ -250,8 +251,12 @@ def test_disjointness_machine_tracks_protocol(capsys):
         )
         dev = yes_dev = no_max = 0.0
         checked = 0
-        for x, y, m in pair_iter:
-            p = accept_probability(machine, disjointness_word(x, y))
+        pairs = list(pair_iter)
+        # every word in one batched run, each fast round alone
+        probabilities = accept_probabilities(
+            machine, [disjointness_word(x, y) for x, y, _ in pairs]
+        )
+        for (x, y, m), p in zip(pairs, probabilities):
             dev = max(dev, abs(p - round_accept_probability_fast(x, y)))
             if m == 0:
                 yes_dev = max(yes_dev, abs(p - 1.0))

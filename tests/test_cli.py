@@ -206,6 +206,58 @@ class TestQcfaSweep:
             assert s["invariant_ok"] is True
             assert s["deviation_max"] <= 1e-9
 
+    def test_each_summary_answers_for_its_own_machine(self, tmp_path, monkeypatch, capsys):
+        # push one equality word off its expected value; the disjointness
+        # machine is untouched and its summary must say so
+        real = cli.automata.accept_probabilities
+        equality = automata.equality_automaton(4)
+        hits = []
+
+        def off_once(machine, words):
+            probabilities = real(machine, words)
+            if machine is equality and not hits:
+                hits.append(words[0])
+                probabilities[0] += 0.5
+            return probabilities
+
+        monkeypatch.setattr(cli.automata, "accept_probabilities", off_once)
+        out = tmp_path / "a.json"
+        cfg = ExperimentConfig(command="qcfa-sweep", n=4, out=str(out))
+        assert run_experiment(cfg) == EXIT_INVARIANT
+        summaries = {r["machine"]: r for r in _read_json_lines(out)
+                     if r["record"] == "summary"}
+        assert summaries["equality"]["invariant_ok"] is False
+        assert summaries["disjointness"]["invariant_ok"] is True
+        err = capsys.readouterr().err
+        assert f"equality word {hits[0]} off by" in err
+        assert "disjointness" not in err
+
+    @pytest.mark.parametrize("n", [7, 33])
+    def test_sample_mode_at_odd_n_is_a_config_error(self, n, tmp_path, capsys):
+        out = tmp_path / "a.csv"
+        code = main([
+            "--cmd", "qcfa-sweep", "--n", str(n), "--mode", "sample",
+            "--samples", "1", "--seed", "1", "--out", str(out),
+        ])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: promise equality has no NO words at odd n; "
+            "use an even n or exhaustive mode\n"
+        )
+        assert not out.exists()
+
+    def test_sample_mode_at_even_n_and_exhaustive_at_odd_n_run(self, tmp_path, capsys):
+        sampled = tmp_path / "s.json"
+        assert main([
+            "--cmd", "qcfa-sweep", "--n", "8", "--mode", "sample", "--samples", "5",
+            "--seed", "1", "--out", str(sampled),
+        ]) == EXIT_OK
+        labels = {r["label"] for r in _read_json_lines(sampled) if r["record"] == "input"}
+        assert "no" in labels
+        exhaustive = tmp_path / "e.json"
+        assert main(["--cmd", "qcfa-sweep", "--n", "5", "--out", str(exhaustive)]) == EXIT_OK
+        capsys.readouterr()
+
 
 class TestBoundsSweep:
     def test_n2_all_bounds_hold(self, tmp_path):
