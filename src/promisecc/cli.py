@@ -246,13 +246,12 @@ def _pair_stream(plan: _RunPlan):
     )
 
 
-def _word_pair_stream(plan: _RunPlan, problem: automata.WordProblem, builder=None):
-    """Pairs whose word is inside ``problem``'s promise, seeded by
-    (seed, 0) for equality and (seed, 1) for disjointness.
+def _word_pair_stream(plan: _RunPlan, problem: automata.WordProblem, builder):
+    """Pairs whose word ``builder(x, y)`` is inside ``problem``'s promise,
+    seeded by (seed, 0) for equality and (seed, 1) for disjointness.
 
-    Pairs are labelled by ``problem.classify_pair``, so the word itself,
-    ``builder(x, y)``, is never built here; ``builder`` is accepted so that
-    a problem and its builder can be passed together.
+    Pairs are labelled by ``problem.classify_pair``, so the word itself is
+    not built here; ``builder`` only names it.
     """
     stream = 0 if problem.kind == "equality" else 1
     return _promise_stream(plan, problem.classify_pair, (plan.seed, stream))
