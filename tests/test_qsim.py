@@ -59,6 +59,14 @@ class TestUnitaries:
         psi = qsim.apply(qsim.spread_op(n), psi)
         assert np.allclose(psi, qsim.uniform_over(2 * n, n))
 
+    @pytest.mark.parametrize("n", range(1, 65))
+    def test_spread_first_column_is_uniform_low_block(self, n):
+        # the protocol round starts from this column, not from spread @ e_(1,0)
+        spread = qsim.spread_op(n)
+        uniform = qsim.uniform_over(2 * n, n)
+        assert np.array_equal(spread[:, 0], uniform)
+        assert np.array_equal(spread @ qsim.basis_state(2 * n, 0), uniform)
+
     def test_collect_inverts_spread_on_first_column(self):
         n = 4
         start = qsim.basis_state(2 * n, qsim.pair_index(1, 0, n))

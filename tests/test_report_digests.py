@@ -39,6 +39,13 @@ CASES = {
         301,
         "fb6f5f083d26797a5b1c6d9f05fcfde77d6c9e832db99044ccc8f46577a436ce",
     ),
+    # the dense round at dimension 96
+    "quantum-n48-sample-csv": (
+        dict(command="quantum-sweep", n=48, mode="sample", samples=200, seed=1,
+             fmt="csv"),
+        201,
+        "9b4fdcd63dbda1acce027e22b1d99afff2bb88dc6a14ae75cacf720400ec35f9",
+    ),
     # sample mode adds the Monte Carlo trials
     "classical-n16-sample-csv": (
         dict(command="classical-sweep", n=16, mode="sample", samples=300, seed=1,
@@ -90,6 +97,8 @@ CASES = {
 WITHOUT_DECISION = {
     "quantum-n4-json":
         "9837f0a673d578aa30597a454d65d4e41ed66a5b258cacd85c493bace2b51975",
+    "quantum-n48-sample-csv":
+        "ee47f34e1c18158202a1e8228bcd82820eb1f743329635401f1bf370b449a1d2",
     "classical-n4-json":
         "5f559e8c590a4e353958f29d1d881b0132a151ba57a6f129587fa22b3dc76562",
     "quantum-n16-sample-csv":
