@@ -9,7 +9,9 @@ the right marker the register is measured once in its basis, whose states
 are named by ``quantum_labels``, and the accepting labels decide.
 :func:`accept_probabilities` runs a batch of equal-length words at once,
 rows grouped by (control state, symbol) at each step, and gives each word
-the value it gets alone; :func:`accept_probability` is a batch of one.
+the value it gets alone, reading each group's operator and successor from
+the transitions as it goes, so nothing is cached on the machine;
+:func:`accept_probability` is a batch of one.
 
 Two concrete machines are built here over the alphabet ``{0, 1, #}``:
 
@@ -37,7 +39,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import ceil, log2
 
 import numpy as np
@@ -88,11 +90,6 @@ class Qcfa:
     def dim(self) -> int:
         return len(self.quantum_labels)
 
-    @cached_property
-    def _steps(self) -> "_Steps":
-        """The step table :func:`accept_probabilities` reads and fills."""
-        return _Steps(self)
-
     def validate(self) -> None:
         if len(set(self.quantum_labels)) != self.dim:
             raise ValueError("quantum labels must be distinct")
@@ -121,11 +118,11 @@ def accept_probabilities(machine: Qcfa, words) -> list[float]:
     an accepting outcome.
 
     At each step the rows are grouped by (control state, symbol), so each
-    group shares one operator and one successor.  A signed permutation
-    moves and negates entries of the whole group in place, which is exact;
-    a dense operator is applied row by row, since one product over the
-    batch rounds some last bits differently.  So a word's value does not
-    depend on its batch.
+    group shares one operator and one successor, read from the machine's
+    transitions there and then.  A signed permutation moves and negates
+    entries of the whole group in place, which is exact; a dense operator
+    is applied row by row, since one product over the batch rounds some
+    last bits differently.  So a word's value does not depend on its batch.
     """
     if not words:
         return []
@@ -136,14 +133,18 @@ def accept_probabilities(machine: Qcfa, words) -> list[float]:
     if not set(text) <= set(machine.alphabet):
         sym = next(c for c in text if c not in machine.alphabet)
         raise ValueError(f"symbol {sym!r} outside the input alphabet")
-    # one code point per symbol, so a (state, symbol) key is one integer
+    # one code point per symbol, so a (state, symbol) key is one integer,
+    # the state numbered by its position in classical_states
     codes = np.frombuffer(text.encode("utf-32-le"), dtype="<u4")
     codes = codes.reshape(len(words), length)
     index = machine.quantum_labels.index
     psi = np.zeros((len(words), machine.dim), dtype=complex)
     psi[:, index(machine.initial_quantum)] = 1.0
-    steps = machine._steps
-    state = np.zeros(len(words), dtype=np.int64)  # the start state's number
+    states = machine.classical_states
+    numbers = {s: k for k, s in enumerate(states)}
+    if not {machine.initial_classical, *machine.classical_tr.values()} <= numbers.keys():
+        raise ValueError("start or successor outside the classical states")
+    state = np.full(len(words), numbers[machine.initial_classical])
     columns = (np.full(len(words), ord(LEFT_MARKER)), *codes.T,
                np.full(len(words), ord(RIGHT_MARKER)))
     for column in columns:
@@ -155,66 +156,23 @@ def accept_probabilities(machine: Qcfa, words) -> list[float]:
             groups = [(key, np.flatnonzero(group == g)[:, None])
                       for g, key in enumerate(distinct.tolist())]
         for key, rows in groups:
-            u, successor = steps.at(key)
-            state[rows] = successor
-            if u is not None:
-                _apply(u, psi, rows)
+            s, sym = states[key // _CODES], chr(key % _CODES)
+            state[rows] = numbers[machine.classical_tr.get((s, sym), s)]
+            u = machine.quantum_tr.get((s, sym))
+            if isinstance(u, qsim.SignedPermutation):
+                # sign[k] * psi[perm[k]] changes only these entries
+                moved = np.flatnonzero(u.perm != np.arange(u.dim))
+                psi[rows, moved] = psi[rows, u.perm[moved]]
+                psi[rows, np.flatnonzero(u.sign < 0)] *= -1
+            elif u is not None:
+                for r in np.arange(len(psi))[rows].ravel():
+                    psi[r] = u @ psi[r]
     accept = [index(o) for o in machine.accept_outcomes]
     return [sum(float(abs(a) ** 2) for a in row) for row in psi[:, accept]]
 
 
-#: Code points per control state in a step key: state * _CODES + symbol.
+#: Code points per control state in a step key.
 _CODES = 0x110000
-
-
-class _Steps:
-    """A machine's step table, filled in as keys are first reached.
-
-    A key is ``number * _CODES + ord(symbol)``, control states being
-    numbered as they are reached (the start state is 0).  Its entry is the
-    operator as :func:`_apply` takes it, None for the identity, and the
-    successor's number.
-    """
-
-    def __init__(self, machine: Qcfa):
-        self.machine = machine
-        self.states = [machine.initial_classical]
-        self.numbers = {machine.initial_classical: 0}
-        self.entries = {}
-
-    def at(self, key: int):
-        if key not in self.entries:
-            m = self.machine
-            s, sym = self.states[key // _CODES], chr(key % _CODES)
-            t = m.classical_tr.get((s, sym), s)
-            if t not in self.numbers:
-                self.numbers[t] = len(self.states)
-                self.states.append(t)
-            u = m.quantum_tr.get((s, sym))
-            if isinstance(u, qsim.SignedPermutation):
-                # sign[k] * psi[perm[k]] changes only these entries
-                moved = np.flatnonzero(u.perm != np.arange(u.dim))
-                u = moved, u.perm[moved], np.flatnonzero(u.sign < 0)
-            self.entries[key] = u, self.numbers[t]
-        return self.entries[key]
-
-
-def _apply(u, psi: np.ndarray, rows) -> None:
-    """Apply an operator to the states ``psi[rows]`` in place.
-
-    ``rows`` is ``slice(None)`` or a column of row numbers.  ``u`` is a
-    dense matrix, applied row by row, or a signed permutation as the
-    entries it moves, where they come from, and the entries it negates.
-    """
-    if isinstance(u, tuple):
-        moved, source, negated = u
-        if moved.size:
-            psi[rows, moved] = psi[rows, source]
-        if negated.size:
-            psi[rows, negated] *= -1
-        return
-    for r in np.arange(len(psi))[rows].ravel():
-        psi[r] = u @ psi[r]
 
 
 def accept_probability(machine: Qcfa, word: str) -> float:

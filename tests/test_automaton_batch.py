@@ -7,6 +7,7 @@ what one word or one pair gives alone, whatever the batch around it.  The
 reference run below is the one-word-at-a-time walk the batch replaced.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -176,6 +177,33 @@ def test_split_control_paths_are_taken():
     assert accept_probability(machine, "aé") != accept_probability(machine, "éé")
     assert len({round(p, 12) for p in accept_probabilities(
         machine, ["aaa", "aaé", "aéa", "éaa", "ééé"])}) == 5
+
+
+class TestTransitionsReadPerRun:
+    """A run reads the machine's transition dicts as they are at that run."""
+
+    @staticmethod
+    def _fresh_equality_machine() -> Qcfa:
+        machine = equality_automaton(2)
+        return dataclasses.replace(machine, quantum_tr=dict(machine.quantum_tr),
+                                   classical_tr=dict(machine.classical_tr))
+
+    def test_edited_operator_is_used(self):
+        machine = self._fresh_equality_machine()
+        assert accept_probability(machine, "10#00") == 0.0
+        identity = qsim.SignedPermutation(np.arange(2), np.ones(2))
+        machine.quantum_tr[(1, "1")] = identity
+        edited = self._fresh_equality_machine()
+        edited.quantum_tr[(1, "1")] = identity
+        fresh = accept_probability(edited, "10#00")
+        assert fresh == pytest.approx(1.0, abs=1e-12)
+        assert accept_probability(machine, "10#00") == fresh
+
+    def test_successor_outside_the_classical_states(self):
+        machine = self._fresh_equality_machine()
+        machine.classical_tr[(0, LEFT_MARKER)] = "elsewhere"
+        with pytest.raises(ValueError, match="classical states"):
+            accept_probability(machine, "10#00")
 
 
 class TestBatchInputs:
