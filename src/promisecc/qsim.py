@@ -76,15 +76,6 @@ def assert_unitary(u: np.ndarray) -> None:
         raise ValueError("matrix is not unitary within tolerance")
 
 
-def apply(u: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """Apply an operator to a state; dimensions must match."""
-    u = np.asarray(u, dtype=complex)
-    psi = np.asarray(psi, dtype=complex)
-    if u.shape != (psi.shape[0], psi.shape[0]):
-        raise ValueError(f"dimension mismatch: {u.shape} vs {psi.shape}")
-    return u @ psi
-
-
 def complete_unitary_from_column(column: np.ndarray) -> np.ndarray:
     """Deterministic unitary whose first column is the given unit vector.
 

@@ -41,13 +41,16 @@ from . import qsim
 
 
 @lru_cache(maxsize=None)
-def _round_operators(n: int):
-    """The state after the spread, spread @ e_(1,0), and the collect."""
-    spread = qsim.spread_op(n)
-    accept = qsim.basis_state(2 * n, qsim.pair_index(1, 0, n))
-    psi = qsim.apply(spread, accept)
-    psi.setflags(write=False)  # shared by every round at this n
-    return psi, qsim.collect_op(n)
+def _collect(n: int) -> np.ndarray:
+    return qsim.collect_op(n)
+
+
+def _round_states(x_values, y_values, n: int) -> np.ndarray:
+    """A batch of rounds up to the collect, from the spread's first column."""
+    if len(x_values) != len(y_values):
+        raise ValueError(f"batch mismatch: {len(x_values)} vs {len(y_values)}")
+    swap = qsim.swap(x_values, n)
+    return swap @ (qsim.phase(y_values, n) @ (swap @ qsim.uniform_over(2 * n, n)))
 
 
 def round_accept_probabilities(x_values, y_values, n: int) -> list[float]:
@@ -58,11 +61,7 @@ def round_accept_probabilities(x_values, y_values, n: int) -> list[float]:
     Returns, per pair, the probability that the final measurement yields
     (1, 0).
     """
-    if len(x_values) != len(y_values):
-        raise ValueError(f"batch mismatch: {len(x_values)} vs {len(y_values)}")
-    psi, collect = _round_operators(n)
-    swap = qsim.swap(x_values, n)
-    psi = swap @ (qsim.phase(y_values, n) @ (swap @ psi))
+    psi, collect = _round_states(x_values, y_values, n), _collect(n)
     accept = qsim.pair_index(1, 0, n)
     # one collect @ psi per pair: a single product over the whole batch
     # rounds some last bits differently, and the values must not depend on
@@ -84,10 +83,7 @@ def round_accept_probabilities_fast(x_values, y_values, n: int) -> list[float]:
     """O(n)-per-pair path through the same round on a batch: no dense
     matrix at all.  Arguments as for :func:`round_accept_probabilities`.
     """
-    if len(x_values) != len(y_values):
-        raise ValueError(f"batch mismatch: {len(x_values)} vs {len(y_values)}")
-    swap = qsim.swap(x_values, n)
-    psi = swap @ (qsim.phase(y_values, n) @ (swap @ qsim.uniform_over(2 * n, n)))
+    psi = _round_states(x_values, y_values, n)
     # collect's first row is uniform over the low block; one sum per pair,
     # so a value does not depend on the batch
     root = math.sqrt(n)
