@@ -246,12 +246,11 @@ def _pair_stream(plan: _RunPlan):
     )
 
 
-def _word_pair_stream(plan: _RunPlan, problem: automata.WordProblem, builder):
-    """Pairs whose word ``builder(x, y)`` is inside ``problem``'s promise,
-    seeded by (seed, 0) for equality and (seed, 1) for disjointness.
+def _word_pair_stream(plan: _RunPlan, problem: automata.WordProblem):
+    """Pairs whose word is inside ``problem``'s promise, seeded by (seed, 0)
+    for equality and (seed, 1) for disjointness.
 
-    Pairs are labelled by ``problem.classify_pair``, so the word itself is
-    not built here; ``builder`` only names it.
+    Pairs are labelled by ``problem.classify_pair``, so no word is built.
     """
     stream = 0 if problem.kind == "equality" else 1
     return _promise_stream(plan, problem.classify_pair, (plan.seed, stream))
@@ -484,7 +483,7 @@ def _qcfa_sweep(plan: _RunPlan, violations: list):
             failed.append(f"{name} machine has unexpected state counts")
         cap = 0.0 if name == "equality" else 0.25
         p_yes, p_no, deviations = _Running(), _Running(), _Running()
-        for chunk in _chunks(_word_pair_stream(plan, problem, builder)):
+        for chunk in _chunks(_word_pair_stream(plan, problem)):
             words = [builder(x, y) for x, y, _ in chunk]
             probabilities = automata.accept_probabilities(machine, words)
             if name == "equality":
@@ -567,19 +566,18 @@ def _reduction_sweep(plan: _RunPlan, violations: list):
     cfg = plan.config
     n = cfg.n
     dfa = automata.bruteforce_disjointness_dfa(n)
-    agreement = automata.verify_promise_dfa(dfa, n)
+    protocol = automata.DfaProtocol(dfa, n)
+    problem = automata.disjointness_word_problem(n)
+    # decide runs the DFA over x#, y# and x: one pass checks DFA and protocol
+    wrong = next((
+        (x, y) for x, y, label in promise_pairs(n, problem.classify_pair)
+        if protocol.decide(x, y) != (1 if label is PromiseLabel.YES else 0)
+    ), None)
+    agreement = wrong is None
     if not agreement:
-        violations.append(f"brute-force DFA fails the promise check at n={n}")
-        protocol = None
-    else:
-        # the check above is the one protocol_from_dfa would repeat
-        protocol = automata.DfaProtocol(dfa, n)
-        problem = automata.disjointness_word_problem(n)
-        for x, y, label in promise_pairs(n, problem.classify_pair):
-            want = 1 if label is PromiseLabel.YES else 0
-            if protocol.decide(x, y) != want:
-                agreement = False
-                violations.append(f"protocol answer wrong on {x},{y}")
+        violations.append(
+            f"brute-force DFA fails the promise check at n={n} on {wrong[0]},{wrong[1]}"
+        )
     min_cc = None
     if n % 4 == 0:
         matrix = bounds.problem_matrix(
@@ -589,7 +587,7 @@ def _reduction_sweep(plan: _RunPlan, violations: list):
             min_cc = bounds.exact_deterministic_cc(matrix)
         except bounds.SearchTooWideError:
             pass
-    cost = protocol.cost if protocol is not None else None
+    cost = protocol.cost if agreement else None
     cost_ok = None
     if cost is not None and min_cc is not None:
         cost_ok = cost >= min_cc

@@ -354,12 +354,11 @@ class TestPairStreams:
     def test_exhaustive_word_pairs_match_brute_force(self, n):
         plan = ExperimentConfig(command="qcfa-sweep", n=n).validated()
         cases = [
-            (automata.equality_word_problem(n), automata.equality_word, _eq_oracle),
-            (automata.disjointness_word_problem(n), automata.disjointness_word,
-             _disj_oracle),
+            (automata.equality_word_problem(n), _eq_oracle),
+            (automata.disjointness_word_problem(n), _disj_oracle),
         ]
-        for problem, builder, oracle in cases:
-            stream = cli._word_pair_stream(plan, problem, builder)
+        for problem, oracle in cases:
+            stream = cli._word_pair_stream(plan, problem)
             assert _as_text(stream) == _brute_force(n, oracle)
 
     @pytest.mark.parametrize("n,seed", [(16, 5), (48, 11)])
@@ -374,13 +373,9 @@ class TestPairStreams:
         plan = ExperimentConfig(
             command="qcfa-sweep", n=n, mode="sample", samples=100, seed=seed
         ).validated()
-        eq = cli._word_pair_stream(
-            plan, automata.equality_word_problem(n), automata.equality_word
-        )
+        eq = cli._word_pair_stream(plan, automata.equality_word_problem(n))
         assert _as_text(eq) == _drawn(n, 100, _eq_oracle, (seed, 0))
-        disj = cli._word_pair_stream(
-            plan, automata.disjointness_word_problem(n), automata.disjointness_word
-        )
+        disj = cli._word_pair_stream(plan, automata.disjointness_word_problem(n))
         assert _as_text(disj) == _drawn(n, 100, _disj_oracle, (seed, 1))
 
 
