@@ -1,11 +1,11 @@
-"""From a minimal classical automaton to a communication protocol.
+"""From a classical automaton to a communication protocol.
 
 Any deterministic automaton that classifies the promise words "x#y#x"
 yields a two-message protocol: Alice sends the state after her half,
 Bob extends it and sends the state back, Alice announces the verdict.
 The cost is 1 + 2*ceil(log2 N) bits for N states, so a state-count
 lower bound follows from the communication lower bound. This script
-brute-forces the smallest such automaton at n=4 and runs the chain.
+builds one such automaton by brute force at n=4 and runs the chain.
 """
 
 import math
@@ -26,12 +26,12 @@ from promisecc import (
 n = 4
 
 # ---------------------------------------------------------------------------
-# Brute force the smallest deterministic automaton that accepts exactly
-# the Yes promise words over {0,1,#}. The search minimizes reachable
-# state counts, so the result is a witness, not an estimate.
+# Brute force a deterministic automaton that accepts exactly the Yes
+# promise words over {0,1,#}. Only its reachable states are built, but it
+# is not minimal: a concrete witness bounding the smallest size from above.
 # ---------------------------------------------------------------------------
 dfa = bruteforce_disjointness_dfa(n)
-print(f"smallest promise-correct automaton at n={n}: {dfa.size} states")
+print(f"brute-force promise-correct automaton at n={n}: {dfa.size} states")
 print(f"promise check over all words: {verify_promise_dfa(dfa, n)}")
 
 for xv, yv in ((0b1010, 0b0101), (0b1010, 0b0110)):

@@ -316,7 +316,7 @@ def test_exact_deterministic_cost_is_n_plus_one(capsys):
     )
 
 
-def test_smallest_dfa_reduction_respects_lower_bound(capsys):
+def test_bruteforce_dfa_reduction_respects_lower_bound(capsys):
     n = 4
     start = time.perf_counter()
     dfa = bruteforce_disjointness_dfa(n)
@@ -343,7 +343,7 @@ def test_smallest_dfa_reduction_respects_lower_bound(capsys):
     ok = promise_ok and wrong == 0 and cost_law and protocol.cost >= min_cc
     _verdict(
         capsys,
-        "smallest-automaton reduction (n=4)",
+        "brute-force automaton reduction (n=4)",
         ok,
         f"states={dfa.size} cost={protocol.cost}>=D={min_cc} "
         f"wrong={wrong} {elapsed:.1f}s",
