@@ -40,7 +40,7 @@ from .bits import (
 from . import qsim
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None)  # Gram-Schmidt once per n, not once per chunk
 def _collect(n: int) -> np.ndarray:
     return qsim.collect_op(n)
 
@@ -61,7 +61,8 @@ def round_accept_probabilities(x_values, y_values, n: int) -> list[float]:
     Returns, per pair, the probability that the final measurement yields
     (1, 0).
     """
-    psi, collect = _round_states(x_values, y_values, n), _collect(n)
+    collect = _collect(n)  # before the batch's arrays: a lower peak RSS
+    psi = _round_states(x_values, y_values, n)
     accept = qsim.pair_index(1, 0, n)
     # one collect @ psi per pair: a single product over the whole batch
     # rounds some last bits differently, and the values must not depend on
