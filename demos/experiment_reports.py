@@ -11,50 +11,51 @@ from pathlib import Path
 
 from promisecc import ExperimentConfig, run_experiment
 
-scratch = Path(tempfile.mkdtemp(prefix="promisecc-demo-"))
-print(f"writing reports under {scratch}")
+with tempfile.TemporaryDirectory(prefix="promisecc-demo-") as tmp:
+    scratch = Path(tmp)
+    print(f"writing reports under {scratch}")
 
-# ---------------------------------------------------------------------------
-# An exhaustive quantum sweep at n=4: every promise pair simulated, a
-# summary record at the end. Records are JSON lines with sorted keys.
-# ---------------------------------------------------------------------------
-quantum_out = scratch / "quantum.json"
-cfg = ExperimentConfig(command="quantum-sweep", n=4, out=str(quantum_out))
-code = run_experiment(cfg)
-lines = quantum_out.read_text().splitlines()
-print(f"\nquantum-sweep exit={code}, {len(lines)} records")
-print(f"first record: {lines[0][:76]}...")
-print(f"summary:      {lines[-1][:76]}...")
+    # -------------------------------------------------------------------------
+    # An exhaustive quantum sweep at n=4: every promise pair simulated, a
+    # summary record at the end. Records are JSON lines with sorted keys.
+    # -------------------------------------------------------------------------
+    quantum_out = scratch / "quantum.json"
+    cfg = ExperimentConfig(command="quantum-sweep", n=4, out=str(quantum_out))
+    code = run_experiment(cfg)
+    lines = quantum_out.read_text().splitlines()
+    print(f"\nquantum-sweep exit={code}, {len(lines)} records")
+    print(f"first record: {lines[0][:76]}...")
+    print(f"summary:      {lines[-1][:76]}...")
 
-# ---------------------------------------------------------------------------
-# A sampled classical sweep is driven entirely by the seed: rerunning
-# with the same seed reproduces the file byte for byte.
-# ---------------------------------------------------------------------------
-blobs = []
-for tag in ("first", "second"):
-    out = scratch / f"classical-{tag}.json"
+    # -------------------------------------------------------------------------
+    # A sampled classical sweep is driven entirely by the seed: rerunning
+    # with the same seed reproduces the file byte for byte.
+    # -------------------------------------------------------------------------
+    blobs = []
+    for tag in ("first", "second"):
+        out = scratch / f"classical-{tag}.json"
+        cfg = ExperimentConfig(
+            command="classical-sweep", n=8, mode="sample", samples=50, seed=19,
+            out=str(out),
+        )
+        run_experiment(cfg)
+        blobs.append(out.read_bytes())
+    print(f"\nclassical-sweep twice with seed 19: "
+          f"{'byte-identical' if blobs[0] == blobs[1] else 'DIFFER'} "
+          f"({len(blobs[0])} bytes)")
+
+    # -------------------------------------------------------------------------
+    # The same run renders as CSV with a fixed column set per command.
+    # -------------------------------------------------------------------------
+    csv_out = scratch / "classical.csv"
     cfg = ExperimentConfig(
         command="classical-sweep", n=8, mode="sample", samples=50, seed=19,
-        out=str(out),
+        fmt="csv", out=str(csv_out),
     )
     run_experiment(cfg)
-    blobs.append(out.read_bytes())
-print(f"\nclassical-sweep twice with seed 19: "
-      f"{'byte-identical' if blobs[0] == blobs[1] else 'DIFFER'} "
-      f"({len(blobs[0])} bytes)")
-
-# ---------------------------------------------------------------------------
-# The same run renders as CSV with a fixed column set per command.
-# ---------------------------------------------------------------------------
-csv_out = scratch / "classical.csv"
-cfg = ExperimentConfig(
-    command="classical-sweep", n=8, mode="sample", samples=50, seed=19,
-    fmt="csv", out=str(csv_out),
-)
-run_experiment(cfg)
-head = csv_out.read_text().splitlines()
-print(f"\nCSV header: {head[0]}")
-print(f"row sample: {head[1][:76]}...")
+    head = csv_out.read_text().splitlines()
+    print(f"\nCSV header: {head[0]}")
+    print(f"row sample: {head[1][:76]}...")
 
 # ---------------------------------------------------------------------------
 # The console script exposes the identical runs, for example:

@@ -8,10 +8,15 @@ searches are provided.
   of a two-party protocol whose transcript determines the output, by
   protocol-tree search.  A greedy fooling-set clique gives an admissible
   lower bound and row/column deduplication gives an upper bound, so the
-  recursion only runs inside the gap between the two.
+  recursion only runs inside the gap between the two.  Nodes with a
+  budget of zero or one bit are settled directly, without the normal
+  form: zero bits need a constant node, one bit a node whose rows or
+  whose columns are each constant.
 * :func:`min_monochromatic_partition` finds the minimum number of
   pairwise disjoint monochromatic rectangles covering the cells of one
-  value, by branch-and-bound over closed (tight) rectangles.
+  value, by branch-and-bound over closed (tight) rectangles.  Candidate
+  row sets are grown depth first and dropped as soon as no column is
+  usable for all of them.
 * :func:`check_rectangle_bound` ties the two together and asserts the
   rectangle bound D >= max(ceil(log2 C0), ceil(log2 C1)).
 
@@ -226,9 +231,8 @@ class _ProtocolSearch:
         cached = self.node_info.get(sub)
         if cached is not None:
             return cached
-        constant = _is_constant(sub)
-        if constant:
-            info = (True, 0, 0)
+        if _is_constant(sub):
+            info = (0, 0)
         else:
             cells = [
                 (i, j, v)
@@ -240,16 +244,28 @@ class _ProtocolSearch:
             fool = len(_greedy_clique(sub, (cells, by_value)))
             lower = max(1, ceil(log2(fool)))
             upper = 1 + min(ceil(log2(len(sub))), ceil(log2(len(sub[0]))))
-            info = (False, lower, upper)
+            info = (lower, upper)
         # stored forms share most rows, so keep one copy of each
         self.node_info[tuple(self.shared_rows.setdefault(row, row) for row in sub)] = info
         return info
 
     def solvable(self, sub: tuple, budget: int) -> bool:
+        """True iff some protocol of at most budget bits solves sub.
+
+        Budgets 0 and 1 are settled on the raw sub, before the normal form
+        and the clique bound: with no bit the sub must be constant, and
+        with one bit a party names the value of its own line, so every row
+        or every column must be constant (ignoring UNDEFINED).  That is
+        exactly what splitting one side into two constant parts finds.
+        """
+        if budget == 0:
+            return _is_constant(sub)
+        if budget == 1:
+            return any(
+                all(_is_constant((line,)) for line in side) for side in (sub, zip(*sub))
+            )
         sub = _canonical(sub)
-        constant, lower, upper = self._info(sub)
-        if constant:
-            return True
+        lower, upper = self._info(sub)
         if budget >= upper:
             return True
         if budget < lower:
@@ -303,16 +319,12 @@ def exact_deterministic_cc(m: CommMatrix) -> int:
         raise SearchTooWideError(
             f"matrix {n_rows}x{n_cols} exceeds the search limit {MATRIX_SIZE_LIMIT}"
         )
-    if n_rows == 0 or n_cols == 0:
-        return 0
     grid = tuple(map(tuple, m.entries.tolist()))
-    if _is_constant(grid):
-        return 0
     search = _ProtocolSearch()
-    canon = _canonical(grid)
-    # deepen from the root's own clique bound
-    _, depth, upper = search._info(canon)
-    while depth < upper and not search.solvable(canon, depth):
+    # budgets below the root's clique bound fail without a branch, and
+    # its dedup bound ends the loop
+    depth = 0
+    while not search.solvable(grid, depth):
         depth += 1
     return depth
 
@@ -351,9 +363,33 @@ def _iter_bits(mask: int):
         mask ^= low
 
 
+def _live_row_sets(ok_cols, allowed, row_mask=0, picked_rows=(), start=0):
+    """Row sets that leave a usable column, depth first, each with its
+    mask of usable columns.
+
+    A set is extended only by later rows, and only while its mask is
+    nonzero: adding rows can only shrink the mask, so every set skipped
+    has no usable column.
+    """
+    for r in range(start, len(ok_cols)):
+        narrowed = allowed & ok_cols[r]
+        if narrowed:
+            mask = row_mask | 1 << r
+            rows = picked_rows + (r,)
+            yield mask, rows, narrowed
+            yield from _live_row_sets(ok_cols, narrowed, mask, rows, r + 1)
+
+
 def _tight_rectangles(entries, value, cells):
     """All closed allowed rectangles: every row and column carries a covered
-    cell and the enclosed defined cells are exactly the covered set."""
+    cell and the enclosed defined cells are exactly the covered set.
+
+    Only the row sets of :func:`_live_row_sets` are visited.  A row set
+    with no usable column holds no rectangle and adds nothing to the work
+    count, so skipping it leaves both the rectangles and the work total,
+    and with it every _ENUMERATION_LIMIT refusal, as a scan of all row
+    sets would have them.
+    """
     rows_used = sorted({r for r, _ in cells})
     cols_used = sorted({c for _, c in cells})
     if len(rows_used) > 16 or len(cols_used) > 16:
@@ -379,13 +415,8 @@ def _tight_rectangles(entries, value, cells):
         cell_at.append(at)
     rects = []
     work = 0
-    for row_mask in range(1, 1 << len(rows_used)):
-        picked_rows = list(_iter_bits(row_mask))
-        allowed = (1 << len(cols_used)) - 1
-        for i in picked_rows:
-            allowed &= ok_cols[i]
-        if allowed == 0:
-            continue
+    full = (1 << len(cols_used)) - 1
+    for row_mask, picked_rows, allowed in _live_row_sets(ok_cols, full):
         work += 1 << allowed.bit_count()
         if work > _ENUMERATION_LIMIT:
             raise SearchTooWideError("candidate rectangle enumeration too large")

@@ -1,5 +1,6 @@
 """Exact communication bounds: matrices, protocol search, partitions."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from promisecc.bounds import (
     Rectangle,
     SearchTooWideError,
     UNDEFINED,
+    _ProtocolSearch,
     check_rectangle_bound,
     exact_deterministic_cc,
     min_monochromatic_partition,
@@ -217,6 +219,19 @@ class TestExactCc:
         with pytest.raises(SearchTooWideError):
             exact_deterministic_cc(m)
 
+    def test_one_bit_when_every_row_is_constant(self):
+        # every length-5 row over {0, UNDEFINED} or {1, UNDEFINED} with a
+        # defined cell: Alice names her row's value, so one bit suffices,
+        # though Bob's side has 62 lines, too many to split by enumeration
+        grid = [
+            row
+            for value in (0, 1)
+            for row in itertools.product((value, UNDEFINED), repeat=5)
+            if value in row
+        ]
+        assert len(grid) == 62
+        assert exact_deterministic_cc(_matrix(grid)) == 1
+
     def test_promise_eq_n6_is_two_bits_by_parity(self):
         # D = 2 where the search above refuses: Alice sends the parity of
         # x and Bob answers whether his parity is the same.  A No pair
@@ -293,6 +308,15 @@ class TestPartition:
         result = min_monochromatic_partition(sub, 1)
         assert result.count == len(band)
         assert verify_partition(sub, 1, result.rectangles)
+
+    def test_cap_on_enumeration_work(self):
+        # undefined off the diagonal: every row set allows all 16 columns
+        grid = np.full((16, 16), UNDEFINED, dtype=np.int8)
+        np.fill_diagonal(grid, 1)
+        with pytest.raises(
+            SearchTooWideError, match="candidate rectangle enumeration too large"
+        ):
+            min_monochromatic_partition(_matrix(grid), 1)
 
     def test_cap_on_cells(self):
         m = problem_matrix("eq", 4)
@@ -439,3 +463,15 @@ class TestBruteForceProtocolTree:
                 for _ in range(n_rows)
             )
             assert exact_deterministic_cc(_matrix(grid)) == _brute_depth(grid), grid
+
+    def test_zero_and_one_bit_budgets(self):
+        rng = random.Random(11)
+        for _ in range(400):
+            n_rows, n_cols = rng.randint(1, 4), rng.randint(1, 4)
+            grid = tuple(
+                tuple(rng.choice((0, 1, UNDEFINED)) for _ in range(n_cols))
+                for _ in range(n_rows)
+            )
+            depth = _brute_depth(grid)
+            for budget in (0, 1):
+                assert _ProtocolSearch().solvable(grid, budget) == (depth <= budget), grid

@@ -19,3 +19,5 @@ def test_demo_runs(demo, tmp_path):
         capture_output=True, text=True, timeout=120,
     )
     assert run.returncode == 0, run.stderr
+    # a demo's scratch directories go when it exits
+    assert not list(tmp_path.glob("promisecc-demo-*"))
