@@ -364,13 +364,9 @@ def _iter_bits(mask: int):
 
 
 def _live_row_sets(ok_cols, allowed, row_mask=0, picked_rows=(), start=0):
-    """Row sets that leave a usable column, depth first, each with its
-    mask of usable columns.
-
-    A set is extended only by later rows, and only while its mask is
-    nonzero: adding rows can only shrink the mask, so every set skipped
-    has no usable column.
-    """
+    """Row sets with a usable column, depth first, each with its mask of
+    usable columns.  Adding rows only shrinks the mask, so a set is
+    extended, by later rows only, while its mask is nonzero."""
     for r in range(start, len(ok_cols)):
         narrowed = allowed & ok_cols[r]
         if narrowed:
@@ -384,11 +380,10 @@ def _tight_rectangles(entries, value, cells):
     """All closed allowed rectangles: every row and column carries a covered
     cell and the enclosed defined cells are exactly the covered set.
 
-    Only the row sets of :func:`_live_row_sets` are visited.  A row set
-    with no usable column holds no rectangle and adds nothing to the work
-    count, so skipping it leaves both the rectangles and the work total,
-    and with it every _ENUMERATION_LIMIT refusal, as a scan of all row
-    sets would have them.
+    A row set with no usable column, which :func:`_live_row_sets` skips,
+    holds no rectangle and adds nothing to the work count, so the
+    rectangles and every _ENUMERATION_LIMIT refusal are those of a scan
+    over all row sets.
     """
     rows_used = sorted({r for r, _ in cells})
     cols_used = sorted({c for _, c in cells})

@@ -474,4 +474,5 @@ class TestBruteForceProtocolTree:
             )
             depth = _brute_depth(grid)
             for budget in (0, 1):
-                assert _ProtocolSearch().solvable(grid, budget) == (depth <= budget), grid
+                solvable = _ProtocolSearch().solvable(grid, budget)
+                assert solvable == (depth <= budget), grid
