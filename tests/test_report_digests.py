@@ -75,6 +75,24 @@ CASES = {
         102,
         "e40faaea374aa2cba931ed17a70ad19789181ef52c011c64b8744cbe60d89f77",
     ),
+    # reports of more than one SWEEP_CHUNK of records
+    "quantum-n16-sample-2100-json": (
+        dict(command="quantum-sweep", n=16, mode="sample", samples=2100, seed=1),
+        2101,
+        "6e08fc54ee512ef69262706d76a7a756ca2efce6b7422aaf3721aad29d73c035",
+    ),
+    "classical-n16-sample-2100-csv": (
+        dict(command="classical-sweep", n=16, mode="sample", samples=2100, seed=1,
+             fmt="csv"),
+        2101,
+        "d65d0c30d799bc544694c151b6f46bce65e6e4e7f4869e4c4ba64d761507a9ed",
+    ),
+    "qcfa-n16-sample-1100-csv": (
+        dict(command="qcfa-sweep", n=16, mode="sample", samples=1100, seed=1,
+             fmt="csv"),
+        2202,
+        "c911b503fd875833825c77ad7339aed86875624c6072863acdb6f426c4438b2b",
+    ),
     "bounds-n3-json": (
         dict(command="bounds", n=3, seed=1),
         3,
@@ -105,6 +123,10 @@ WITHOUT_DECISION = {
         "feecc354b44bb09149eecbced5e4ac4067401f73bcfe2a95c558c2744d041c5e",
     "classical-n16-sample-csv":
         "9fe6785c8650e6c479c01716645b8715f0d1dabc18101c1871065b5039826937",
+    "quantum-n16-sample-2100-json":
+        "3810787faad1c6df4bba808793f141eae148f8bc71f4e226db972a31af96a494",
+    "classical-n16-sample-2100-csv":
+        "61e2057fa2b06c796b10a685d53f8fe703da5c9740d17bc0440997c0465f6a40",
 }
 
 
