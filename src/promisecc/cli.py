@@ -11,10 +11,14 @@ the seed and read in pair order a chunk at a time; the draws do not
 depend on the chunk size.  Monte Carlo trials draw from (seed, pair index,
 1).  So identical configurations produce byte-identical reports.
 
-Reports are streamed: each sweep is a generator of records, the protocol
-sweeps and the automaton sweep take their pairs in chunks of
+Reports are streamed: each sweep is a generator of column batches.  The
+protocol sweeps and the automaton sweep take their pairs in chunks of
 ``SWEEP_CHUNK`` (the automaton sweep runs each chunk of words through a
-machine at once), and records reach the file a chunk at a time while
+machine at once) and hand the writer one batch per chunk: the fields every
+record of the chunk shares, once, and one list of plain Python values per
+other field.  Summary records and the bounds and reduction records are
+batches of one.  The writer renders a batch in one pass, a JSON line
+template filled once per record or one CSV ``writerows`` call, while the
 summary statistics are accumulated on the way.  No list of all records is
 built, so memory does not grow with the number of pairs.
 """
@@ -23,10 +27,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import itertools
 import json
 import math
+import operator
 import os
 import sys
 from dataclasses import dataclass
@@ -55,8 +61,8 @@ MC_TRIALS = 1000
 #: Chance that a sampled classical sweep flags some correct Monte Carlo
 #: frequency, shared over its pairs (Bonferroni).
 MC_FALSE_ALARM = 1e-6
-#: Pairs per batched protocol round or automaton run, and records per
-#: report write.
+#: Pairs per batched protocol round, automaton run and report batch, and
+#: words per refill of the sample-mode draws.
 SWEEP_CHUNK = 1024
 
 _EXHAUSTIVE_CAPS = {
@@ -220,7 +226,9 @@ def _promise_stream(plan: _RunPlan, classify, seed):
 
     Exhaustive mode is :func:`promise_pairs`.  Sample mode draws x then y
     uniformly from ``default_rng(seed)`` and redraws both until
-    ``classify(x, y)`` is inside the promise, ``--samples`` times.
+    ``classify(x, y)`` is inside the promise, ``--samples`` times.  The
+    words are drawn SWEEP_CHUNK at a time, which gives the values one
+    draw per word would.
     """
     cfg = plan.config
     n = cfg.n
@@ -228,10 +236,14 @@ def _promise_stream(plan: _RunPlan, classify, seed):
         yield from promise_pairs(n, classify)
         return
     master = np.random.default_rng(seed)
+    values = itertools.chain.from_iterable(
+        master.integers(0, 1 << n, size=SWEEP_CHUNK, dtype=np.uint64).tolist()
+        for _ in itertools.count()
+    )
     for _ in range(cfg.samples):
         while True:
-            x = BitString(int(master.integers(0, 1 << n, dtype=np.uint64)), n)
-            y = BitString(int(master.integers(0, 1 << n, dtype=np.uint64)), n)
+            x = BitString(next(values), n)
+            y = BitString(next(values), n)
             label = classify(x, y)
             if label is not PromiseLabel.OUTSIDE:
                 yield x, y, label
@@ -284,19 +296,41 @@ class _Running:
     def __init__(self):
         self.count, self.low, self.high, self.total = 0, None, None, 0
 
-    def add(self, value) -> None:
+    def extend(self, values) -> None:
+        """Take in ``values`` in order, as one number after another."""
+        values = list(values)
+        if not values:
+            return
         if self.count == 0:
-            self.low = self.high = value
-        elif value < self.low:
-            self.low = value
-        elif value > self.high:
-            self.high = value
-        self.count += 1
-        self.total += value
+            self.low = self.high = values[0]
+        # min and max replace their pick only on a strictly smaller or
+        # larger value, as comparing one number at a time would
+        self.low = min([self.low, *values])
+        self.high = max([self.high, *values])
+        self.count += len(values)
+        self.total = functools.reduce(operator.add, values, self.total)
 
     @property
     def mean(self):
         return self.total / self.count if self.count else None
+
+
+@dataclass(frozen=True)
+class _Batch:
+    """Report records that share the values in ``fixed``: record r takes
+    entry r of each list in ``columns`` for the other fields.
+
+    Every value is a plain Python scalar (None, bool, int, float or str).
+    """
+
+    fixed: dict
+    columns: dict
+    size: int
+
+
+def _record(fields: dict) -> _Batch:
+    """A batch of the one record ``fields``."""
+    return _Batch(fields, {}, 1)
 
 
 def _chunks(items):
@@ -304,6 +338,29 @@ def _chunks(items):
     items = iter(items)
     while chunk := list(itertools.islice(items, SWEEP_CHUNK)):
         yield chunk
+
+
+def _flag(violations: list, checks) -> None:
+    """Append the message of each failed check, pair by pair.
+
+    ``checks`` holds (mask over a chunk's pairs, message of pair i) in the
+    order the checks run on one pair.
+    """
+    failed = sorted(
+        (i, c) for c, (mask, _) in enumerate(checks) for i in np.flatnonzero(mask).tolist()
+    )
+    violations.extend(checks[c][1](i) for i, c in failed)
+
+
+def _pair_columns(chunk):
+    """The x and y text, label text and YES mask of a chunk of pairs."""
+    yes = np.array([label is PromiseLabel.YES for _, _, label in chunk], dtype=bool)
+    spec = f"0{chunk[0][0].n}b"  # str(x), without a method call per word
+    return {
+        "x": [format(x.value, spec) for x, _, _ in chunk],
+        "y": [format(y.value, spec) for _, y, _ in chunk],
+        "label": [label.value for _, _, label in chunk],
+    }, yes
 
 
 def _quantum_sweep(plan: _RunPlan, violations: list):
@@ -314,31 +371,37 @@ def _quantum_sweep(plan: _RunPlan, violations: list):
     eps_cap = float(plan.eps) + PROB_TOL if cfg.k is None else math.inf
     single_cap = float((1 - 2 * margin.fraction) ** 2)
     qubits = quantum_protocol.qubit_cost(n, k)
+    fixed = {"record": "input", "n": n, "lambda": str(margin.fraction), "k": k,
+             "qubits": qubits}
     p_yes, p_no, accept_k_no = _Running(), _Running(), _Running()
     stream = _decision_stream(plan)
     for chunk in _chunks(_pair_stream(plan)):
+        columns, yes = _pair_columns(chunk)
         probabilities = quantum_protocol.round_accept_probabilities(
             [x.value for x, _, _ in chunk], [y.value for _, y, _ in chunk], n
         )
-        decisions = quantum_protocol.sample_decisions(probabilities, k, stream)
-        for (x, y, label), p, decision in zip(chunk, probabilities, decisions):
-            report = quantum_protocol.QuantumProtocolReport(
-                x=x, y=y, margin=margin, label=label, p_single=p, k=k,
-                decision=decision, qubits=qubits,
-            )
-            yield {"record": "input", **report.to_record()}
-            if label is PromiseLabel.YES:
-                p_yes.add(p)
-                if p < 1.0 - PROB_TOL:
-                    violations.append(f"yes pair {x},{y} accepted with {p}")
-            else:
-                p_no.add(p)
-                accept_k_no.add(report.p_accept_all)
-                if p > single_cap + PROB_TOL:
-                    violations.append(f"no pair {x},{y} above single-round cap")
-                if report.p_accept_all > eps_cap:
-                    violations.append(f"no pair {x},{y} above error target")
-    yield {
+        accept_k = [p ** k for p in probabilities]
+        columns.update(
+            p_single=probabilities,
+            p_accept_k=accept_k,
+            decision=quantum_protocol.sample_decisions(probabilities, k, stream),
+        )
+        yield _Batch(fixed, columns, len(chunk))
+        yes_list, no_list = yes.tolist(), (~yes).tolist()
+        p_yes.extend(itertools.compress(probabilities, yes_list))
+        p_no.extend(itertools.compress(probabilities, no_list))
+        accept_k_no.extend(itertools.compress(accept_k, no_list))
+        p, p_k = np.array(probabilities), np.array(accept_k)
+        x, y = columns["x"], columns["y"]
+        _flag(violations, [
+            (yes & (p < 1.0 - PROB_TOL),
+             lambda i: f"yes pair {x[i]},{y[i]} accepted with {probabilities[i]}"),
+            (~yes & (p > single_cap + PROB_TOL),
+             lambda i: f"no pair {x[i]},{y[i]} above single-round cap"),
+            (~yes & (p_k > eps_cap),
+             lambda i: f"no pair {x[i]},{y[i]} above error target"),
+        ])
+    yield _record({
         "record": "summary",
         "n": n,
         "lambda": str(margin.fraction),
@@ -355,7 +418,7 @@ def _quantum_sweep(plan: _RunPlan, violations: list):
         "p_accept_k_no_max": accept_k_no.high,
         "qubits_total": qubits * (p_yes.count + p_no.count),
         "invariant_ok": not violations,
-    }
+    })
 
 
 def _bernoulli_divergence(f: float, p: float) -> float:
@@ -375,9 +438,10 @@ def _bernoulli_divergence(f: float, p: float) -> float:
 
 def _classical_sweep(plan: _RunPlan, violations: list):
     cfg, margin = plan.config, plan.margin
+    n = cfg.n
     k = cfg.k or randomized_protocol.positions_count(margin, plan.eps)
     miss_cap = float((1 - margin.fraction) ** k)
-    lam = str(margin.fraction)
+    fixed = {"record": "input", "n": n, "lambda": str(margin.fraction), "k": k}
     err_yes, err_no, det_no = _Running(), _Running(), _Running()
     literal_no = 0
     sigma_max = 0.0
@@ -386,59 +450,66 @@ def _classical_sweep(plan: _RunPlan, violations: list):
     # side, is below MC_FALSE_ALARM over the pairs: 2 exp(-N KL) < rate / pairs
     mc_exponent = math.log(2 * max(cfg.samples, 1) / MC_FALSE_ALARM)
     stream = _decision_stream(plan)
-    runs = (
-        (pair, report)
-        for chunk in _chunks(_pair_stream(plan))
-        for pair, report in zip(chunk, randomized_protocol.one_way_runs(
-            [x for x, _, _ in chunk], [y for _, y, _ in chunk], k, stream
-        ))
-    )
-    for idx, ((x, y, label), report) in enumerate(runs):
-        detect = report.p_detect
-        mc_freq, mc_trials = None, 0
-        if cfg.mode == "sample" and not report.literal_branch:
-            mc_rng = np.random.default_rng((plan.seed, idx, 1))
-            mc_freq = randomized_protocol.detection_frequency(
-                x, y, k, MC_TRIALS, mc_rng
-            )
-            mc_trials = MC_TRIALS
-            spread = math.sqrt(max(detect * (1.0 - detect), 1e-12) / MC_TRIALS)
-            sigma = abs(mc_freq - detect) / spread
-            sigma_max = max(sigma_max, sigma)
-            if MC_TRIALS * _bernoulli_divergence(mc_freq, detect) > mc_exponent:
-                violations.append(
-                    f"pair {x},{y} Monte Carlo frequency {mc_freq} against "
-                    f"{detect:.6f} ({sigma:.1f} sigma off)"
+    start = 0  # index of the chunk's first pair in the sweep
+    for chunk in _chunks(_pair_stream(plan)):
+        columns, yes = _pair_columns(chunk)
+        runs = randomized_protocol.one_way_columns(
+            [x.value for x, _, _ in chunk], [y.value for _, y, _ in chunk], n, k, stream
+        )
+        detect, error = runs.p_detect, runs.exact_error_probability
+        literal = np.array(runs.literal_branch, dtype=bool)
+        mc_freq, mc_trials = [None] * len(chunk), [0] * len(chunk)
+        mc_off = np.zeros(len(chunk), dtype=bool)
+        mc_messages = {}
+        if cfg.mode == "sample":
+            for i in np.flatnonzero(~literal).tolist():
+                x, y, _ = chunk[i]
+                mc_rng = np.random.default_rng((plan.seed, start + i, 1))
+                mc_freq[i] = freq = randomized_protocol.detection_frequency(
+                    x, y, k, MC_TRIALS, mc_rng
                 )
-        yield {
-            "record": "input",
-            "lambda": lam,
-            "label": label.value,
-            **report.to_record(),
-            "p_detect_exact": detect,
-            "mc_frequency": mc_freq,
-            "mc_trials": mc_trials,
-        }
-        bits_total += report.bits_communicated
-        if label is PromiseLabel.YES:
-            err_yes.add(report.exact_error_probability)
-            if report.decision != 1:
-                violations.append(f"yes pair {x},{y} rejected")
-            if report.exact_error_probability != 0.0:
-                violations.append(f"yes pair {x},{y} has nonzero error")
-        else:
-            err_no.add(report.exact_error_probability)
-            if report.literal_branch:
-                # tiny-n band pair with fewer ones than samples: surfaced,
-                # not treated as a protocol failure
-                literal_no += 1
-            else:
-                det_no.add(detect)
-                if report.exact_error_probability > miss_cap + PROB_TOL:
-                    violations.append(f"no pair {x},{y} above miss cap")
-    yield {
+                mc_trials[i] = MC_TRIALS
+                spread = math.sqrt(max(detect[i] * (1.0 - detect[i]), 1e-12) / MC_TRIALS)
+                sigma = abs(freq - detect[i]) / spread
+                sigma_max = max(sigma_max, sigma)
+                if MC_TRIALS * _bernoulli_divergence(freq, detect[i]) > mc_exponent:
+                    mc_off[i] = True
+                    mc_messages[i] = (
+                        f"pair {x},{y} Monte Carlo frequency {freq} against "
+                        f"{detect[i]:.6f} ({sigma:.1f} sigma off)"
+                    )
+        columns.update(
+            decision=runs.decision,
+            bits=runs.bits_communicated,
+            exact_error=error,
+            literal_branch=runs.literal_branch,
+            p_detect_exact=detect,
+            mc_frequency=mc_freq,
+            mc_trials=mc_trials,
+        )
+        yield _Batch(fixed, columns, len(chunk))
+        start += len(chunk)
+        bits_total += sum(runs.bits_communicated)
+        no, sampled_no = ~yes, ~yes & ~literal
+        err_yes.extend(itertools.compress(error, yes.tolist()))
+        err_no.extend(itertools.compress(error, no.tolist()))
+        det_no.extend(itertools.compress(detect, sampled_no.tolist()))
+        # tiny-n band pairs with fewer ones than samples: surfaced, not
+        # treated as protocol failures
+        literal_no += int(np.count_nonzero(no & literal))
+        e = np.array(error)
+        x, y = columns["x"], columns["y"]
+        _flag(violations, [
+            (mc_off, mc_messages.__getitem__),
+            (yes & (np.array(runs.decision) != 1),
+             lambda i: f"yes pair {x[i]},{y[i]} rejected"),
+            (yes & (e != 0.0), lambda i: f"yes pair {x[i]},{y[i]} has nonzero error"),
+            (sampled_no & (e > miss_cap + PROB_TOL),
+             lambda i: f"no pair {x[i]},{y[i]} above miss cap"),
+        ])
+    yield _record({
         "record": "summary",
-        "n": cfg.n,
+        "n": n,
         "lambda": str(margin.fraction),
         "k": k,
         "count_yes": err_yes.count,
@@ -452,7 +523,7 @@ def _classical_sweep(plan: _RunPlan, violations: list):
         "mc_sigma_max": sigma_max,
         "bits_total": bits_total,
         "invariant_ok": not violations,
-    }
+    })
 
 
 def _qcfa_sweep(plan: _RunPlan, violations: list):
@@ -483,42 +554,32 @@ def _qcfa_sweep(plan: _RunPlan, violations: list):
             failed.append(f"{name} machine has unexpected state counts")
         cap = 0.0 if name == "equality" else 0.25
         p_yes, p_no, deviations = _Running(), _Running(), _Running()
+        fixed = {"record": "input", "machine": name, "n": n}
         for chunk in _chunks(_word_pair_stream(plan, problem)):
+            columns, yes = _pair_columns(chunk)
             words = [builder(x, y) for x, y, _ in chunk]
             probabilities = automata.accept_probabilities(machine, words)
             if name == "equality":
-                expected = [1.0 if label is PromiseLabel.YES else 0.0
-                            for _, _, label in chunk]
+                expected = [1.0 if is_yes else 0.0 for is_yes in yes.tolist()]
             else:
                 expected = quantum_protocol.round_accept_probabilities_fast(
                     [x.value for x, _, _ in chunk], [y.value for _, y, _ in chunk], n
                 )
-            for (x, y, label), word, p, want in zip(chunk, words, probabilities, expected):
-                deviation = abs(p - want)
-                deviations.add(deviation)
-                if deviation > PROB_TOL:
-                    failed.append(f"{name} word {word} off by {deviation:.3e}")
-                if label is PromiseLabel.YES:
-                    p_yes.add(p)
-                    if p < 1.0 - PROB_TOL:
-                        failed.append(f"{name} yes word {word} not sure")
-                else:
-                    p_no.add(p)
-                    if p > cap + PROB_TOL:
-                        failed.append(f"{name} no word {word} above cap")
-                yield {
-                    "record": "input",
-                    "machine": name,
-                    "n": n,
-                    "x": str(x),
-                    "y": str(y),
-                    "label": label.value,
-                    "p_accept": p,
-                    "expected": want,
-                    "deviation": deviation,
-                }
+            deviation = [abs(p - want) for p, want in zip(probabilities, expected)]
+            columns.update(p_accept=probabilities, expected=expected, deviation=deviation)
+            yield _Batch(fixed, columns, len(chunk))
+            deviations.extend(deviation)
+            p_yes.extend(itertools.compress(probabilities, yes.tolist()))
+            p_no.extend(itertools.compress(probabilities, (~yes).tolist()))
+            p, d = np.array(probabilities), np.array(deviation)
+            _flag(failed, [
+                (d > PROB_TOL,
+                 lambda i: f"{name} word {words[i]} off by {deviation[i]:.3e}"),
+                (yes & (p < 1.0 - PROB_TOL), lambda i: f"{name} yes word {words[i]} not sure"),
+                (~yes & (p > cap + PROB_TOL), lambda i: f"{name} no word {words[i]} above cap"),
+            ])
         violations.extend(failed)
-        yield {
+        yield _record({
             "record": "summary",
             "machine": name,
             "n": n,
@@ -530,7 +591,7 @@ def _qcfa_sweep(plan: _RunPlan, violations: list):
             "quantum_states": len(machine.quantum_labels),
             "classical_states": len(machine.classical_states),
             "invariant_ok": not failed,
-        }
+        })
 
 
 def _bounds_sweep(plan: _RunPlan, violations: list):
@@ -544,22 +605,22 @@ def _bounds_sweep(plan: _RunPlan, violations: list):
         matrix = bounds.problem_matrix(problem, cfg.n, margin)
         report = bounds.check_rectangle_bound(matrix)
         lam = str(margin.fraction) if problem == "promise_disj" else None
-        yield {
+        yield _record({
             "record": "input",
             "problem": problem,
             "n": cfg.n,
             "lambda": lam,
             **report.to_record(),
-        }
+        })
         # None means the exact searches refused the size, not a failure
         if report.holds is False:
             violations.append(f"rectangle bound fails on {problem} at n={cfg.n}")
-    yield {
+    yield _record({
         "record": "summary",
         "n": cfg.n,
         "problems": len(problems),
         "all_bounds_ok": not violations,
-    }
+    })
 
 
 def _reduction_sweep(plan: _RunPlan, violations: list):
@@ -593,7 +654,7 @@ def _reduction_sweep(plan: _RunPlan, violations: list):
         cost_ok = cost >= min_cc
         if not cost_ok:
             violations.append("reduction cost beats the exact lower bound")
-    yield {
+    yield _record({
         "record": "input",
         "n": n,
         "dfa_states": dfa.size,
@@ -601,8 +662,8 @@ def _reduction_sweep(plan: _RunPlan, violations: list):
         "agreement": agreement,
         "min_cc": min_cc,
         "cost_ge_min_cc": cost_ok,
-    }
-    yield {
+    })
+    yield _record({
         "record": "summary",
         "n": n,
         "dfa_states": dfa.size,
@@ -610,11 +671,11 @@ def _reduction_sweep(plan: _RunPlan, violations: list):
         "agreement": agreement,
         "min_cc": min_cc,
         "invariant_ok": not violations,
-    }
+    })
 
 
-#: Each sweep is a generator of records that appends every violated
-#: guarantee to the list it is given; the summary comes last.
+#: Each sweep is a generator of record batches that appends every
+#: violated guarantee to the list it is given; the summary comes last.
 _SWEEPS = {
     "quantum-sweep": _quantum_sweep,
     "classical-sweep": _classical_sweep,
@@ -629,63 +690,131 @@ _SWEEPS = {
 # ---------------------------------------------------------------------------
 
 _JSON = json.JSONEncoder(sort_keys=True)
+_json_text = json.encoder.encode_basestring_ascii
+#: float.__repr__ of the non-finite floats, against what json writes
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _render_json(records) -> str:
-    return "".join(_JSON.encode(r) + "\n" for r in records)
+def _json_value(value) -> str:
+    """One flat value as ``json.dumps`` writes it."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, str):
+        return _json_text(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _JSON_NONFINITE.get(text, text)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    return _JSON.encode(value)
 
 
-def _render_csv(command: str, records, header: bool) -> str:
-    columns = _COLUMNS[command]
+def _json_cells(values) -> list[str]:
+    """Each of ``values`` as ``json.dumps`` writes it."""
+    kinds = set(map(type, values))
+    if kinds == {str}:
+        return list(map(_json_text, values))
+    # bool is its own type here, so it takes the general path
+    if kinds <= {int, float}:
+        cells = list(map(repr, values))
+        if float in kinds and not all(map(math.isfinite, values)):
+            cells = [_JSON_NONFINITE.get(cell, cell) for cell in cells]
+        return cells
+    return list(map(_json_value, values))
+
+
+def _csv_cells(values) -> list[str]:
+    """Each of ``values`` as a CSV cell: empty for None, lowercase
+    booleans, ``str`` for the rest."""
+    if set(map(type, values)) <= {int, float, str}:
+        return list(map(str, values))
+    return [
+        "" if v is None else ("true" if v else "false") if isinstance(v, bool) else str(v)
+        for v in values
+    ]
+
+
+def _render_json(batch: _Batch) -> str:
+    """One ``json.dumps(record, sort_keys=True)`` line per record: the
+    fixed fields are written once into a line template that each row of
+    column cells fills."""
+    fields, cells = [], []
+    for name in sorted({*batch.fixed, *batch.columns}):
+        if name in batch.columns:
+            fields.append(_json_text(name).replace("%", "%%") + ": %s")
+            cells.append(_json_cells(batch.columns[name]))
+        else:
+            text = f"{_json_text(name)}: {_json_value(batch.fixed[name])}"
+            fields.append(text.replace("%", "%%"))
+    line = "{" + ", ".join(fields) + "}\n"
+    rows = zip(*cells) if cells else itertools.repeat((), batch.size)
+    return "".join(map(line.__mod__, rows))
+
+
+def _render_csv(columns: list[str], batch: _Batch, header: bool) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     if header:
         writer.writerow(columns)
-    for rec in records:
-        row = []
-        for col in columns:
-            value = rec.get(col)
-            if value is None:
-                row.append("")
-            elif isinstance(value, bool):
-                row.append("true" if value else "false")
-            else:
-                row.append(str(value))
-        writer.writerow(row)
+    cells = [
+        _csv_cells(batch.columns[name]) if name in batch.columns
+        else itertools.repeat(_csv_cells([batch.fixed.get(name)])[0], batch.size)
+        for name in columns
+    ]
+    writer.writerows(zip(*cells))
     return buf.getvalue()
 
 
-def render_report(command: str, records, fmt: str, header: bool = True) -> str:
-    """Report text for ``records``; ``header=False`` leaves out the CSV
-    column line, for every chunk after the first."""
+def render_report(command: str, batch: _Batch, fmt: str, header: bool = True) -> str:
+    """Report text for the records of ``batch``; ``header=False`` leaves
+    out the CSV column line, for every batch after the first."""
     if fmt == "json":
-        return _render_json(records)
-    return _render_csv(command, records, header)
+        return _render_json(batch)
+    return _render_csv(_COLUMNS[command], batch, header)
+
+
+def _write_error(message: str) -> int:
+    print(f"cannot write report: {message}", file=sys.stderr)
+    return EXIT_CONFIG
 
 
 def run_experiment(cfg: ExperimentConfig) -> int:
-    """Validate, sweep, write the report; 0 ok, 1 bad config, 2 violation.
+    """Validate, sweep, write the report; 0 ok, 1 bad config or report
+    path, 2 violation.
 
-    Records go to the report a chunk at a time as the sweep makes them.
+    Records go to the report a batch at a time as the sweep makes them.
     """
     try:
         plan = cfg.validated()
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    violations = []
-    records = _SWEEPS[cfg.command](plan, violations)
     path = plan.output_path()
-    path.parent.mkdir(parents=True, exist_ok=True)
+    if path.is_dir():
+        return _write_error(f"{path} is a directory")
     # the report appears under its name only once complete, so a sweep
     # that stops half way leaves a .part file, not a short report
     partial = path.with_name(path.name + ".part")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        report = open(partial, "w")
+    except OSError as exc:
+        return _write_error(str(exc))
+    violations = []
     count = 0
-    with open(partial, "w") as report:
-        for chunk in _chunks(records):
-            report.write(render_report(cfg.command, chunk, cfg.fmt, header=not count))
-            count += len(chunk)
-    partial.replace(path)
+    with report:
+        for batch in _SWEEPS[cfg.command](plan, violations):
+            report.write(render_report(cfg.command, batch, cfg.fmt, header=not count))
+            count += batch.size
+    try:
+        partial.replace(path)
+    except OSError as exc:
+        partial.unlink(missing_ok=True)
+        return _write_error(str(exc))
     print(f"wrote {count} records to {path}")
     if violations:
         for message in violations[:20]:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -101,13 +102,27 @@ def sample_positions(weights, k: int, rng: np.random.Generator) -> list[list[int
     return rng.integers(0, highs, size=(len(highs), k)).tolist()
 
 
-def one_way_runs(
-    xs: list[BitString],
-    ys: list[BitString],
-    k: int,
-    rng: np.random.Generator | None,
-) -> list[ClassicalProtocolReport]:
-    """One sampled run of the k-position protocol per pair (xs[r], ys[r]).
+class OneWayColumns(NamedTuple):
+    """Outcomes of a batch of one-way runs: per field of
+    :class:`ClassicalProtocolReport` after x, y and k, one list with an
+    entry per pair."""
+
+    decision: list[int]
+    bits_communicated: list[int]
+    exact_error_probability: list[float]
+    literal_branch: list[bool]
+    p_detect: list[float | None]
+
+
+def _bit_rows(values, n: int) -> np.ndarray:
+    """Row r holds the n bits of word value ``values[r]``, first bit first."""
+    shifts = np.arange(n - 1, -1, -1, dtype=np.uint64)
+    return (np.asarray(values, dtype=np.uint64)[:, None] >> shifts) & np.uint64(1)
+
+
+def one_way_columns(x_values, y_values, n: int, k: int, rng) -> OneWayColumns:
+    """One sampled run of the k-position protocol per pair of word values
+    ``(x_values[r], y_values[r])`` of length ``n``, as columns.
 
     Alice's draws for every pair that samples come from one
     :func:`sample_positions` call, so a batch reads ``rng`` in pair order
@@ -115,48 +130,62 @@ def one_way_runs(
     ones takes the literal branch and draws nothing; ``rng`` may be None
     when every pair does.  The exact error probability (of answering 1 on
     an intersecting pair, or 0 on a disjoint one) and the exact detection
-    probability ride along in each report.
+    probability ride along.
     """
     if k < 1:
         raise ValueError("k must be positive")
-    weights = []
-    for x, y in zip(xs, ys, strict=True):
-        if x.n != y.n:
-            raise ValueError(f"length mismatch: {x.n} vs {y.n}")
-        weights.append(hamming_weight(x))
-    drawn = [h for h in weights if h >= k]
-    picks = iter(sample_positions(drawn, k, rng) if drawn else ())
-    reports = []
-    for x, y, h in zip(xs, ys, weights):
-        m = intersection_size(x, y)
-        if h < k:
-            # literal answer: certain error exactly when the pair intersects
-            reports.append(ClassicalProtocolReport(
-                x=x,
-                y=y,
-                k=k,
-                decision=1,
-                bits_communicated=1,
-                exact_error_probability=0.0 if m == 0 else 1.0,
-                literal_branch=True,
-                p_detect=None,
-            ))
-            continue
-        ones = [i for i, bit in enumerate(str(x)) if bit == "1"]
-        hit = any(y[ones[j]] for j in next(picks))
-        miss = (1.0 - m / h) ** k
-        reports.append(ClassicalProtocolReport(
-            x=x,
-            y=y,
-            k=k,
-            decision=0 if hit else 1,
-            bits_communicated=bit_cost(x.n, k),
-            # disjoint pairs are never detected, so only intersecting pairs can err
-            exact_error_probability=0.0 if m == 0 else miss,
-            literal_branch=False,
-            p_detect=1.0 - miss,
-        ))
-    return reports
+    x_bits, y_bits = _bit_rows(x_values, n), _bit_rows(y_values, n)
+    weights = x_bits.sum(axis=1)
+    literal = weights < k
+    hit = np.zeros(len(weights), dtype=bool)
+    drawn = np.flatnonzero(~literal)
+    if len(drawn):
+        picks = np.array(sample_positions(weights[drawn], k, rng))
+        # each row's 1-positions in order, ahead of its 0-positions
+        ones = np.argsort(x_bits[drawn] == 0, axis=1, kind="stable")
+        positions = np.take_along_axis(ones, picks, axis=1)
+        hit[drawn] = np.take_along_axis(y_bits[drawn], positions, axis=1).any(axis=1)
+    overlaps = (x_bits & y_bits).sum(axis=1).tolist()
+    misses = [
+        None if h < k else (1.0 - m / h) ** k
+        for m, h in zip(overlaps, weights.tolist())
+    ]
+    cost = bit_cost(n, k)
+    return OneWayColumns(
+        decision=(~hit).astype(int).tolist(),
+        # the literal answer costs one bit
+        bits_communicated=[1 if lit else cost for lit in literal.tolist()],
+        # disjoint pairs are never detected, so only intersecting pairs can
+        # err; the literal answer errs exactly when the pair intersects
+        exact_error_probability=[
+            0.0 if m == 0 else 1.0 if miss is None else miss
+            for m, miss in zip(overlaps, misses)
+        ],
+        literal_branch=literal.tolist(),
+        p_detect=[None if miss is None else 1.0 - miss for miss in misses],
+    )
+
+
+def one_way_runs(
+    xs: list[BitString],
+    ys: list[BitString],
+    k: int,
+    rng: np.random.Generator | None,
+) -> list[ClassicalProtocolReport]:
+    """One sampled run of the k-position protocol per pair (xs[r], ys[r]),
+    as reports: :func:`one_way_columns` on words of one length."""
+    if len(xs) != len(ys):
+        raise ValueError(f"batch mismatch: {len(xs)} vs {len(ys)}")
+    lengths = {x.n for x in xs} | {y.n for y in ys}
+    if len(lengths) > 1:
+        raise ValueError(f"length mismatch: {sorted(lengths)}")
+    columns = one_way_columns(
+        [x.value for x in xs], [y.value for y in ys], min(lengths, default=1), k, rng
+    )
+    return [
+        ClassicalProtocolReport(x, y, k, *outcome)
+        for x, y, outcome in zip(xs, ys, zip(*columns))
+    ]
 
 
 def run_one_way(
@@ -181,11 +210,13 @@ def detection_frequency(
 
     Requires weight(x) >= k so every run takes the sampling branch.
     """
+    if x.n != y.n:
+        raise ValueError(f"length mismatch: {x.n} vs {y.n}")
     h = hamming_weight(x)
     if h < k:
         raise ValueError("weight(x) < k: every run would take the literal branch")
-    ones = np.array([i for i, bit in enumerate(x.bits) if bit])
-    ybits = np.array(y.bits)
+    x_bits, y_bits = _bit_rows([x.value, y.value], x.n)
+    ones = np.flatnonzero(x_bits)
     picks = rng.integers(0, h, size=(trials, k))
-    hits = ybits[ones[picks]].any(axis=1)
+    hits = y_bits[ones[picks]].any(axis=1)
     return float(hits.mean())

@@ -473,6 +473,36 @@ class TestExitCodes:
             run_experiment(cfg)
         assert out.read_text() == "earlier report\n"
 
+    def test_out_naming_a_directory_is_refused_before_the_sweep(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def sweep(plan, violations):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setitem(cli._SWEEPS, "quantum-sweep", sweep)
+        cfg = ExperimentConfig(command="quantum-sweep", n=4, out=str(tmp_path))
+        assert run_experiment(cfg) == EXIT_CONFIG
+        assert "is a directory" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []  # no .part file beside it
+
+    def test_out_that_cannot_be_opened_is_one(self, tmp_path, capsys):
+        # a regular file where the report's directory should be
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        cfg = ExperimentConfig(command="bounds", n=1, out=str(blocker / "r.json"))
+        assert run_experiment(cfg) == EXIT_CONFIG
+        assert "cannot write report" in capsys.readouterr().err
+
+    def test_failed_rename_removes_the_part_file(self, tmp_path, monkeypatch, capsys):
+        def refuse(self, target):
+            raise PermissionError(13, "Permission denied", str(target))
+
+        monkeypatch.setattr(cli.Path, "replace", refuse)
+        cfg = ExperimentConfig(command="bounds", n=1, out=str(tmp_path / "r.json"))
+        assert run_experiment(cfg) == EXIT_CONFIG
+        assert "Permission denied" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_main_bad_flag_is_config_error(self, capsys):
         assert main(["--cmd", "nope", "--n", "4"]) == EXIT_CONFIG
         capsys.readouterr()
