@@ -730,8 +730,6 @@ def _json_cells(values) -> list[str]:
 def _csv_cells(values) -> list[str]:
     """Each of ``values`` as a CSV cell: empty for None, lowercase
     booleans, ``str`` for the rest."""
-    if set(map(type, values)) <= {int, float, str}:
-        return list(map(str, values))
     return [
         "" if v is None else ("true" if v else "false") if isinstance(v, bool) else str(v)
         for v in values
