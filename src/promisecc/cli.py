@@ -347,7 +347,9 @@ def _flag(violations: list, checks) -> None:
     order the checks run on one pair.
     """
     failed = sorted(
-        (i, c) for c, (mask, _) in enumerate(checks) for i in np.flatnonzero(mask).tolist()
+        (i, c)
+        for c, (mask, _) in enumerate(checks)
+        for i in np.flatnonzero(mask).tolist()
     )
     violations.extend(checks[c][1](i) for i, c in failed)
 
@@ -392,14 +394,15 @@ def _quantum_sweep(plan: _RunPlan, violations: list):
         p_no.extend(itertools.compress(probabilities, no_list))
         accept_k_no.extend(itertools.compress(accept_k, no_list))
         p, p_k = np.array(probabilities), np.array(accept_k)
-        x, y = columns["x"], columns["y"]
+        x_text, y_text = columns["x"], columns["y"]
         _flag(violations, [
             (yes & (p < 1.0 - PROB_TOL),
-             lambda i: f"yes pair {x[i]},{y[i]} accepted with {probabilities[i]}"),
+             lambda i: (f"yes pair {x_text[i]},{y_text[i]} accepted with "
+                        f"{probabilities[i]}")),
             (~yes & (p > single_cap + PROB_TOL),
-             lambda i: f"no pair {x[i]},{y[i]} above single-round cap"),
+             lambda i: f"no pair {x_text[i]},{y_text[i]} above single-round cap"),
             (~yes & (p_k > eps_cap),
-             lambda i: f"no pair {x[i]},{y[i]} above error target"),
+             lambda i: f"no pair {x_text[i]},{y_text[i]} above error target"),
         ])
     yield _record({
         "record": "summary",
@@ -498,14 +501,15 @@ def _classical_sweep(plan: _RunPlan, violations: list):
         # treated as protocol failures
         literal_no += int(np.count_nonzero(no & literal))
         e = np.array(error)
-        x, y = columns["x"], columns["y"]
+        x_text, y_text = columns["x"], columns["y"]
         _flag(violations, [
             (mc_off, mc_messages.__getitem__),
             (yes & (np.array(runs.decision) != 1),
-             lambda i: f"yes pair {x[i]},{y[i]} rejected"),
-            (yes & (e != 0.0), lambda i: f"yes pair {x[i]},{y[i]} has nonzero error"),
+             lambda i: f"yes pair {x_text[i]},{y_text[i]} rejected"),
+            (yes & (e != 0.0),
+             lambda i: f"yes pair {x_text[i]},{y_text[i]} has nonzero error"),
             (sampled_no & (e > miss_cap + PROB_TOL),
-             lambda i: f"no pair {x[i]},{y[i]} above miss cap"),
+             lambda i: f"no pair {x_text[i]},{y_text[i]} above miss cap"),
         ])
     yield _record({
         "record": "summary",
@@ -575,8 +579,10 @@ def _qcfa_sweep(plan: _RunPlan, violations: list):
             _flag(failed, [
                 (d > PROB_TOL,
                  lambda i: f"{name} word {words[i]} off by {deviation[i]:.3e}"),
-                (yes & (p < 1.0 - PROB_TOL), lambda i: f"{name} yes word {words[i]} not sure"),
-                (~yes & (p > cap + PROB_TOL), lambda i: f"{name} no word {words[i]} above cap"),
+                (yes & (p < 1.0 - PROB_TOL),
+                 lambda i: f"{name} yes word {words[i]} not sure"),
+                (~yes & (p > cap + PROB_TOL),
+                 lambda i: f"{name} no word {words[i]} above cap"),
             ])
         violations.extend(failed)
         yield _record({
