@@ -98,10 +98,44 @@ CASES = {
         3,
         "92a6df957b4f15492c99e2ca118a6b7f4adbfd3cd08e2bcc4361ab20b1d51cb3",
     ),
+    # the promise_eq and promise_disj matrices
+    "bounds-n4-json": (
+        dict(command="bounds", n=4, seed=1),
+        5,
+        "384e112c41222ba7fdba4c28de7c101475a257cfddc1f3e31bf41ca09787ffc8",
+    ),
+    # odd n: no promise_eq, and a band other than lambda = 1/4
+    "bounds-n5-lambda-1-5-json": (
+        dict(command="bounds", n=5, margin_text="1/5", seed=1),
+        4,
+        "56aa6b57e0a08776497149e18b242a35ea2c3f4715e0941431fec728ed62c05b",
+    ),
+    "quantum-n5-lambda-1-5-json": (
+        dict(command="quantum-sweep", n=5, margin_text="1/5", seed=1),
+        1024,
+        "e933977860702b2b9b79f15db334a641fc959fec29e07ce8582cf661df43ba70",
+    ),
+    "classical-n6-lambda-1-6-json": (
+        dict(command="classical-sweep", n=6, margin_text="1/6", seed=1),
+        4096,
+        "7861f89bf93e31ec02411bb9fdefd7dc74a8540a25b9ced24e4201b160099918",
+    ),
+    # odd n: the x#y#x band from ceil(n/4) to floor(3n/4), and no
+    # equality NO words
+    "qcfa-n5-json": (
+        dict(command="qcfa-sweep", n=5, seed=1),
+        637,
+        "e50e367a01a95482c0da0e5ad116698a6a267025ab9f80c2a29488a11b5efa39",
+    ),
     "reduction-n4-json": (
         dict(command="reduction", n=4, seed=1),
         2,
         "b02f7a27648a3ea7a2d6198955513ddc29e8eb85b43ca558d010d97c17d2cfbb",
+    ),
+    "reduction-n5-json": (
+        dict(command="reduction", n=5, seed=1),
+        2,
+        "22426b4b65e1c07eb02d6ee4d3b13fc3a9534e1de3df5abb7e0461c142808505",
     ),
     "reduction-n6-json": (
         dict(command="reduction", n=6, seed=1),
