@@ -13,7 +13,6 @@ from promisecc import (
     Margin,
     PromiseLabel,
     bit_cost,
-    classify_disj_promise,
     positions_count,
     promise_pairs,
     qubit_cost,
@@ -66,7 +65,7 @@ k = repetition_count(lam, Fraction(1, 3))
 # one batched dense round over every No pair
 no_pairs = [
     (x.value, y.value)
-    for x, y, label in promise_pairs(n, lambda x, y: classify_disj_promise(x, y, margin))
+    for x, y, label in promise_pairs(margin.promise)
     if label is PromiseLabel.NO
 ]
 x_values, y_values = zip(*no_pairs)

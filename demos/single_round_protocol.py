@@ -61,5 +61,5 @@ print(f"\nmax |dense - closed| over all {4**n} pairs: {worst:.2e}")
 rng = np.random.default_rng(7)
 report = run_protocol(BitString(0b1010, n), BitString(0b0101, n), margin, 1, rng)
 print("\nsample run on a disjoint pair:")
-for key, value in sorted(report.to_record().items()):
+for key, value in vars(report).items():
     print(f"  {key}: {value}")

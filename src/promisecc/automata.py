@@ -24,9 +24,9 @@ Two concrete machines are built here over the alphabet ``{0, 1, #}``:
   the first x block, sign flips on the y block, swaps again on the second
   x block.
 
-Each word problem labels a pair by one rule,
+Each word problem labels a pair by its promise table,
 :meth:`WordProblem.classify_pair`, without building its word;
-:func:`classify_word` parses a word and applies the same rule.
+:func:`classify_word` parses a word and reads the same table.
 
 A brute-force DFA for the ``x#y#x`` problem (tracking the first block
 verbatim plus the running intersection count) witnesses the classical
@@ -39,18 +39,19 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from fractions import Fraction
+from functools import cached_property, lru_cache
 from math import ceil, log2
 
 import numpy as np
 
 from .bits import (
     BitString,
+    Promise,
     PromiseLabel,
-    disj_label,
-    eq_label,
-    hamming_distance,
-    intersection_size,
+    band,
+    disjointness_promise,
+    equality_promise,
     promise_pairs,
 )
 from . import qsim
@@ -268,21 +269,19 @@ class WordProblem:
     def classify(self, word: str) -> PromiseLabel:
         return classify_word(self, word)
 
-    def classify_pair(self, x: BitString, y: BitString) -> PromiseLabel:
-        """Label the word of the pair, ``x#y`` or ``x#y#x``, without building it.
-
-        ``x#y`` follows :func:`eq_label`, so odd n has no NO words.
-        ``x#y#x`` follows :func:`disj_label` with lambda fixed at 1/4 by the
-        automaton's acceptance cap: ``(1 - 2m/n)**2 <= 1/4`` exactly when
-        n/4 <= m <= 3n/4, whose integer ends are ``(n + 3) // 4`` and
-        ``3 * n // 4``.
-        """
-        n = self.n
-        if x.n != n or y.n != n:
-            raise ValueError(f"words of length {x.n} and {y.n}, problem has n={n}")
+    @cached_property
+    def promise(self) -> Promise:
+        """``x#y`` is promise equality, so odd n has no NO words.  ``x#y#x``
+        is promise disjointness with lambda fixed at 1/4 by the automaton's
+        acceptance cap: ``(1 - 2m/n)**2 <= 1/4`` exactly when
+        n/4 <= m <= 3n/4."""
         if self.kind == "equality":
-            return eq_label(hamming_distance(x, y), n)
-        return disj_label(intersection_size(x, y), (n + 3) // 4, 3 * n // 4)
+            return equality_promise(self.n)
+        return disjointness_promise(self.n, *band(Fraction(1, 4), self.n))
+
+    def classify_pair(self, x: BitString, y: BitString) -> PromiseLabel:
+        """Label the word of the pair, ``x#y`` or ``x#y#x``, without building it."""
+        return self.promise.label(x, y)
 
 
 def equality_word_problem(n: int) -> WordProblem:
@@ -427,8 +426,7 @@ def bruteforce_disjointness_dfa(n: int) -> Dfa:
 
 def verify_promise_dfa(d: Dfa, n: int) -> bool:
     """Exhaustively check a DFA against every x#y#x promise word."""
-    problem = disjointness_word_problem(n)
-    pairs = promise_pairs(n, problem.classify_pair)
+    pairs = promise_pairs(disjointness_word_problem(n).promise)
     return all(
         run_dfa(d, disjointness_word(x, y)) == (label is PromiseLabel.YES)
         for x, y, label in pairs

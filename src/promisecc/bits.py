@@ -1,23 +1,24 @@
-"""Bit strings, Hamming metrics, the two promise rules and the pair stream.
+"""Bit strings, Hamming metrics, the promise tables and the pair stream.
 
 The two base problems live on pairs of equal-length binary words: equality
 (are ``x`` and ``y`` the same word?) and disjointness (do ``x`` and ``y``,
 read as characteristic vectors of subsets of ``{1..n}``, share an index?).
-Their promise variants restrict attention to well-separated instances:
+Their promise variants restrict attention to well-separated instances, and
+each labels a pair by one count:
 
-* promise equality: yes-instances are equal pairs, no-instances are pairs
-  at Hamming distance exactly ``n/2`` (:func:`eq_label`);
-* promise disjointness with margin ``lam``: yes-instances have empty
-  intersection, no-instances have intersection size in ``[lam*n, (1-lam)*n]``
-  (:func:`disj_label`).
+* promise equality reads the distance ``|x ^ y|``: YES at 0, NO at exactly
+  ``n/2``, so odd n has no NO count (:func:`equality_promise`);
+* promise disjointness reads the overlap ``|x & y|``: YES at 0, NO in the
+  band ``ceil(lam*n) .. floor((1-lam)*n)`` (:func:`band`,
+  :func:`disjointness_promise`).
 
 Everything else is outside the promise and carries no correctness
-obligation.  Both rules take an integer count (distance or overlap), so
-every caller -- pair classifiers, word classifiers, matrix builders --
-applies the same rule.  The margin is kept as an exact rational with
-``lam*n`` integral so that band membership is an integer comparison, never
-a float one.  :func:`promise_pairs` is the one enumerator of all pairs
-inside a promise.
+obligation.  A :class:`Promise` states the rule once, as one label per
+count 0..n, and every labeller reads that table: pair and word
+classifiers, matrix builders, the sample-mode filter and
+:func:`promise_pairs`, the one enumerator of all pairs inside a promise.
+The margin is kept as an exact rational, so the band ends are exact
+integers, never float comparisons.
 
 Words are written most-significant-position-first: ``str(x)[0]`` is the
 first bit of ``x``.
@@ -26,10 +27,12 @@ first bit of ``x``.
 from __future__ import annotations
 
 import enum
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterator
+from typing import Iterator
 
 
 class PromiseLabel(enum.Enum):
@@ -145,11 +148,59 @@ def intersection_size(x: BitString, y: BitString) -> int:
 
 
 @dataclass(frozen=True)
+class Promise:
+    """A promise problem on words of length ``n`` that labels a pair by one
+    count: the overlap ``|x & y|`` if ``overlap``, else the distance
+    ``|x ^ y|``.  ``labels[c]`` is the label of count c, for c in 0..n."""
+
+    n: int
+    overlap: bool
+    labels: tuple
+
+    @property
+    def combine(self):
+        """The word operation whose popcount is the count: ``&`` or ``^``."""
+        return operator.and_ if self.overlap else operator.xor
+
+    def label(self, x: BitString, y: BitString) -> PromiseLabel:
+        _check_same_length(x, y)
+        if x.n != self.n:
+            raise ValueError(f"promise is for n={self.n}, inputs have n={x.n}")
+        return self.labels[self.combine(x.value, y.value).bit_count()]
+
+
+def disjointness_promise(n: int, low: int, high: int) -> Promise:
+    """Promise disjointness: overlap 0 is YES, an overlap in [low, high] NO."""
+    return Promise(n, True, tuple(
+        PromiseLabel.YES if m == 0
+        else PromiseLabel.NO if low <= m <= high
+        else PromiseLabel.OUTSIDE
+        for m in range(n + 1)
+    ))
+
+
+def equality_promise(n: int) -> Promise:
+    """Promise equality: distance 0 is YES, distance exactly n/2 NO."""
+    return Promise(n, False, tuple(
+        PromiseLabel.YES if d == 0
+        else PromiseLabel.NO if 2 * d == n
+        else PromiseLabel.OUTSIDE
+        for d in range(n + 1)
+    ))
+
+
+def band(fraction: Fraction, n: int) -> tuple[int, int]:
+    """The NO overlaps of promise disjointness with margin ``fraction``:
+    ``ceil(lam*n) .. floor((1-lam)*n)``, in exact arithmetic."""
+    return math.ceil(fraction * n), math.floor((1 - fraction) * n)
+
+
+@dataclass(frozen=True)
 class Margin:
     """Promise band parameter for disjointness: fraction ``lam`` and length ``n``.
 
-    The no-instance band is ``lam*n <= |x & y| <= (1-lam)*n``; both
-    endpoints must be integers, which pins the band exactly.
+    The no-instance band is ``lam*n <= |x & y| <= (1-lam)*n``, with
+    ``lam*n`` required to be an integer.
     """
 
     fraction: Fraction
@@ -168,14 +219,18 @@ class Margin:
         """Parse a 'p/q' rational (or plain integer) margin."""
         return cls(Fraction(text), n)
 
-    # cached: every pair classification reads both ends
-    @cached_property
+    @property
     def low(self) -> int:
-        return int(self.fraction * self.n)
+        return band(self.fraction, self.n)[0]
+
+    @property
+    def high(self) -> int:
+        return band(self.fraction, self.n)[1]
 
     @cached_property
-    def high(self) -> int:
-        return int((1 - self.fraction) * self.n)
+    def promise(self) -> Promise:
+        """Promise disjointness with this band."""
+        return disjointness_promise(self.n, self.low, self.high)
 
     def __str__(self) -> str:
         return str(self.fraction)
@@ -203,60 +258,29 @@ def smallest_k(margin, slope: int, eps) -> int:
     return k
 
 
-def disj_label(m: int, low: int, high: int) -> PromiseLabel:
-    """Promise disjointness rule: overlap m is YES at 0, NO in [low, high]."""
-    if m == 0:
-        return PromiseLabel.YES
-    if low <= m <= high:
-        return PromiseLabel.NO
-    return PromiseLabel.OUTSIDE
-
-
-def eq_label(d: int, n: int) -> PromiseLabel:
-    """Promise equality rule: distance d is YES at 0, NO at exactly n/2.
-
-    No parity check: for odd n nothing is NO.
-    """
-    if d == 0:
-        return PromiseLabel.YES
-    if 2 * d == n:
-        return PromiseLabel.NO
-    return PromiseLabel.OUTSIDE
-
-
-def classify_disj_promise(x: BitString, y: BitString, margin: Margin) -> PromiseLabel:
-    """Label a pair under promise disjointness with the given margin."""
-    _check_same_length(x, y)
-    if x.n != margin.n:
-        raise ValueError(f"margin is for n={margin.n}, inputs have n={x.n}")
-    return disj_label(intersection_size(x, y), margin.low, margin.high)
-
-
-def classify_eq_promise(x: BitString, y: BitString) -> PromiseLabel:
-    """Label a pair under promise equality (distance 0 vs distance n/2)."""
-    _check_same_length(x, y)
-    if x.n % 2:
-        raise ValueError("promise equality needs even length (n/2 threshold)")
-    return eq_label(hamming_distance(x, y), x.n)
-
-
 def all_bitstrings(n: int) -> Iterator[BitString]:
     """All words of length n in lexicographic (numeric) order."""
     for v in range(1 << n):
         yield BitString(v, n)
 
 
-def promise_pairs(
-    n: int, classify: Callable[[BitString, BitString], PromiseLabel]
-) -> Iterator[tuple[BitString, BitString, PromiseLabel]]:
-    """Every pair inside a promise as ``(x, y, label)``, x then y in numeric order.
+def classify_disj_promise(x: BitString, y: BitString, margin: Margin) -> PromiseLabel:
+    """Label a pair under promise disjointness with the given margin."""
+    return margin.promise.label(x, y)
 
-    ``classify(x, y)`` labels one pair; OUTSIDE pairs are skipped.  All
-    4**n pairs are visited, so keep n small.
+
+def promise_pairs(
+    promise: Promise,
+) -> Iterator[tuple[BitString, BitString, PromiseLabel]]:
+    """Every pair inside ``promise`` as ``(x, y, label)``, x then y in numeric order.
+
+    Each label is read from the table by the pair's count; OUTSIDE pairs
+    are skipped.  All 4**n pairs are visited, so keep n small.
     """
-    words = list(all_bitstrings(n))
+    labels, combine = promise.labels, promise.combine
+    words = list(all_bitstrings(promise.n))
     for x in words:
         for y in words:
-            label = classify(x, y)
+            label = labels[combine(x.value, y.value).bit_count()]
             if label is not PromiseLabel.OUTSIDE:
                 yield x, y, label

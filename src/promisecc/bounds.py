@@ -34,12 +34,12 @@ import numpy as np
 
 from .bits import (
     Margin,
+    Promise,
     PromiseLabel,
     all_bitstrings,
     # not called here; perfbench/tracer.py wraps bounds.classify_disj_promise
     classify_disj_promise,
-    disj_label,
-    eq_label,
+    equality_promise,
 )
 
 UNDEFINED = -1
@@ -103,36 +103,33 @@ def problem_matrix(kind: str, n: int, margin: Margin | None = None) -> CommMatri
     """Matrix of one of the four problems over all length-n inputs.
 
     An entry depends only on the popcount of ``x ^ y`` (equality) or
-    ``x & y`` (disjointness), so the promise rule is evaluated once per
-    count 0..n and the matrix is read from that table.
+    ``x & y`` (disjointness), so each problem is a :class:`Promise` and the
+    matrix is read from its table.  The total problems are YES at count 0
+    and NO at every other count.
     """
     if kind not in PROBLEM_KINDS:
         raise ValueError(f"unknown problem kind {kind!r}")
     if not 1 <= n <= 10:
         raise ValueError("matrix construction supports 1 <= n <= 10")
-    counts = range(n + 1)
     if kind == "promise_eq":
         if n % 2:
             raise ValueError("promise equality needs even n")
-        labels = [eq_label(c, n) for c in counts]
+        promise = equality_promise(n)
     elif kind == "promise_disj":
         if margin is None:
             raise ValueError("promise disjointness needs a margin")
         if margin.n != n:
             raise ValueError("margin length does not match n")
-        labels = [disj_label(c, margin.low, margin.high) for c in counts]
+        promise = margin.promise
     else:
-        # the total problems: count 0 is YES, every other count NO
-        labels = [PromiseLabel.YES] + [PromiseLabel.NO] * n
-    by_count = np.array([_ENTRY[label] for label in labels], dtype=np.int8)
+        total = (PromiseLabel.YES,) + (PromiseLabel.NO,) * n
+        promise = Promise(n, kind == "disj", total)
+    by_count = np.array([_ENTRY[label] for label in promise.labels], dtype=np.int8)
     by_value = by_count[[v.bit_count() for v in range(1 << n)]]
     values = np.arange(1 << n)
-    if kind in ("eq", "promise_eq"):
-        pairs = values[:, None] ^ values[None, :]
-    else:
-        pairs = values[:, None] & values[None, :]
+    entries = by_value[promise.combine(values[:, None], values[None, :])]
     words = tuple(all_bitstrings(n))
-    return CommMatrix(rows=words, cols=words, entries=by_value[pairs])
+    return CommMatrix(rows=words, cols=words, entries=entries)
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,7 @@ from .bits import (
     BitString,
     Margin,
     PromiseLabel,
+    # not called here; perfbench/tracer.py wraps cli.classify_disj_promise
     classify_disj_promise,
     promise_pairs,
 )
@@ -221,51 +222,46 @@ class _RunPlan:
 # input streams
 # ---------------------------------------------------------------------------
 
-def _promise_stream(plan: _RunPlan, classify, seed):
-    """(x, y, label) for the pairs inside a promise, exhaustive or sampled.
+def _promise_stream(plan: _RunPlan, promise, seed):
+    """(x, y, label) for the pairs inside ``promise``, exhaustive or sampled.
 
     Exhaustive mode is :func:`promise_pairs`.  Sample mode draws x then y
-    uniformly from ``default_rng(seed)`` and redraws both until
-    ``classify(x, y)`` is inside the promise, ``--samples`` times.  The
-    words are drawn SWEEP_CHUNK at a time, which gives the values one
-    draw per word would.
+    uniformly from ``default_rng(seed)`` and redraws both until the pair is
+    inside the promise, ``--samples`` times.  The words are drawn
+    SWEEP_CHUNK at a time, which gives the values one draw per word would,
+    and labelled from the promise table before they become words.
     """
     cfg = plan.config
-    n = cfg.n
     if cfg.mode == "exhaustive":
-        yield from promise_pairs(n, classify)
+        yield from promise_pairs(promise)
         return
     master = np.random.default_rng(seed)
     values = itertools.chain.from_iterable(
-        master.integers(0, 1 << n, size=SWEEP_CHUNK, dtype=np.uint64).tolist()
+        master.integers(0, 1 << cfg.n, size=SWEEP_CHUNK, dtype=np.uint64).tolist()
         for _ in itertools.count()
     )
-    for _ in range(cfg.samples):
-        while True:
-            x = BitString(next(values), n)
-            y = BitString(next(values), n)
-            label = classify(x, y)
-            if label is not PromiseLabel.OUTSIDE:
-                yield x, y, label
-                break
+    labels, combine = promise.labels, promise.combine
+    inside = (
+        (BitString(x, cfg.n), BitString(y, cfg.n), label)
+        for x, y in zip(values, values)  # consecutive draws: x, then y
+        if (label := labels[combine(x, y).bit_count()]) is not PromiseLabel.OUTSIDE
+    )
+    yield from itertools.islice(inside, cfg.samples)
 
 
 def _pair_stream(plan: _RunPlan):
     """Promise disjointness pairs for the protocol sweeps, seeded by the seed."""
-    margin = plan.margin
-    return _promise_stream(
-        plan, lambda x, y: classify_disj_promise(x, y, margin), plan.seed
-    )
+    return _promise_stream(plan, plan.margin.promise, plan.seed)
 
 
 def _word_pair_stream(plan: _RunPlan, problem: automata.WordProblem):
     """Pairs whose word is inside ``problem``'s promise, seeded by (seed, 0)
     for equality and (seed, 1) for disjointness.
 
-    Pairs are labelled by ``problem.classify_pair``, so no word is built.
+    Pairs are labelled by the problem's promise table, so no word is built.
     """
     stream = 0 if problem.kind == "equality" else 1
-    return _promise_stream(plan, problem.classify_pair, (plan.seed, stream))
+    return _promise_stream(plan, problem.promise, (plan.seed, stream))
 
 
 def _decision_stream(plan: _RunPlan) -> np.random.Generator:
@@ -634,10 +630,10 @@ def _reduction_sweep(plan: _RunPlan, violations: list):
     n = cfg.n
     dfa = automata.bruteforce_disjointness_dfa(n)
     protocol = automata.DfaProtocol(dfa, n)
-    problem = automata.disjointness_word_problem(n)
+    promise = automata.disjointness_word_problem(n).promise
     # decide runs the DFA over x#, y# and x: one pass checks DFA and protocol
     wrong = next((
-        (x, y) for x, y, label in promise_pairs(n, problem.classify_pair)
+        (x, y) for x, y, label in promise_pairs(promise)
         if protocol.decide(x, y) != (1 if label is PromiseLabel.YES else 0)
     ), None)
     agreement = wrong is None

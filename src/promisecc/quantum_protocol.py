@@ -140,25 +140,6 @@ class QuantumProtocolReport:
     decision: int  # 1 iff all k sampled outcomes accepted
     qubits: int
 
-    @property
-    def p_accept_all(self) -> float:
-        """Probability that all k rounds accept."""
-        return self.p_single**self.k
-
-    def to_record(self) -> dict:
-        return {
-            "n": self.x.n,
-            "lambda": str(self.margin.fraction),
-            "x": str(self.x),
-            "y": str(self.y),
-            "label": self.label.value,
-            "p_single": self.p_single,
-            "k": self.k,
-            "p_accept_k": self.p_accept_all,
-            "decision": self.decision,
-            "qubits": self.qubits,
-        }
-
 
 def sample_decisions(p_values, k: int, rng: np.random.Generator) -> list[int]:
     """Per pair, 1 iff k sampled rounds, each accepting with probability

@@ -25,6 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bits import BitString, hamming_weight, intersection_size, smallest_k
+from .qsim import _ones
 
 
 def exact_detection_probability(x: BitString, y: BitString, k: int) -> float:
@@ -77,18 +78,6 @@ class ClassicalProtocolReport:
     # the literal branch, which samples nothing
     p_detect: float | None
 
-    def to_record(self) -> dict:
-        return {
-            "n": self.x.n,
-            "x": str(self.x),
-            "y": str(self.y),
-            "k": self.k,
-            "decision": self.decision,
-            "bits": self.bits_communicated,
-            "exact_error": self.exact_error_probability,
-            "literal_branch": self.literal_branch,
-        }
-
 
 def sample_positions(weights, k: int, rng: np.random.Generator) -> list[list[int]]:
     """Alice's k draws for each of N pairs: row r holds k indices into pair
@@ -114,12 +103,6 @@ class OneWayColumns(NamedTuple):
     p_detect: list[float | None]
 
 
-def _bit_rows(values, n: int) -> np.ndarray:
-    """Row r holds the n bits of word value ``values[r]``, first bit first."""
-    shifts = np.arange(n - 1, -1, -1, dtype=np.uint64)
-    return (np.asarray(values, dtype=np.uint64)[:, None] >> shifts) & np.uint64(1)
-
-
 def one_way_columns(x_values, y_values, n: int, k: int, rng) -> OneWayColumns:
     """One sampled run of the k-position protocol per pair of word values
     ``(x_values[r], y_values[r])`` of length ``n``, as columns.
@@ -132,9 +115,11 @@ def one_way_columns(x_values, y_values, n: int, k: int, rng) -> OneWayColumns:
     an intersecting pair, or 0 on a disjoint one) and the exact detection
     probability ride along.
     """
+    if len(x_values) != len(y_values):
+        raise ValueError(f"batch mismatch: {len(x_values)} vs {len(y_values)}")
     if k < 1:
         raise ValueError("k must be positive")
-    x_bits, y_bits = _bit_rows(x_values, n), _bit_rows(y_values, n)
+    x_bits, y_bits = _ones(x_values, n), _ones(y_values, n)
     weights = x_bits.sum(axis=1)
     literal = weights < k
     hit = np.zeros(len(weights), dtype=bool)
@@ -166,28 +151,6 @@ def one_way_columns(x_values, y_values, n: int, k: int, rng) -> OneWayColumns:
     )
 
 
-def one_way_runs(
-    xs: list[BitString],
-    ys: list[BitString],
-    k: int,
-    rng: np.random.Generator | None,
-) -> list[ClassicalProtocolReport]:
-    """One sampled run of the k-position protocol per pair (xs[r], ys[r]),
-    as reports: :func:`one_way_columns` on words of one length."""
-    if len(xs) != len(ys):
-        raise ValueError(f"batch mismatch: {len(xs)} vs {len(ys)}")
-    lengths = {x.n for x in xs} | {y.n for y in ys}
-    if len(lengths) > 1:
-        raise ValueError(f"length mismatch: {sorted(lengths)}")
-    columns = one_way_columns(
-        [x.value for x in xs], [y.value for y in ys], min(lengths, default=1), k, rng
-    )
-    return [
-        ClassicalProtocolReport(x, y, k, *outcome)
-        for x, y, outcome in zip(xs, ys, zip(*columns))
-    ]
-
-
 def run_one_way(
     x: BitString,
     y: BitString,
@@ -195,8 +158,11 @@ def run_one_way(
     rng: np.random.Generator | None,
 ) -> ClassicalProtocolReport:
     """One sampled run of the k-position protocol: a batch of one of
-    :func:`one_way_runs`."""
-    return one_way_runs([x], [y], k, rng)[0]
+    :func:`one_way_columns`."""
+    if x.n != y.n:
+        raise ValueError(f"length mismatch: {x.n} vs {y.n}")
+    outcome = one_way_columns([x.value], [y.value], x.n, k, rng)
+    return ClassicalProtocolReport(x, y, k, *(column[0] for column in outcome))
 
 
 def detection_frequency(
@@ -215,7 +181,7 @@ def detection_frequency(
     h = hamming_weight(x)
     if h < k:
         raise ValueError("weight(x) < k: every run would take the literal branch")
-    x_bits, y_bits = _bit_rows([x.value, y.value], x.n)
+    x_bits, y_bits = _ones([x.value, y.value], x.n)
     ones = np.flatnonzero(x_bits)
     picks = rng.integers(0, h, size=(trials, k))
     hits = y_bits[ones[picks]].any(axis=1)

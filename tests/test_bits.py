@@ -1,4 +1,4 @@
-"""Bit-string primitives, promise classification, and the pair stream."""
+"""Bit-string primitives, the promise tables, and the pair stream."""
 
 from fractions import Fraction
 
@@ -10,9 +10,8 @@ from promisecc.bits import (
     PromiseLabel,
     all_bitstrings,
     classify_disj_promise,
-    classify_eq_promise,
-    disj_label,
-    eq_label,
+    disjointness_promise,
+    equality_promise,
     hamming_distance,
     hamming_weight,
     intersection_size,
@@ -116,27 +115,29 @@ class TestClassification:
         assert got is PromiseLabel.OUTSIDE
 
     def test_eq_yes(self):
-        assert classify_eq_promise(BitString("0101"), BitString("0101")) is PromiseLabel.YES
+        got = equality_promise(4).label(BitString("0101"), BitString("0101"))
+        assert got is PromiseLabel.YES
 
     def test_eq_no_at_half_distance(self):
-        assert classify_eq_promise(BitString("0000"), BitString("0011")) is PromiseLabel.NO
+        got = equality_promise(4).label(BitString("0000"), BitString("0011"))
+        assert got is PromiseLabel.NO
 
     def test_eq_outside(self):
-        assert classify_eq_promise(BitString("0000"), BitString("0001")) is PromiseLabel.OUTSIDE
+        got = equality_promise(4).label(BitString("0000"), BitString("0001"))
+        assert got is PromiseLabel.OUTSIDE
 
-    def test_eq_rejects_odd_length(self):
-        with pytest.raises(ValueError):
-            classify_eq_promise(BitString("010"), BitString("010"))
+    def test_eq_odd_length_has_no_no_count(self):
+        assert PromiseLabel.NO not in equality_promise(5).labels
 
     def test_integer_rules(self):
-        assert [disj_label(m, 1, 3).value for m in range(5)] == [
+        assert [label.value for label in disjointness_promise(4, 1, 3).labels] == [
             "yes", "no", "no", "no", "outside",
         ]
-        assert [eq_label(d, 4).value for d in range(5)] == [
+        assert [label.value for label in equality_promise(4).labels] == [
             "yes", "outside", "no", "outside", "outside",
         ]
-        # odd n: no distance is n/2, so nothing is NO
-        assert all(eq_label(d, 5) is not PromiseLabel.NO for d in range(6))
+        assert disjointness_promise(4, 1, 3).overlap
+        assert not equality_promise(4).overlap
 
 
 class TestEnumeration:
@@ -147,7 +148,7 @@ class TestEnumeration:
 
     def test_promise_pair_counts(self):
         m = Margin.from_text("1/4", 4)
-        pairs = list(promise_pairs(4, lambda x, y: classify_disj_promise(x, y, m)))
+        pairs = list(promise_pairs(m.promise))
         yes = [(x, y) for x, y, label in pairs if label is PromiseLabel.YES]
         no = [(x, y) for x, y, label in pairs if label is PromiseLabel.NO]
         # 3^4 disjoint pairs; every other pair except (1111, 1111) lands
@@ -160,16 +161,18 @@ class TestEnumeration:
         )
 
     def test_promise_pairs_equality(self):
-        pairs = list(promise_pairs(2, classify_eq_promise))
+        pairs = list(promise_pairs(equality_promise(2)))
         # 4 equal pairs and 8 at distance one
         assert [label.value for _, _, label in pairs].count("yes") == 4
         assert len(pairs) == 12
         assert all(hamming_distance(x, y) in (0, 1) for x, y, _ in pairs)
 
     def test_promise_pairs_margin_length_mismatch(self):
+        # the pairs come at the margin's length; a pair of another is refused
         m = Margin.from_text("1/4", 8)
+        assert {x.n for x, _, _ in promise_pairs(m.promise)} == {8}
         with pytest.raises(ValueError):
-            list(promise_pairs(4, lambda x, y: classify_disj_promise(x, y, m)))
+            classify_disj_promise(BitString("0011"), BitString("0011"), m)
 
     @staticmethod
     def _band(margin):

@@ -20,8 +20,9 @@ from promisecc.cli import EXIT_INVARIANT, EXIT_OK, ExperimentConfig, run_experim
 from promisecc.quantum_protocol import sample_decisions
 from promisecc.bits import BitString, hamming_weight
 from promisecc.randomized_protocol import (
+    ClassicalProtocolReport,
     exact_detection_probability,
-    one_way_runs,
+    one_way_columns,
     run_one_way,
     sample_positions,
 )
@@ -67,13 +68,14 @@ def test_batched_picks_equal_draws_one_pair_at_a_time(chunks, k, seed):
 )
 def test_batched_runs_equal_runs_one_pair_at_a_time(chunks, k, seed):
     # literal-branch pairs (fewer than k ones) sit among sampling ones
+    n = next(x.n for chunk in chunks for x, _ in chunk)
     batched, single = np.random.default_rng(seed), np.random.default_rng(seed)
-    together = [
-        report
-        for chunk in chunks
-        for report in one_way_runs([x for x, _ in chunk], [y for _, y in chunk],
-                                   k, batched)
-    ]
+    together = []
+    for chunk in chunks:
+        columns = one_way_columns([x.value for x, _ in chunk],
+                                  [y.value for _, y in chunk], n, k, batched)
+        together += [ClassicalProtocolReport(x, y, k, *outcome)
+                     for (x, y), outcome in zip(chunk, zip(*columns))]
     alone = [run_one_way(x, y, k, single) for chunk in chunks for x, y in chunk]
     assert together == alone
     # only the sampling pairs read the generator, each with the scalar call
@@ -93,15 +95,19 @@ def test_batched_runs_equal_runs_one_pair_at_a_time(chunks, k, seed):
 
 
 def test_batched_runs_reject_bad_batches():
-    x, y = BitString("1100"), BitString("0110")
+    rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        one_way_runs([x, x], [y], 2, np.random.default_rng(0))
+        run_one_way(BitString("1100"), BitString("011"), 2, rng)
     with pytest.raises(ValueError):
-        one_way_runs([x], [BitString("011")], 2, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        one_way_runs([x], [y], 0, np.random.default_rng(0))
+        one_way_columns([0b1100], [0b0110], 4, 0, rng)
     # an all-literal batch reads no generator
-    assert one_way_runs([x], [y], 3, None)[0].literal_branch
+    assert one_way_columns([0b1100], [0b0110], 4, 3, None).literal_branch == [True]
+
+
+def test_batched_runs_reject_mismatched_batches():
+    # one y for two x's is an error, not one y broadcast over both
+    with pytest.raises(ValueError, match="batch mismatch"):
+        one_way_columns([0b1111, 0b0001], [0b0011], 4, 4, np.random.default_rng(0))
 
 
 @given(

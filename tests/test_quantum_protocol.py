@@ -158,18 +158,6 @@ class TestRunProtocol:
         b = [run_protocol(x, y, margin, 2, np.random.default_rng(9)).decision for _ in range(10)]
         assert a == b
 
-    def test_report_record_fields(self):
-        margin = Margin.from_text("1/4", 4)
-        rep = run_protocol(
-            BitString("0011"), BitString("1100"), margin, 2, np.random.default_rng(4)
-        )
-        record = rep.to_record()
-        assert record["n"] == 4
-        assert record["lambda"] == "1/4"
-        assert record["k"] == 2
-        assert record["qubits"] == 2 * 7
-        assert record["p_accept_k"] == pytest.approx(rep.p_single**2)
-
     def test_rejects_nonpositive_k(self):
         margin = Margin.from_text("1/4", 4)
         with pytest.raises(ValueError):

@@ -112,15 +112,6 @@ class TestRunOneWay:
         hits = sum(run_one_way(x, y, 3, rng).decision == 0 for _ in range(2000))
         assert hits / 2000 == pytest.approx(p, abs=0.05)
 
-    def test_record_fields(self):
-        rng = np.random.default_rng(5)
-        rep = run_one_way(BitString("1111"), BitString("0011"), 2, rng)
-        record = rep.to_record()
-        assert record["n"] == 4
-        assert record["k"] == 2
-        assert record["bits"] == 4
-        assert record["literal_branch"] is False
-
 
 class TestDetectionFrequency:
     def test_matches_exact_within_three_sigma(self):
