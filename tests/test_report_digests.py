@@ -120,6 +120,24 @@ CASES = {
         4096,
         "7861f89bf93e31ec02411bb9fdefd7dc74a8540a25b9ced24e4201b160099918",
     ),
+    # every pair inside the promise at n=6, several exhaustive chunks
+    "quantum-n6-lambda-1-6-json": (
+        dict(command="quantum-sweep", n=6, margin_text="1/6", seed=1),
+        4096,
+        "cd6d6173e1d605f53cc8452ef5feecdb67593b8fb6196f743e2eee12f97e0b0d",
+    ),
+    # the full 64-bit draw range in the two protocol sweeps
+    "quantum-n64-sample-json": (
+        dict(command="quantum-sweep", n=64, mode="sample", samples=50, seed=1),
+        51,
+        "791280ed9c261d55b5716cbceeba80533b82629e6fa8da65181a476833bf3926",
+    ),
+    "classical-n64-sample-csv": (
+        dict(command="classical-sweep", n=64, mode="sample", samples=50, seed=1,
+             fmt="csv"),
+        51,
+        "ec25d295483cac9203016251d250333a36f6226c0d59b1f150f6b2f9c2be25ab",
+    ),
     # odd n: the x#y#x band from ceil(n/4) to floor(3n/4), and no
     # equality NO words
     "qcfa-n5-json": (
@@ -161,6 +179,12 @@ WITHOUT_DECISION = {
         "3810787faad1c6df4bba808793f141eae148f8bc71f4e226db972a31af96a494",
     "classical-n16-sample-2100-csv":
         "61e2057fa2b06c796b10a685d53f8fe703da5c9740d17bc0440997c0465f6a40",
+    "quantum-n6-lambda-1-6-json":
+        "9dc2a6fc32239fa1110c28ad611c5c0574741f19db225faca23e1ee6f11ae700",
+    "quantum-n64-sample-json":
+        "66b67863a72eca1014b1c522edd39917fa3fa1838db9be5a4fadec9a293c5086",
+    "classical-n64-sample-csv":
+        "05314dee2f181e1ed9edb755de6f2729cb30679297587ab798bfcb5c4fb03bca",
 }
 
 
