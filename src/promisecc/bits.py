@@ -14,11 +14,12 @@ each labels a pair by one count:
 
 Everything else is outside the promise and carries no correctness
 obligation.  A :class:`Promise` states the rule once, as one label per
-count 0..n, and every labeller reads that table: pair and word
-classifiers, matrix builders, the sample-mode filter and
-:func:`promise_pairs`, the one enumerator of all pairs inside a promise.
-The margin is kept as an exact rational, so the band ends are exact
-integers, never float comparisons.
+count 0..n, and every labeller reads that table.  Pairs of word values
+are counted in batches by :meth:`Promise.counts`, which serves
+:func:`promise_pairs` (every pair inside a promise, as words), the
+problem matrices and the sweeps' pair stream; single pairs and words are
+labelled by :meth:`Promise.label`.  The margin is kept as an exact
+rational, so the band ends are exact integers, never float comparisons.
 
 Words are written most-significant-position-first: ``str(x)[0]`` is the
 first bit of ``x``.
@@ -33,6 +34,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterator
+
+import numpy as np
 
 
 class PromiseLabel(enum.Enum):
@@ -162,6 +165,12 @@ class Promise:
         """The word operation whose popcount is the count: ``&`` or ``^``."""
         return operator.and_ if self.overlap else operator.xor
 
+    def counts(self, x_values, y_values) -> np.ndarray:
+        """The count of each pair of word values: the popcount of
+        ``combine`` over uint64 arrays, which broadcast as numpy operands."""
+        x = np.asarray(x_values, dtype=np.uint64)
+        return np.bitwise_count(self.combine(x, np.asarray(y_values, dtype=np.uint64)))
+
     def label(self, x: BitString, y: BitString) -> PromiseLabel:
         _check_same_length(x, y)
         if x.n != self.n:
@@ -274,13 +283,12 @@ def promise_pairs(
 ) -> Iterator[tuple[BitString, BitString, PromiseLabel]]:
     """Every pair inside ``promise`` as ``(x, y, label)``, x then y in numeric order.
 
-    Each label is read from the table by the pair's count; OUTSIDE pairs
-    are skipped.  All 4**n pairs are visited, so keep n small.
+    Each label is read from the table by the pair's count, a row at a
+    time; OUTSIDE pairs are skipped.  All 4**n pairs are visited.
     """
-    labels, combine = promise.labels, promise.combine
     words = list(all_bitstrings(promise.n))
+    values = np.arange(len(words), dtype=np.uint64)
     for x in words:
-        for y in words:
-            label = labels[combine(x.value, y.value).bit_count()]
-            if label is not PromiseLabel.OUTSIDE:
+        for y, count in zip(words, promise.counts(x.value, values).tolist()):
+            if (label := promise.labels[count]) is not PromiseLabel.OUTSIDE:
                 yield x, y, label

@@ -104,7 +104,8 @@ def problem_matrix(kind: str, n: int, margin: Margin | None = None) -> CommMatri
 
     An entry depends only on the popcount of ``x ^ y`` (equality) or
     ``x & y`` (disjointness), so each problem is a :class:`Promise` and the
-    matrix is read from its table.  The total problems are YES at count 0
+    matrix is read from its table, the whole grid counted at once by
+    :meth:`Promise.counts`.  The total problems are YES at count 0
     and NO at every other count.
     """
     if kind not in PROBLEM_KINDS:
@@ -125,9 +126,8 @@ def problem_matrix(kind: str, n: int, margin: Margin | None = None) -> CommMatri
         total = (PromiseLabel.YES,) + (PromiseLabel.NO,) * n
         promise = Promise(n, kind == "disj", total)
     by_count = np.array([_ENTRY[label] for label in promise.labels], dtype=np.int8)
-    by_value = by_count[[v.bit_count() for v in range(1 << n)]]
-    values = np.arange(1 << n)
-    entries = by_value[promise.combine(values[:, None], values[None, :])]
+    values = np.arange(1 << n, dtype=np.uint64)
+    entries = by_count[promise.counts(values[:, None], values)]
     words = tuple(all_bitstrings(n))
     return CommMatrix(rows=words, cols=words, entries=entries)
 

@@ -5,18 +5,21 @@ writes one record per evaluated input plus a trailing summary record, as
 newline-delimited JSON or fixed-column CSV.  Sweeps re-assert the owning
 module's guarantees while running; a violated guarantee still writes the
 report but exits with status 2.  Inputs come from one stream: every pair
-inside the promise, or uniform draws kept only inside it.  The protocol
-sweeps draw their random decisions from one stream per sweep, seeded by
-the seed and read in pair order a chunk at a time; the draws do not
-depend on the chunk size.  Monte Carlo trials draw from (seed, pair index,
-1).  So identical configurations produce byte-identical reports.
+inside the promise, or uniform draws kept only inside it, as integer
+columns of word values with a YES mask.  The protocol sweeps draw their
+random decisions from one stream per sweep, seeded by the seed and read
+in pair order a chunk at a time; the draws do not depend on the chunk
+size.  Monte Carlo trials draw from (seed, pair index, 1).  So identical
+configurations produce byte-identical reports.
 
 Reports are streamed: each sweep is a generator of column batches.  The
-protocol sweeps and the automaton sweep take their pairs in chunks of
-``SWEEP_CHUNK`` (the automaton sweep runs each chunk of words through a
-machine at once) and hand the writer one batch per chunk: the fields every
-record of the chunk shares, once, and one list of plain Python values per
-other field.  Summary records and the bounds and reduction records are
+stream labels ``SWEEP_CHUNK`` candidate pairs at a time from the promise
+table and yields the pairs kept from each block as one chunk.  The
+protocol sweeps hand a chunk's value columns to the batched rounds, the
+automaton sweep runs its chunk of words through a machine at once, and
+each hands the writer one batch per chunk: the fields every record of
+the chunk shares, once, and one list of plain Python values per other
+field.  Summary records and the bounds and reduction records are
 batches of one.  The writer renders a batch in one pass, a JSON line
 template filled once per record or one CSV ``writerows`` call, while the
 summary statistics are accumulated on the way.  No list of all records is
@@ -62,8 +65,8 @@ MC_TRIALS = 1000
 #: Chance that a sampled classical sweep flags some correct Monte Carlo
 #: frequency, shared over its pairs (Bonferroni).
 MC_FALSE_ALARM = 1e-6
-#: Pairs per batched protocol round, automaton run and report batch, and
-#: words per refill of the sample-mode draws.
+#: Candidate pairs per block of the pair stream; the pairs kept from one
+#: block make one protocol batch, automaton run and report batch.
 SWEEP_CHUNK = 1024
 
 _EXHAUSTIVE_CAPS = {
@@ -223,30 +226,42 @@ class _RunPlan:
 # ---------------------------------------------------------------------------
 
 def _promise_stream(plan: _RunPlan, promise, seed):
-    """(x, y, label) for the pairs inside ``promise``, exhaustive or sampled.
+    """Chunks ``(x values, y values, YES mask)`` of the pairs inside
+    ``promise``, exhaustive or sampled; no chunk is empty.
 
-    Exhaustive mode is :func:`promise_pairs`.  Sample mode draws x then y
-    uniformly from ``default_rng(seed)`` and redraws both until the pair is
-    inside the promise, ``--samples`` times.  The words are drawn
-    SWEEP_CHUNK at a time, which gives the values one draw per word would,
-    and labelled from the promise table before they become words.
+    Both modes count blocks of candidate pairs with
+    :meth:`Promise.counts`, keep the pairs inside the promise and yield
+    them as one chunk.  Exhaustive blocks are ``SWEEP_CHUNK >> n`` x values
+    (at least one) against every y, so the pairs come in the order of
+    :func:`promise_pairs`.  Sample blocks are SWEEP_CHUNK pairs drawn
+    uniformly from ``default_rng(seed)``, x then y, which are the values
+    one draw per word would give; the stream stops after ``--samples``
+    pairs.
     """
-    cfg = plan.config
-    if cfg.mode == "exhaustive":
-        yield from promise_pairs(promise)
-        return
-    master = np.random.default_rng(seed)
-    values = itertools.chain.from_iterable(
-        master.integers(0, 1 << cfg.n, size=SWEEP_CHUNK, dtype=np.uint64).tolist()
-        for _ in itertools.count()
-    )
-    labels, combine = promise.labels, promise.combine
-    inside = (
-        (BitString(x, cfg.n), BitString(y, cfg.n), label)
-        for x, y in zip(values, values)  # consecutive draws: x, then y
-        if (label := labels[combine(x, y).bit_count()]) is not PromiseLabel.OUTSIDE
-    )
-    yield from itertools.islice(inside, cfg.samples)
+    n = plan.config.n
+    if plan.config.mode == "exhaustive":
+        left = total = 1 << 2 * n
+        size = max(1, SWEEP_CHUNK >> n) << n
+        blocks = (
+            np.divmod(np.arange(start, min(start + size, total), dtype=np.uint64), 1 << n)
+            for start in range(0, total, size)
+        )
+    else:
+        left, rng = plan.config.samples, np.random.default_rng(seed)
+        blocks = (
+            rng.integers(0, 1 << n, size=(SWEEP_CHUNK, 2), dtype=np.uint64).T
+            for _ in itertools.count()
+        )
+    inside = np.array([label is not PromiseLabel.OUTSIDE for label in promise.labels])
+    yes = np.array([label is PromiseLabel.YES for label in promise.labels])
+    for xs, ys in blocks:
+        counts = promise.counts(xs, ys)
+        keep = np.flatnonzero(inside[counts])[:left]
+        if len(keep):
+            yield xs[keep].tolist(), ys[keep].tolist(), yes[counts[keep]]
+        left -= len(keep)
+        if not left:
+            return
 
 
 def _pair_stream(plan: _RunPlan):
@@ -256,10 +271,7 @@ def _pair_stream(plan: _RunPlan):
 
 def _word_pair_stream(plan: _RunPlan, problem: automata.WordProblem):
     """Pairs whose word is inside ``problem``'s promise, seeded by (seed, 0)
-    for equality and (seed, 1) for disjointness.
-
-    Pairs are labelled by the problem's promise table, so no word is built.
-    """
+    for equality and (seed, 1) for disjointness; no word is built."""
     stream = 0 if problem.kind == "equality" else 1
     return _promise_stream(plan, problem.promise, (plan.seed, stream))
 
@@ -329,13 +341,6 @@ def _record(fields: dict) -> _Batch:
     return _Batch(fields, {}, 1)
 
 
-def _chunks(items):
-    """Consecutive lists of up to SWEEP_CHUNK items."""
-    items = iter(items)
-    while chunk := list(itertools.islice(items, SWEEP_CHUNK)):
-        yield chunk
-
-
 def _flag(violations: list, checks) -> None:
     """Append the message of each failed check, pair by pair.
 
@@ -350,15 +355,14 @@ def _flag(violations: list, checks) -> None:
     violations.extend(checks[c][1](i) for i, c in failed)
 
 
-def _pair_columns(chunk):
-    """The x and y text, label text and YES mask of a chunk of pairs."""
-    yes = np.array([label is PromiseLabel.YES for _, _, label in chunk], dtype=bool)
-    spec = f"0{chunk[0][0].n}b"  # str(x), without a method call per word
+def _pair_columns(n: int, xs, ys, yes) -> dict:
+    """The x, y and label text of a chunk of pairs of length-n words."""
+    spec = f"0{n}b"  # str(x), without a BitString per word
     return {
-        "x": [format(x.value, spec) for x, _, _ in chunk],
-        "y": [format(y.value, spec) for _, y, _ in chunk],
-        "label": [label.value for _, _, label in chunk],
-    }, yes
+        "x": [format(x, spec) for x in xs],
+        "y": [format(y, spec) for y in ys],
+        "label": ["yes" if is_yes else "no" for is_yes in yes.tolist()],
+    }
 
 
 def _quantum_sweep(plan: _RunPlan, violations: list):
@@ -373,18 +377,16 @@ def _quantum_sweep(plan: _RunPlan, violations: list):
              "qubits": qubits}
     p_yes, p_no, accept_k_no = _Running(), _Running(), _Running()
     stream = _decision_stream(plan)
-    for chunk in _chunks(_pair_stream(plan)):
-        columns, yes = _pair_columns(chunk)
-        probabilities = quantum_protocol.round_accept_probabilities(
-            [x.value for x, _, _ in chunk], [y.value for _, y, _ in chunk], n
-        )
+    for xs, ys, yes in _pair_stream(plan):
+        columns = _pair_columns(n, xs, ys, yes)
+        probabilities = quantum_protocol.round_accept_probabilities(xs, ys, n)
         accept_k = [p ** k for p in probabilities]
         columns.update(
             p_single=probabilities,
             p_accept_k=accept_k,
             decision=quantum_protocol.sample_decisions(probabilities, k, stream),
         )
-        yield _Batch(fixed, columns, len(chunk))
+        yield _Batch(fixed, columns, len(xs))
         yes_list, no_list = yes.tolist(), (~yes).tolist()
         p_yes.extend(itertools.compress(probabilities, yes_list))
         p_no.extend(itertools.compress(probabilities, no_list))
@@ -401,11 +403,8 @@ def _quantum_sweep(plan: _RunPlan, violations: list):
              lambda i: f"no pair {x_text[i]},{y_text[i]} above error target"),
         ])
     yield _record({
+        **fixed,
         "record": "summary",
-        "n": n,
-        "lambda": str(margin.fraction),
-        "k": k,
-        "qubits": qubits,
         "count_yes": p_yes.count,
         "count_no": p_no.count,
         "p_yes_min": p_yes.low,
@@ -450,19 +449,17 @@ def _classical_sweep(plan: _RunPlan, violations: list):
     mc_exponent = math.log(2 * max(cfg.samples, 1) / MC_FALSE_ALARM)
     stream = _decision_stream(plan)
     start = 0  # index of the chunk's first pair in the sweep
-    for chunk in _chunks(_pair_stream(plan)):
-        columns, yes = _pair_columns(chunk)
-        runs = randomized_protocol.one_way_columns(
-            [x.value for x, _, _ in chunk], [y.value for _, y, _ in chunk], n, k, stream
-        )
+    for xs, ys, yes in _pair_stream(plan):
+        columns = _pair_columns(n, xs, ys, yes)
+        runs = randomized_protocol.one_way_columns(xs, ys, n, k, stream)
         detect, error = runs.p_detect, runs.exact_error_probability
         literal = np.array(runs.literal_branch, dtype=bool)
-        mc_freq, mc_trials = [None] * len(chunk), [0] * len(chunk)
-        mc_off = np.zeros(len(chunk), dtype=bool)
+        mc_freq, mc_trials = [None] * len(xs), [0] * len(xs)
+        mc_off = np.zeros(len(xs), dtype=bool)
         mc_messages = {}
         if cfg.mode == "sample":
             for i in np.flatnonzero(~literal).tolist():
-                x, y, _ = chunk[i]
+                x, y = BitString(xs[i], n), BitString(ys[i], n)
                 mc_rng = np.random.default_rng((plan.seed, start + i, 1))
                 mc_freq[i] = freq = randomized_protocol.detection_frequency(
                     x, y, k, MC_TRIALS, mc_rng
@@ -486,8 +483,8 @@ def _classical_sweep(plan: _RunPlan, violations: list):
             mc_frequency=mc_freq,
             mc_trials=mc_trials,
         )
-        yield _Batch(fixed, columns, len(chunk))
-        start += len(chunk)
+        yield _Batch(fixed, columns, len(xs))
+        start += len(xs)
         bits_total += sum(runs.bits_communicated)
         no, sampled_no = ~yes, ~yes & ~literal
         err_yes.extend(itertools.compress(error, yes.tolist()))
@@ -508,10 +505,8 @@ def _classical_sweep(plan: _RunPlan, violations: list):
              lambda i: f"no pair {x_text[i]},{y_text[i]} above miss cap"),
         ])
     yield _record({
+        **fixed,
         "record": "summary",
-        "n": n,
-        "lambda": str(margin.fraction),
-        "k": k,
         "count_yes": err_yes.count,
         "count_no": err_no.count,
         "err_yes_max": err_yes.high,
@@ -530,44 +525,32 @@ def _qcfa_sweep(plan: _RunPlan, violations: list):
     cfg = plan.config
     n = cfg.n
     machines = [
-        (
-            "equality",
-            automata.equality_automaton(n),
-            automata.equality_word_problem(n),
-            automata.equality_word,
-            n,
-            n + 2,
-        ),
-        (
-            "disjointness",
-            automata.disjointness_automaton(n),
-            automata.disjointness_word_problem(n),
-            automata.disjointness_word,
-            2 * n,
-            2 * n + 2,
-        ),
+        ("equality", automata.equality_automaton(n),
+         automata.equality_word_problem(n), automata.equality_word, n),
+        ("disjointness", automata.disjointness_automaton(n),
+         automata.disjointness_word_problem(n), automata.disjointness_word, 2 * n),
     ]
-    for name, machine, problem, builder, want_q, want_c in machines:
+    for name, machine, problem, builder, want_q in machines:
         # this machine's violations; its summary answers for these alone
         failed = []
-        if len(machine.quantum_labels) != want_q or len(machine.classical_states) != want_c:
+        # both machines keep two classical states beyond their quantum ones
+        want = (want_q, want_q + 2)
+        if (len(machine.quantum_labels), len(machine.classical_states)) != want:
             failed.append(f"{name} machine has unexpected state counts")
         cap = 0.0 if name == "equality" else 0.25
         p_yes, p_no, deviations = _Running(), _Running(), _Running()
         fixed = {"record": "input", "machine": name, "n": n}
-        for chunk in _chunks(_word_pair_stream(plan, problem)):
-            columns, yes = _pair_columns(chunk)
-            words = [builder(x, y) for x, y, _ in chunk]
+        for xs, ys, yes in _word_pair_stream(plan, problem):
+            columns = _pair_columns(n, xs, ys, yes)
+            words = [builder(BitString(x, n), BitString(y, n)) for x, y in zip(xs, ys)]
             probabilities = automata.accept_probabilities(machine, words)
             if name == "equality":
                 expected = [1.0 if is_yes else 0.0 for is_yes in yes.tolist()]
             else:
-                expected = quantum_protocol.round_accept_probabilities_fast(
-                    [x.value for x, _, _ in chunk], [y.value for _, y, _ in chunk], n
-                )
+                expected = quantum_protocol.round_accept_probabilities_fast(xs, ys, n)
             deviation = [abs(p - want) for p, want in zip(probabilities, expected)]
             columns.update(p_accept=probabilities, expected=expected, deviation=deviation)
-            yield _Batch(fixed, columns, len(chunk))
+            yield _Batch(fixed, columns, len(xs))
             deviations.extend(deviation)
             p_yes.extend(itertools.compress(probabilities, yes.tolist()))
             p_no.extend(itertools.compress(probabilities, (~yes).tolist()))
@@ -582,9 +565,8 @@ def _qcfa_sweep(plan: _RunPlan, violations: list):
             ])
         violations.extend(failed)
         yield _record({
+            **fixed,
             "record": "summary",
-            "machine": name,
-            "n": n,
             "count_yes": p_yes.count,
             "count_no": p_no.count,
             "p_yes_min": p_yes.low,

@@ -7,8 +7,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from promisecc import automata, cli
+from promisecc.bits import (
+    Promise,
+    PromiseLabel,
+    band,
+    disjointness_promise,
+    equality_promise,
+    promise_pairs,
+)
 from promisecc.cli import (
     COMMANDS,
     EXIT_CONFIG,
@@ -320,8 +329,13 @@ def _eq_oracle(n, xv, yv):
     return "yes" if d == 0 else "no" if 2 * d == n else "outside"
 
 
-def _as_text(stream):
-    return [(str(x), str(y), label.value) for x, y, label in stream]
+def _as_text(stream, n):
+    """The pairs of a stream of chunks as (x text, y text, label text)."""
+    return [
+        (format(x, f"0{n}b"), format(y, f"0{n}b"), "yes" if is_yes else "no")
+        for xs, ys, yes in stream
+        for x, y, is_yes in zip(xs, ys, yes.tolist(), strict=True)
+    ]
 
 
 def _brute_force(n, oracle):
@@ -345,10 +359,26 @@ def _drawn(n, count, oracle, seed):
     return pairs
 
 
+#: The total problems, the promise problems and the word problems.
+_KINDS = ("eq", "disj", "promise_eq", "promise_disj", "equality", "disjointness")
+
+
+def _promise(kind, n, low, high):
+    """The count table of ``kind`` at length n; promise disjointness takes
+    the NO band low..high."""
+    if kind in ("eq", "disj"):
+        return Promise(n, kind == "disj", (PromiseLabel.YES,) + (PromiseLabel.NO,) * n)
+    if kind == "promise_eq":
+        return equality_promise(n)
+    if kind == "promise_disj":
+        return disjointness_promise(n, low, high)
+    return automata.WordProblem(n, kind).promise
+
+
 class TestPairStreams:
     def test_exhaustive_pairs_match_brute_force(self):
         plan = ExperimentConfig(command="quantum-sweep", n=4).validated()
-        assert _as_text(cli._pair_stream(plan)) == _brute_force(4, _disj_oracle)
+        assert _as_text(cli._pair_stream(plan), 4) == _brute_force(4, _disj_oracle)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_exhaustive_word_pairs_match_brute_force(self, n):
@@ -359,14 +389,14 @@ class TestPairStreams:
         ]
         for problem, oracle in cases:
             stream = cli._word_pair_stream(plan, problem)
-            assert _as_text(stream) == _brute_force(n, oracle)
+            assert _as_text(stream, n) == _brute_force(n, oracle)
 
     @pytest.mark.parametrize("n,seed", [(16, 5), (48, 11)])
     def test_sampled_pairs_match_int64_draws(self, n, seed):
         plan = ExperimentConfig(
             command="quantum-sweep", n=n, mode="sample", samples=200, seed=seed
         ).validated()
-        assert _as_text(cli._pair_stream(plan)) == _drawn(n, 200, _disj_oracle, seed)
+        assert _as_text(cli._pair_stream(plan), n) == _drawn(n, 200, _disj_oracle, seed)
 
     def test_sampled_word_pairs_match_int64_draws(self):
         n, seed = 16, 5
@@ -374,9 +404,46 @@ class TestPairStreams:
             command="qcfa-sweep", n=n, mode="sample", samples=100, seed=seed
         ).validated()
         eq = cli._word_pair_stream(plan, automata.equality_word_problem(n))
-        assert _as_text(eq) == _drawn(n, 100, _eq_oracle, (seed, 0))
+        assert _as_text(eq, n) == _drawn(n, 100, _eq_oracle, (seed, 0))
         disj = cli._word_pair_stream(plan, automata.disjointness_word_problem(n))
-        assert _as_text(disj) == _drawn(n, 100, _disj_oracle, (seed, 1))
+        assert _as_text(disj, n) == _drawn(n, 100, _disj_oracle, (seed, 1))
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        kind=st.sampled_from(_KINDS),
+        n=st.integers(1, 6),
+        band_ends=st.tuples(st.integers(1, 6), st.integers(0, 5)),
+        big_n=st.sampled_from([16, 64]),
+        sixteenths=st.integers(1, 4),
+        samples=st.integers(1, 40),
+        seed=st.integers(0, 3),
+    )
+    def test_chunks_do_not_depend_on_the_chunk_size(
+        self, kind, n, band_ends, big_n, sixteenths, samples, seed
+    ):
+        low = min(band_ends[0], n)
+        promise = _promise(kind, n, low, min(low + band_ends[1], n))
+        plan = ExperimentConfig(command="qcfa-sweep", n=n).validated()
+        # at big_n promise disjointness takes a margin of 1/16 .. 1/4, so
+        # every promise keeps a fair share of the draws
+        big = _promise(kind, big_n, *band(Fraction(sixteenths, 16), big_n))
+        big_plan = ExperimentConfig(
+            command="qcfa-sweep", n=big_n, mode="sample", samples=samples, seed=seed
+        ).validated()
+        want = [
+            (str(x), str(y), label.value) for x, y, label in promise_pairs(promise)
+        ]
+        drawn = []
+        for size in (1, 3, 1024):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(cli, "SWEEP_CHUNK", size)
+                chunks = list(cli._promise_stream(plan, promise, seed))
+                big_chunks = list(cli._promise_stream(big_plan, big, seed))
+            assert all(len(xs) for xs, _, _ in chunks + big_chunks)
+            assert _as_text(chunks, n) == want
+            drawn.append(_as_text(big_chunks, big_n))
+        assert len(drawn[0]) == samples
+        assert drawn[1] == drawn[0] and drawn[2] == drawn[0]
 
 
 class TestReports:
