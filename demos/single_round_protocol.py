@@ -17,7 +17,7 @@ from promisecc import (
     Margin,
     closed_form_accept_probability,
     round_accept_probability,
-    round_accept_probability_fast,
+    round_amplitudes,
     run_protocol,
 )
 from fractions import Fraction
@@ -29,18 +29,21 @@ margin = Margin(Fraction(1, 4), n)
 # Acceptance depends only on the overlap m = |x AND y|: p = ((n - 2m)/n)^2.
 # Pick one witness pair per overlap size and compare three computations:
 # the dense simulation (spread and collect as matrices, signed permutations
-# in between, basis measurement of (1, 0)), the O(n) fast path (no matrix;
-# the collect's uniform first row becomes a mean), and the closed form.
+# in between, basis measurement of (1, 0)), the integer round (the same
+# signed permutations on the integer vector 1^n 0^n; the collect's uniform
+# first row sums its low block to S = n - 2m, so p is exactly S^2/n^2), and
+# the closed form.
 # ---------------------------------------------------------------------------
 print(f"single-round acceptance at n={n} (one witness pair per overlap)")
-print(f"{'m':>3} {'x':>6} {'y':>6} {'dense':>10} {'fast':>10} {'closed':>10}")
+print(f"{'m':>3} {'x':>6} {'y':>6} {'dense':>10} {'S':>3} {'S^2/n^2':>10} {'closed':>10}")
 for m in range(n + 1):
     x = BitString((1 << n) - 1, n)  # all ones
     y = BitString((1 << m) - 1, n)  # first m positions shared
     dense = round_accept_probability(x, y)
-    fast = round_accept_probability_fast(x, y)
+    s = round_amplitudes([x.value], [y.value], n)[0]
     closed = closed_form_accept_probability(x, y)
-    print(f"{m:>3} {x!s:>6} {y!s:>6} {dense:>10.6f} {fast:>10.6f} {closed:>10.6f}")
+    print(f"{m:>3} {x!s:>6} {y!s:>6} {dense:>10.6f} {s:>3} {s * s / n**2:>10.6f} "
+          f"{closed:>10.6f}")
 
 # ---------------------------------------------------------------------------
 # Exhaustive agreement over every pair, not just witnesses.

@@ -82,6 +82,8 @@ _SAMPLE_CAP = 64
 _SAMPLE_COMMANDS = ("quantum-sweep", "classical-sweep", "qcfa-sweep")
 #: Commands whose repetition or sample count --k overrides.
 _K_COMMANDS = ("quantum-sweep", "classical-sweep")
+#: Largest --k: one chunk's draws stay at SWEEP_CHUNK x 4096 numbers (32 MB).
+_K_CAP = 4096
 #: Commands that read --lambda, and its default.
 _MARGIN_COMMANDS = ("quantum-sweep", "classical-sweep", "bounds")
 DEFAULT_MARGIN = "1/4"
@@ -195,8 +197,8 @@ class ExperimentConfig:
                 # with the default margin, bounds skips promise disjointness
                 if self.command != "bounds" or self.margin_text is not None:
                     raise ConfigError(f"bad margin: {exc}") from None
-        if self.k is not None and self.k < 1:
-            raise ConfigError("k override must be positive")
+        if self.k is not None and not 1 <= self.k <= _K_CAP:
+            raise ConfigError(f"k override must be in 1..{_K_CAP}")
         return _RunPlan(
             config=self,
             margin=margin,
@@ -369,9 +371,10 @@ def _quantum_sweep(plan: _RunPlan, violations: list):
     cfg, margin = plan.config, plan.margin
     n = cfg.n
     k = cfg.k or quantum_protocol.repetition_count(margin, plan.eps)
-    # with --k the error target is not what k was chosen for
-    eps_cap = float(plan.eps) + PROB_TOL if cfg.k is None else math.inf
-    single_cap = float((1 - 2 * margin.fraction) ** 2)
+    # exact verdicts per |S|; with --k, k was not chosen for the error target
+    exact = [Fraction(s * s, n * n) for s in range(n + 1)]
+    above_cap = np.array([p > (1 - 2 * margin.fraction) ** 2 for p in exact])
+    above_eps = np.array([cfg.k is None and p ** k > plan.eps for p in exact])
     qubits = quantum_protocol.qubit_cost(n, k)
     fixed = {"record": "input", "n": n, "lambda": str(margin.fraction), "k": k,
              "qubits": qubits}
@@ -391,16 +394,19 @@ def _quantum_sweep(plan: _RunPlan, violations: list):
         p_yes.extend(itertools.compress(probabilities, yes_list))
         p_no.extend(itertools.compress(probabilities, no_list))
         accept_k_no.extend(itertools.compress(accept_k, no_list))
-        p, p_k = np.array(probabilities), np.array(accept_k)
+        s = np.abs(quantum_protocol.round_amplitudes(xs, ys, n))
+        deviation = np.abs(np.array(probabilities) - s * s / n**2)
         x_text, y_text = columns["x"], columns["y"]
         _flag(violations, [
-            (yes & (p < 1.0 - PROB_TOL),
-             lambda i: (f"yes pair {x_text[i]},{y_text[i]} accepted with "
-                        f"{probabilities[i]}")),
-            (~yes & (p > single_cap + PROB_TOL),
+            (yes & (s != n),
+             lambda i: f"yes pair {x_text[i]},{y_text[i]} accepted with {exact[s[i]]}"),
+            (~yes & above_cap[s],
              lambda i: f"no pair {x_text[i]},{y_text[i]} above single-round cap"),
-            (~yes & (p_k > eps_cap),
+            (~yes & above_eps[s],
              lambda i: f"no pair {x_text[i]},{y_text[i]} above error target"),
+            (deviation > PROB_TOL,
+             lambda i: (f"dense round on {x_text[i]},{y_text[i]} off by "
+                        f"{deviation[i]:.3e}")),
         ])
     yield _record({
         **fixed,
@@ -438,7 +444,7 @@ def _classical_sweep(plan: _RunPlan, violations: list):
     cfg, margin = plan.config, plan.margin
     n = cfg.n
     k = cfg.k or randomized_protocol.positions_count(margin, plan.eps)
-    miss_cap = float((1 - margin.fraction) ** k)
+    lam = margin.fraction
     fixed = {"record": "input", "n": n, "lambda": str(margin.fraction), "k": k}
     err_yes, err_no, det_no = _Running(), _Running(), _Running()
     literal_no = 0
@@ -494,6 +500,9 @@ def _classical_sweep(plan: _RunPlan, violations: list):
         # treated as protocol failures
         literal_no += int(np.count_nonzero(no & literal))
         e = np.array(error)
+        # a sampled NO pair's miss (1 - m/h)**k is capped by (1 - lam)**k iff m/h >= lam
+        m = margin.promise.counts(xs, ys).astype(np.int64)
+        h = np.bitwise_count(np.array(xs, dtype=np.uint64)).astype(np.int64)
         x_text, y_text = columns["x"], columns["y"]
         _flag(violations, [
             (mc_off, mc_messages.__getitem__),
@@ -501,7 +510,7 @@ def _classical_sweep(plan: _RunPlan, violations: list):
              lambda i: f"yes pair {x_text[i]},{y_text[i]} rejected"),
             (yes & (e != 0.0),
              lambda i: f"yes pair {x_text[i]},{y_text[i]} has nonzero error"),
-            (sampled_no & (e > miss_cap + PROB_TOL),
+            (sampled_no & (m * lam.denominator < lam.numerator * h),
              lambda i: f"no pair {x_text[i]},{y_text[i]} above miss cap"),
         ])
     yield _record({
@@ -537,30 +546,30 @@ def _qcfa_sweep(plan: _RunPlan, violations: list):
         want = (want_q, want_q + 2)
         if (len(machine.quantum_labels), len(machine.classical_states)) != want:
             failed.append(f"{name} machine has unexpected state counts")
-        cap = 0.0 if name == "equality" else 0.25
+        # a NO word's cap on S**2/n**2, the machine's accept probability
+        cap = Fraction(0) if name == "equality" else Fraction(1, 4)
         p_yes, p_no, deviations = _Running(), _Running(), _Running()
         fixed = {"record": "input", "machine": name, "n": n}
         for xs, ys, yes in _word_pair_stream(plan, problem):
             columns = _pair_columns(n, xs, ys, yes)
             words = [builder(BitString(x, n), BitString(y, n)) for x, y in zip(xs, ys)]
             probabilities = automata.accept_probabilities(machine, words)
-            if name == "equality":
-                expected = [1.0 if is_yes else 0.0 for is_yes in yes.tolist()]
-            else:
-                expected = quantum_protocol.round_accept_probabilities_fast(xs, ys, n)
+            # n times the accept amplitude; equality's is n on YES words, 0 on NO
+            s = (np.where(yes, n, 0) if name == "equality"
+                 else np.array(quantum_protocol.round_amplitudes(xs, ys, n)))
+            expected = (s * s / n**2).tolist()
             deviation = [abs(p - want) for p, want in zip(probabilities, expected)]
             columns.update(p_accept=probabilities, expected=expected, deviation=deviation)
             yield _Batch(fixed, columns, len(xs))
             deviations.extend(deviation)
             p_yes.extend(itertools.compress(probabilities, yes.tolist()))
             p_no.extend(itertools.compress(probabilities, (~yes).tolist()))
-            p, d = np.array(probabilities), np.array(deviation)
             _flag(failed, [
-                (d > PROB_TOL,
+                (np.array(deviation) > PROB_TOL,
                  lambda i: f"{name} word {words[i]} off by {deviation[i]:.3e}"),
-                (yes & (p < 1.0 - PROB_TOL),
+                (yes & (s * s != n * n),
                  lambda i: f"{name} yes word {words[i]} not sure"),
-                (~yes & (p > cap + PROB_TOL),
+                (~yes & (s * s * cap.denominator > cap.numerator * n * n),
                  lambda i: f"{name} no word {words[i]} above cap"),
             ])
         violations.extend(failed)

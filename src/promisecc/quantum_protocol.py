@@ -7,9 +7,11 @@ the collect operator and measures in the pair basis.  The amplitude left
 on outcome ``(1, 0)`` is the mean of ``(-1)^(x_i & y_i)``, so the round
 accepts with probability ``((n - 2m)/n)**2`` where ``m`` is the
 intersection size: certainty when the sets are disjoint, at most
-``(1 - 2*lam)**2`` anywhere in the margin band.  The dense simulation
-runs on a batch of pairs at once, and so does the fast path; one pair
-is a batch of one.
+``(1 - 2*lam)**2`` anywhere in the margin band.  Between the spread and
+the collect every operator is a signed permutation, so n times that
+amplitude is the integer ``S = n - 2m`` (:func:`round_amplitudes`) and
+the round accepts with probability exactly ``S**2 / n**2``; the dense
+simulation is its float witness.  Both run on a batch of pairs at once.
 
 Repeating the round k times and accepting only on unanimous acceptance
 drives the error on band instances below any target; the count that
@@ -46,11 +48,19 @@ def _collect(n: int) -> np.ndarray:
 
 
 def _round_states(x_values, y_values, n: int) -> np.ndarray:
-    """A batch of rounds up to the collect, from the spread's first column."""
+    """A batch of rounds up to the collect from ``1^n 0^n``: entries 0, 1, -1."""
     if len(x_values) != len(y_values):
         raise ValueError(f"batch mismatch: {len(x_values)} vs {len(y_values)}")
     swap = qsim.swap(x_values, n)
-    return swap @ (qsim.phase(y_values, n) @ (swap @ qsim.uniform_over(2 * n, n)))
+    return swap @ (qsim.phase(y_values, n) @ (swap @ np.repeat([1.0, 0.0], n)))
+
+
+def round_amplitudes(x_values, y_values, n: int) -> list[int]:
+    """Per pair, the integer ``S = n - 2m``: the low block of the round's
+    integer state, which the collect's uniform accept row sums.  Arguments
+    as for :func:`round_accept_probabilities`."""
+    psi = _round_states(x_values, y_values, n)
+    return psi[:, :n].sum(axis=1).astype(int).tolist()
 
 
 def round_accept_probabilities(x_values, y_values, n: int) -> list[float]:
@@ -62,7 +72,8 @@ def round_accept_probabilities(x_values, y_values, n: int) -> list[float]:
     (1, 0).
     """
     collect = _collect(n)  # before the batch's arrays: a lower peak RSS
-    psi = _round_states(x_values, y_values, n)
+    # the integer states scaled by the spread's entry, as uniform_over has it
+    psi = _round_states(x_values, y_values, n).astype(complex) * (1.0 / np.sqrt(n))
     accept = qsim.pair_index(1, 0, n)
     # one collect @ psi per pair: a single product over the whole batch
     # rounds some last bits differently, and the values must not depend on
@@ -80,22 +91,11 @@ def round_accept_probability(x: BitString, y: BitString) -> float:
     return round_accept_probabilities([x.value], [y.value], x.n)[0]
 
 
-def round_accept_probabilities_fast(x_values, y_values, n: int) -> list[float]:
-    """O(n)-per-pair path through the same round on a batch: no dense
-    matrix at all.  Arguments as for :func:`round_accept_probabilities`.
-    """
-    psi = _round_states(x_values, y_values, n)
-    # collect's first row is uniform over the low block; one sum per pair,
-    # so a value does not depend on the batch
-    root = math.sqrt(n)
-    return [abs(complex(np.sum(row[:n])) / root) ** 2 for row in psi]
-
-
 def round_accept_probability_fast(x: BitString, y: BitString) -> float:
-    """O(n) path through the same round: a batch of one."""
+    """The exact ``S**2 / n**2`` of :func:`round_amplitudes`: a batch of one."""
     if x.n != y.n:
         raise ValueError(f"length mismatch: {x.n} vs {y.n}")
-    return round_accept_probabilities_fast([x.value], [y.value], x.n)[0]
+    return round_amplitudes([x.value], [y.value], x.n)[0] ** 2 / x.n ** 2
 
 
 def closed_form_accept_probability(x: BitString, y: BitString) -> float:

@@ -1,14 +1,13 @@
-"""The batched automaton run, the pair rule for words and the batched fast round.
+"""The batched automaton run, the pair rule for words and the integer round.
 
 The automaton sweep runs a chunk of words through a machine at once, labels
 pairs without building their words, and takes the disjointness machine's
-expected values from the batched fast round.  Each must give, bit for bit,
-what one word or one pair gives alone, whatever the batch around it.  The
-reference run below is the one-word-at-a-time walk the batch replaced.
+expected values from the batched integer round.  Each must give, bit for
+bit, what one word or one pair gives alone, whatever the batch around it.
+The reference run below is the one-word-at-a-time walk the batch replaced.
 """
 
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -28,11 +27,8 @@ from promisecc.automata import (
     equality_word,
     equality_word_problem,
 )
-from promisecc.bits import BitString, all_bitstrings
-from promisecc.quantum_protocol import (
-    round_accept_probabilities_fast,
-    round_accept_probability_fast,
-)
+from promisecc.bits import BitString, all_bitstrings, intersection_size
+from promisecc.quantum_protocol import round_accept_probabilities, round_amplitudes
 
 MACHINES = [
     (equality_automaton, equality_word, equality_word_problem),
@@ -51,15 +47,6 @@ def _reference(machine: Qcfa, word: str) -> float:
             psi = u @ psi
         s = machine.classical_tr.get((s, sym), s)
     return sum(float(abs(psi[index(o)]) ** 2) for o in machine.accept_outcomes)
-
-
-def _fast_reference(x: BitString, y: BitString) -> float:
-    """One pair's fast round, as it was computed before rounds were batched."""
-    n = x.n
-    swap = qsim.swap(x)
-    psi = swap @ (qsim.phase(y) @ (swap @ qsim.uniform_over(2 * n, n)))
-    amp = complex(np.sum(psi[:n])) / math.sqrt(n)
-    return abs(amp) ** 2
 
 
 @st.composite
@@ -209,7 +196,8 @@ class TestTransitionsReadPerRun:
 class TestBatchInputs:
     def test_empty_batch(self):
         assert accept_probabilities(equality_automaton(2), []) == []
-        assert round_accept_probabilities_fast([], [], 3) == []
+        assert round_amplitudes([], [], 3) == []
+        assert round_accept_probabilities([], [], 3) == []
 
     def test_mixed_lengths(self):
         with pytest.raises(ValueError, match="equal length"):
@@ -227,9 +215,11 @@ class TestBatchInputs:
         with pytest.raises(ValueError, match="'x'"):
             accept_probabilities(equality_automaton(2), ["01#01", "0x#0y"])
 
-    def test_fast_round_batch_mismatch(self):
+    def test_round_batch_mismatch(self):
         with pytest.raises(ValueError, match="batch mismatch"):
-            round_accept_probabilities_fast([1, 2], [3], 2)
+            round_amplitudes([1, 2], [3], 2)
+        with pytest.raises(ValueError, match="batch mismatch"):
+            round_accept_probabilities([1, 2], [3], 2)
 
 
 @pytest.mark.parametrize("build,word_of,problem_of", MACHINES)
@@ -269,14 +259,18 @@ def test_pair_rule_rejects_words_of_another_length():
         )))
     ),
 )
-def test_batched_fast_round_equals_pairs_alone(sized_chunks):
+def test_batched_round_amplitudes_equal_pairs_alone(sized_chunks):
     n, chunks = sized_chunks
     together = [
-        p for chunk in chunks
-        for p in round_accept_probabilities_fast([x for x, _ in chunk],
-                                                 [y for _, y in chunk], n)
+        s for chunk in chunks
+        for s in round_amplitudes([x for x, _ in chunk], [y for _, y in chunk], n)
     ]
-    pairs = [(BitString(x, n), BitString(y, n)) for chunk in chunks for x, y in chunk]
-    alone = [round_accept_probability_fast(x, y) for x, y in pairs]
+    pairs = [(x, y) for chunk in chunks for x, y in chunk]
+    alone = [round_amplitudes([x], [y], n)[0] for x, y in pairs]
     assert together == alone
-    assert alone == [_fast_reference(x, y) for x, y in pairs]
+    assert alone == [
+        n - 2 * intersection_size(BitString(x, n), BitString(y, n)) for x, y in pairs
+    ]
+    dense = round_accept_probabilities([x for x, _ in pairs], [y for _, y in pairs], n)
+    for p, s in zip(dense, alone):
+        assert abs(p - s * s / n**2) <= 1e-12

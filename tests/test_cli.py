@@ -3,7 +3,11 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -74,6 +78,13 @@ class TestConfigValidation:
     def test_k_only_for_protocol_sweeps(self, command):
         cfg = ExperimentConfig(command=command, n=4, k=2)
         with pytest.raises(cli.ConfigError, match="takes no --k"):
+            cfg.validated()
+
+    @pytest.mark.parametrize("command", ["quantum-sweep", "classical-sweep"])
+    @pytest.mark.parametrize("k", [0, cli._K_CAP + 1])
+    def test_k_outside_its_range(self, command, k):
+        cfg = ExperimentConfig(command=command, n=4, k=k)
+        with pytest.raises(cli.ConfigError, match=f"must be in 1..{cli._K_CAP}"):
             cfg.validated()
 
     @pytest.mark.parametrize("command,flag", [
@@ -162,6 +173,31 @@ class TestQuantumSweep:
         assert len([r for r in records if r["record"] == "input"]) == 40
 
 
+class TestRepetitionCap:
+    @pytest.mark.parametrize("command", ["quantum-sweep", "classical-sweep"])
+    def test_huge_k_is_refused_at_once(self, command, tmp_path):
+        # uncapped, this k asks for hundreds of GiB of decision draws
+        # (quantum) or an exact power (1 - lam)**k that takes minutes
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        run = subprocess.run(
+            [sys.executable, "-m", "promisecc", "--cmd", command, "--n", "4",
+             "--k", "100000000", "--out", str(tmp_path / "r.json")],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert run.returncode == EXIT_CONFIG
+        assert run.stderr == f"config error: k override must be in 1..{cli._K_CAP}\n"
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["quantum-sweep", "classical-sweep"])
+    def test_k_at_the_cap_runs(self, command, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        cfg = ExperimentConfig(command=command, n=4, k=cli._K_CAP, out=str(out))
+        assert run_experiment(cfg) == EXIT_OK
+        assert _read_json_lines(out)[-1]["k"] == cli._K_CAP
+        capsys.readouterr()
+
+
 class TestSampleModeSize:
     @pytest.mark.parametrize("command", ["quantum-sweep", "classical-sweep"])
     def test_n64_runs(self, command, tmp_path, capsys):
@@ -240,6 +276,20 @@ class TestQcfaSweep:
         err = capsys.readouterr().err
         assert f"equality word {hits[0]} off by" in err
         assert "disjointness" not in err
+
+    def test_disjointness_expected_is_the_exact_value(self, tmp_path, capsys):
+        # S**2/n**2 rounded once, S = n - 2|x & y|: 1/9 prints as
+        # 0.1111111111111111, not a float round's 0.11111111111111113
+        out = tmp_path / "a.json"
+        assert run_experiment(ExperimentConfig(command="qcfa-sweep", n=6, out=str(out))) == EXIT_OK
+        rows = [r for r in _read_json_lines(out)
+                if r["record"] == "input" and r["machine"] == "disjointness"]
+        assert len(rows) == 729 + 1890  # YES, then overlaps 2..4
+        for r in rows:
+            s = 6 - 2 * (int(r["x"], 2) & int(r["y"], 2)).bit_count()
+            assert r["expected"] == s * s / 6**2
+        assert 1 / 9 in {r["expected"] for r in rows}
+        capsys.readouterr()
 
     @pytest.mark.parametrize("n", [7, 33])
     def test_sample_mode_at_odd_n_is_a_config_error(self, n, tmp_path, capsys):
@@ -518,6 +568,22 @@ class TestExitCodes:
         assert run_experiment(cfg) == EXIT_INVARIANT
         assert "invariant violation" in capsys.readouterr().err
         assert out.exists()  # the report is still written
+
+    def test_dense_round_above_one_is_flagged(self, tmp_path, monkeypatch, capsys):
+        # a YES pair a hair above certainty: no verdict reads the dense
+        # value, so only its witness check can catch it
+        real = cli.quantum_protocol.round_accept_probabilities
+
+        def above_one(x_values, y_values, n):
+            return [1 + 1e-6 if x & y == 0 else p
+                    for x, y, p in zip(x_values, y_values, real(x_values, y_values, n))]
+
+        monkeypatch.setattr(cli.quantum_protocol, "round_accept_probabilities", above_one)
+        cfg = ExperimentConfig(command="quantum-sweep", n=4, out=str(tmp_path / "q.json"))
+        assert run_experiment(cfg) == EXIT_INVARIANT
+        err = capsys.readouterr().err
+        assert "invariant violation: dense round on 0000,0000 off by 1.000e-06" in err
+        assert "yes pair" not in err
 
     def test_sweep_stopped_half_way_leaves_no_report(self, tmp_path, monkeypatch):
         # records are streamed, so a sweep that raises after some of them

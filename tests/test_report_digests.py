@@ -56,19 +56,19 @@ CASES = {
     "qcfa-n3-json": (
         dict(command="qcfa-sweep", n=3, seed=1),
         73,
-        "9b11380cf999270c3f985e92baa2c49ea6d2ed4785f02d78a91ea45abfb14fff",
+        "274fabe1223134ef2f266943cbabe1109efd97a829f8960d22ec9976b3ea5599",
     ),
     # every word at n=6, then the rejection-sampled words at n=32 and n=64
     "qcfa-n6-csv": (
         dict(command="qcfa-sweep", n=6, seed=1, fmt="csv"),
         3965,
-        "87278a388ee651c48f6ad906473e6c741d5b653150dcd4771387dde7402f432b",
+        "9d024935fc69f08c4ccb4551fa4caa7425d8e679194e5b0e2ebc2953452a4306",
     ),
     "qcfa-n32-sample-csv": (
         dict(command="qcfa-sweep", n=32, mode="sample", samples=200, seed=1,
              fmt="csv"),
         402,
-        "62434e4179f4d5cdc481b98e06f10068cb54670974ef73521ab2a8a0d6be4176",
+        "38de522b2783b16beca34310453dd1967b60ee97f56d661c299e7565c9bbf425",
     ),
     "qcfa-n64-sample-json": (
         dict(command="qcfa-sweep", n=64, mode="sample", samples=50, seed=1),
@@ -143,7 +143,7 @@ CASES = {
     "qcfa-n5-json": (
         dict(command="qcfa-sweep", n=5, seed=1),
         637,
-        "e50e367a01a95482c0da0e5ad116698a6a267025ab9f80c2a29488a11b5efa39",
+        "ded9a8bf7254f039d38106e4df526ca4c1ab47bc1ed376a4449a86d1d2002c1a",
     ),
     "reduction-n4-json": (
         dict(command="reduction", n=4, seed=1),
