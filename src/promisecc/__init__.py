@@ -89,78 +89,3 @@ from .bounds import (
     problem_matrix,
     verify_partition,
 )
-
-__all__ = [
-    "BitString",
-    "Margin",
-    "PromiseLabel",
-    "all_bitstrings",
-    "Promise",
-    "band",
-    "classify_disj_promise",
-    "disjointness_promise",
-    "equality_promise",
-    "hamming_distance",
-    "hamming_weight",
-    "intersection_size",
-    "promise_pairs",
-    "SignedPermutation",
-    "basis_state",
-    "collect_op",
-    "complete_unitary_from_column",
-    "is_unitary",
-    "pair_index",
-    "spread_op",
-    "QuantumProtocolReport",
-    "closed_form_accept_probability",
-    "qubit_cost",
-    "repetition_count",
-    "round_accept_probabilities",
-    "round_accept_probability",
-    "round_accept_probability_fast",
-    "round_amplitudes",
-    "run_protocol",
-    "sample_decisions",
-    "ClassicalProtocolReport",
-    "OneWayColumns",
-    "bit_cost",
-    "detection_frequency",
-    "exact_detection_probability",
-    "one_way_columns",
-    "positions_count",
-    "run_one_way",
-    "sample_positions",
-    "Dfa",
-    "DfaProtocol",
-    "Qcfa",
-    "WordProblem",
-    "accept_probabilities",
-    "accept_probability",
-    "bruteforce_disjointness_dfa",
-    "classify_word",
-    "disjointness_automaton",
-    "disjointness_word",
-    "disjointness_word_problem",
-    "equality_automaton",
-    "equality_word",
-    "equality_word_problem",
-    "extended_transition",
-    "protocol_from_dfa",
-    "qcfa_from_json",
-    "qcfa_to_json",
-    "run_dfa",
-    "verify_promise_dfa",
-    "CommMatrix",
-    "PartitionResult",
-    "Rectangle",
-    "RectangleBoundReport",
-    "UNDEFINED",
-    "SearchTooWideError",
-    "check_rectangle_bound",
-    "exact_deterministic_cc",
-    "min_monochromatic_partition",
-    "problem_matrix",
-    "verify_partition",
-    "ExperimentConfig",
-    "run_experiment",
-]

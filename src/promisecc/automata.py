@@ -24,9 +24,11 @@ Two concrete machines are built here over the alphabet ``{0, 1, #}``:
   the first x block, sign flips on the y block, swaps again on the second
   x block.
 
-Each word problem labels a pair by its promise table,
-:meth:`WordProblem.classify_pair`, without building its word;
-:func:`classify_word` parses a word and reads the same table.
+Each word problem is one :class:`WordProblem` record, which is all that
+sets the two apart: its promise and margin, its word, its machine and
+what that machine must do.  It labels a pair by its promise table,
+:meth:`WordProblem.classify_pair`, without building the word;
+:func:`classify_word` reads a word's first two blocks and the same table.
 
 A brute-force DFA for the ``x#y#x`` problem (tracking the first block
 verbatim plus the running intersection count) witnesses the classical
@@ -42,6 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import ceil, log2
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -253,35 +256,101 @@ def disjointness_automaton(n: int) -> Qcfa:
 # word problems
 # ---------------------------------------------------------------------------
 
+def equality_word(x: BitString, y: BitString) -> str:
+    return f"{x}{SEPARATOR}{y}"
+
+
+def disjointness_word(x: BitString, y: BitString) -> str:
+    return f"{x}{SEPARATOR}{y}{SEPARATOR}{x}"
+
+
+class _Kind(NamedTuple):
+    """What sets one word problem apart from the other."""
+
+    lam: Fraction  # NO counts lie in band(lam, n)
+    overlap: bool  # the count is the overlap |x & y|, else the distance |x ^ y|
+    word: Callable[[BitString, BitString], str]
+    automaton: Callable[[int], Qcfa]
+    register: int  # the machine's quantum states per input bit
+
+
+#: The word problems by kind, in report order.
+_KINDS = {
+    # NO at distance exactly n/2, so odd n has no NO words
+    "equality": _Kind(Fraction(1, 2), False, equality_word, equality_automaton, 1),
+    # lam is fixed by the machine's acceptance cap (1 - 2*lam)**2 = 1/4
+    "disjointness": _Kind(Fraction(1, 4), True, disjointness_word,
+                          disjointness_automaton, 2),
+}
+
+
 @dataclass(frozen=True)
 class WordProblem:
-    """Promise problem over words: equality (x#y) or disjointness (x#y#x)."""
+    """Promise problem over words: equality (x#y) or disjointness (x#y#x).
+
+    The one record of each: its promise, margin, word, machine and the
+    machine's state counts.  A pair's count c is its distance (x#y) or its
+    overlap (x#y#x); YES is c = 0, NO is c in ``band(lam, n)``.  The
+    machine's accept amplitude on the word is (n - 2c)/n
+    (:meth:`amplitudes`), so it accepts YES words surely and NO words with
+    probability at most :attr:`no_cap` = (1 - 2*lam)**2.
+    """
 
     n: int
     kind: str  # "equality" | "disjointness"
 
     def __post_init__(self):
-        if self.kind not in ("equality", "disjointness"):
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown kind {self.kind!r}")
         if self.n < 1:
             raise ValueError("n must be positive")
 
-    def classify(self, word: str) -> PromiseLabel:
-        return classify_word(self, word)
+    @property
+    def lam(self) -> Fraction:
+        return _KINDS[self.kind].lam
+
+    @property
+    def no_cap(self) -> Fraction:
+        """The largest accept probability of a NO word, (1 - 2*lam)**2."""
+        return (1 - 2 * self.lam) ** 2
 
     @cached_property
     def promise(self) -> Promise:
-        """``x#y`` is promise equality, so odd n has no NO words.  ``x#y#x``
-        is promise disjointness with lambda fixed at 1/4 by the automaton's
-        acceptance cap: ``(1 - 2m/n)**2 <= 1/4`` exactly when
-        n/4 <= m <= 3n/4."""
-        if self.kind == "equality":
-            return equality_promise(self.n)
-        return disjointness_promise(self.n, *band(Fraction(1, 4), self.n))
+        if _KINDS[self.kind].overlap:
+            return disjointness_promise(self.n, *band(self.lam, self.n))
+        # band(1/2, n) is the single distance n/2, empty at odd n
+        return equality_promise(self.n)
+
+    def word(self, x: BitString, y: BitString) -> str:
+        return _KINDS[self.kind].word(x, y)
+
+    @property
+    def machine(self) -> Qcfa:
+        return _KINDS[self.kind].automaton(self.n)
+
+    @property
+    def state_counts(self) -> tuple[int, int]:
+        """The machine's quantum and classical state counts: two classical
+        states beyond the quantum ones."""
+        quantum = _KINDS[self.kind].register * self.n
+        return quantum, quantum + 2
+
+    def amplitudes(self, x_values, y_values) -> np.ndarray:
+        """Per pair of word values, n times the machine's accept amplitude:
+        the integer n - 2c."""
+        return self.n - 2 * self.promise.counts(x_values, y_values).astype(np.int64)
+
+    def classify(self, word: str) -> PromiseLabel:
+        return classify_word(self, word)
 
     def classify_pair(self, x: BitString, y: BitString) -> PromiseLabel:
-        """Label the word of the pair, ``x#y`` or ``x#y#x``, without building it."""
+        """Label the word of the pair without building it."""
         return self.promise.label(x, y)
+
+
+def word_problems(n: int) -> tuple[WordProblem, ...]:
+    """Both word problems at length n: equality, then disjointness."""
+    return tuple(WordProblem(n, kind) for kind in _KINDS)
 
 
 def equality_word_problem(n: int) -> WordProblem:
@@ -292,36 +361,19 @@ def disjointness_word_problem(n: int) -> WordProblem:
     return WordProblem(n, "disjointness")
 
 
-def _parse_blocks(word: str, count: int, n: int):
-    parts = word.split(SEPARATOR)
-    if len(parts) != count:
-        return None
-    for p in parts:
-        if len(p) != n or any(c not in "01" for c in p):
-            return None
-    return parts
-
-
 def classify_word(problem: WordProblem, word: str) -> PromiseLabel:
-    """Label a word by :meth:`WordProblem.classify_pair`; malformed shapes,
-    and an ``x#y#x`` word whose third block is not its first, are outside."""
-    if problem.kind == "equality":
-        parts = _parse_blocks(word, 2, problem.n)
-    else:
-        parts = _parse_blocks(word, 3, problem.n)
-        if parts is not None and parts[2] != parts[0]:
-            parts = None
-    if parts is None:
+    """Label a word by :meth:`WordProblem.classify_pair` of its first two
+    blocks; a word that is not the problem's word of those blocks, such as
+    an ``x#y#x`` word whose third block is not its first, is outside."""
+    blocks = word.split(SEPARATOR)
+    if len(blocks) < 2 or any(
+        len(b) != problem.n or not set(b) <= {"0", "1"} for b in blocks[:2]
+    ):
         return PromiseLabel.OUTSIDE
-    return problem.classify_pair(BitString(parts[0]), BitString(parts[1]))
-
-
-def equality_word(x: BitString, y: BitString) -> str:
-    return f"{x}{SEPARATOR}{y}"
-
-
-def disjointness_word(x: BitString, y: BitString) -> str:
-    return f"{x}{SEPARATOR}{y}{SEPARATOR}{x}"
+    x, y = BitString(blocks[0]), BitString(blocks[1])
+    if problem.word(x, y) != word:
+        return PromiseLabel.OUTSIDE
+    return problem.classify_pair(x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -426,10 +478,10 @@ def bruteforce_disjointness_dfa(n: int) -> Dfa:
 
 def verify_promise_dfa(d: Dfa, n: int) -> bool:
     """Exhaustively check a DFA against every x#y#x promise word."""
-    pairs = promise_pairs(disjointness_word_problem(n).promise)
+    problem = disjointness_word_problem(n)
     return all(
-        run_dfa(d, disjointness_word(x, y)) == (label is PromiseLabel.YES)
-        for x, y, label in pairs
+        run_dfa(d, problem.word(x, y)) == (label is PromiseLabel.YES)
+        for x, y, label in promise_pairs(problem.promise)
     )
 
 

@@ -253,15 +253,18 @@ def margin_fraction(margin) -> Fraction:
     return lam
 
 
-def smallest_k(margin, slope: int, eps) -> int:
+def smallest_k(margin, slope: int, eps, limit: int | None = None) -> int | None:
     """Smallest k with (1 - slope*lam)**k <= eps, found exactly in rationals;
-    equals ceil(log(eps) / log(1 - slope*lam))."""
+    equals ceil(log(eps) / log(1 - slope*lam)).  The search stops at
+    ``limit``: None if no k up to it will do."""
     base = 1 - slope * margin_fraction(margin)
     eps = Fraction(eps)
     if not 0 < eps < 1:
         raise ValueError(f"error bound must be in (0, 1), got {eps}")
     k, power = 1, base
     while power > eps:
+        if k == limit:
+            return None
         k += 1
         power *= base
     return k

@@ -2,7 +2,11 @@
 
 Each command sweeps one capability over exhaustive or sampled inputs and
 writes one record per evaluated input plus a trailing summary record, as
-newline-delimited JSON or fixed-column CSV.  Sweeps re-assert the owning
+newline-delimited JSON or fixed-column CSV.  A command is one row of a
+table: its sweep, its CSV columns, the largest n of its exhaustive mode
+and the options it reads; validation, the run and the writer read that
+row.  The automaton sweep reads each word problem from its
+:class:`automata.WordProblem` record.  Sweeps re-assert the owning
 module's guarantees while running; a violated guarantee still writes the
 report but exits with status 2.  Inputs come from one stream: every pair
 inside the promise, or uniform draws kept only inside it, as integer
@@ -41,6 +45,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -55,7 +60,6 @@ from .bits import (
 )
 
 OUTPUT_DIR_ENV = "PROMISECC_OUT_DIR"
-COMMANDS = ("quantum-sweep", "classical-sweep", "qcfa-sweep", "bounds", "reduction")
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_INVARIANT = 2
@@ -69,56 +73,13 @@ MC_FALSE_ALARM = 1e-6
 #: block make one protocol batch, automaton run and report batch.
 SWEEP_CHUNK = 1024
 
-_EXHAUSTIVE_CAPS = {
-    "quantum-sweep": 10,
-    "classical-sweep": 10,
-    "qcfa-sweep": 6,
-    "bounds": 6,
-    "reduction": 6,
-}
 #: Sample mode draws each word as one 64-bit integer.
 _SAMPLE_CAP = 64
-#: Commands with a sample mode; the exact ones always cover every input.
-_SAMPLE_COMMANDS = ("quantum-sweep", "classical-sweep", "qcfa-sweep")
-#: Commands whose repetition or sample count --k overrides.
-_K_COMMANDS = ("quantum-sweep", "classical-sweep")
-#: Largest --k: one chunk's draws stay at SWEEP_CHUNK x 4096 numbers (32 MB).
+#: Largest --k, given or worked out from --eps: one chunk's draws stay at
+#: SWEEP_CHUNK x 4096 numbers (32 MB).
 _K_CAP = 4096
-#: Commands that read --lambda, and its default.
-_MARGIN_COMMANDS = ("quantum-sweep", "classical-sweep", "bounds")
 DEFAULT_MARGIN = "1/4"
-#: Commands that read --eps, and its default.
-_EPS_COMMANDS = ("quantum-sweep", "classical-sweep")
 DEFAULT_EPS = "1/3"
-
-_COLUMNS = {
-    "quantum-sweep": [
-        "record", "n", "lambda", "x", "y", "label", "p_single", "k",
-        "p_accept_k", "decision", "qubits", "count_yes", "count_no",
-        "p_yes_min", "p_yes_max", "p_yes_mean", "p_no_min", "p_no_max",
-        "p_no_mean", "p_accept_k_no_max", "qubits_total", "invariant_ok",
-    ],
-    "classical-sweep": [
-        "record", "n", "lambda", "x", "y", "label", "k", "decision", "bits",
-        "exact_error", "literal_branch", "p_detect_exact", "mc_frequency",
-        "mc_trials", "count_yes", "count_no", "err_yes_max", "err_no_max",
-        "det_no_min", "det_no_max", "det_no_mean", "literal_no_count",
-        "mc_sigma_max", "bits_total", "invariant_ok",
-    ],
-    "qcfa-sweep": [
-        "record", "machine", "n", "x", "y", "label", "p_accept", "expected",
-        "deviation", "count_yes", "count_no", "p_yes_min", "p_no_max",
-        "deviation_max", "quantum_states", "classical_states", "invariant_ok",
-    ],
-    "bounds": [
-        "record", "problem", "n", "lambda", "D", "C0", "C1", "bound_ok",
-        "problems", "all_bounds_ok",
-    ],
-    "reduction": [
-        "record", "n", "dfa_states", "cost", "agreement", "min_cc",
-        "cost_ge_min_cc", "invariant_ok",
-    ],
-}
 
 
 class ConfigError(ValueError):
@@ -141,6 +102,7 @@ class ExperimentConfig:
     def validated(self) -> "_RunPlan":
         if self.command not in COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
+        row = _COMMAND_TABLE[self.command]
         if self.n < 1:
             raise ConfigError("n must be positive")
         if self.mode not in ("exhaustive", "sample"):
@@ -149,14 +111,12 @@ class ExperimentConfig:
             raise ConfigError(f"unknown format {self.fmt!r}")
         if self.seed is not None and self.seed < 0:
             raise ConfigError("seed must be non-negative")
-        if self.k is not None and self.command not in _K_COMMANDS:
-            raise ConfigError(f"{self.command} takes no --k")
-        if self.margin_text is not None and self.command not in _MARGIN_COMMANDS:
-            raise ConfigError(f"{self.command} takes no --lambda")
-        if self.eps_text is not None and self.command not in _EPS_COMMANDS:
-            raise ConfigError(f"{self.command} takes no --eps")
+        given = (("k", self.k), ("lambda", self.margin_text), ("eps", self.eps_text))
+        for option, value in given:
+            if value is not None and option not in row.options:
+                raise ConfigError(f"{self.command} takes no --{option}")
         if self.mode == "sample":
-            if self.command not in _SAMPLE_COMMANDS:
+            if "sample" not in row.options:
                 raise ConfigError(f"{self.command} has no sample mode")
             if self.samples < 1:
                 raise ConfigError("sample mode needs --samples >= 1")
@@ -172,15 +132,14 @@ class ExperimentConfig:
                 )
         elif self.samples:
             raise ConfigError("--samples needs --mode sample")
-        cap = _EXHAUSTIVE_CAPS[self.command]
-        if self.mode == "exhaustive" and self.n > cap:
+        if self.mode == "exhaustive" and self.n > row.cap:
             hint = "; use --mode sample for larger n"
             raise ConfigError(
-                f"{self.command} exhaustive mode supports n <= {cap}"
-                + (hint if self.command in _SAMPLE_COMMANDS else "")
+                f"{self.command} exhaustive mode supports n <= {row.cap}"
+                + (hint if "sample" in row.options else "")
             )
         eps = None
-        if self.command in _EPS_COMMANDS:
+        if "eps" in row.options:
             eps_text = DEFAULT_EPS if self.eps_text is None else self.eps_text
             try:
                 eps = Fraction(eps_text)
@@ -189,7 +148,7 @@ class ExperimentConfig:
             if not 0 < eps < 1:
                 raise ConfigError("error bound must be in (0, 1)")
         margin = None
-        if self.command in _MARGIN_COMMANDS:
+        if "lambda" in row.options:
             margin_text = DEFAULT_MARGIN if self.margin_text is None else self.margin_text
             try:
                 margin = Margin.from_text(margin_text, self.n)
@@ -199,10 +158,16 @@ class ExperimentConfig:
                     raise ConfigError(f"bad margin: {exc}") from None
         if self.k is not None and not 1 <= self.k <= _K_CAP:
             raise ConfigError(f"k override must be in 1..{_K_CAP}")
+        k = self.k
+        if k is None and "k" in row.options:
+            k = row.repetitions(margin, eps, _K_CAP)
+            if k is None:
+                raise ConfigError(f"error bound needs k above {_K_CAP}, the --k cap")
         return _RunPlan(
             config=self,
             margin=margin,
             eps=eps,
+            k=k,
             seed=0 if self.seed is None else self.seed,
         )
 
@@ -212,6 +177,7 @@ class _RunPlan:
     config: ExperimentConfig
     margin: Margin | None
     eps: Fraction | None
+    k: int | None  # the repetition or sample count of the protocol sweeps
     seed: int
 
     def output_path(self) -> Path:
@@ -272,9 +238,9 @@ def _pair_stream(plan: _RunPlan):
 
 
 def _word_pair_stream(plan: _RunPlan, problem: automata.WordProblem):
-    """Pairs whose word is inside ``problem``'s promise, seeded by (seed, 0)
-    for equality and (seed, 1) for disjointness; no word is built."""
-    stream = 0 if problem.kind == "equality" else 1
+    """Pairs whose word is inside ``problem``'s promise, seeded by (seed, i)
+    for the i-th of :func:`automata.word_problems`; no word is built."""
+    stream = automata.word_problems(problem.n).index(problem)
     return _promise_stream(plan, problem.promise, (plan.seed, stream))
 
 
@@ -368,9 +334,8 @@ def _pair_columns(n: int, xs, ys, yes) -> dict:
 
 
 def _quantum_sweep(plan: _RunPlan, violations: list):
-    cfg, margin = plan.config, plan.margin
+    cfg, margin, k = plan.config, plan.margin, plan.k
     n = cfg.n
-    k = cfg.k or quantum_protocol.repetition_count(margin, plan.eps)
     # exact verdicts per |S|; with --k, k was not chosen for the error target
     exact = [Fraction(s * s, n * n) for s in range(n + 1)]
     above_cap = np.array([p > (1 - 2 * margin.fraction) ** 2 for p in exact])
@@ -441,9 +406,8 @@ def _bernoulli_divergence(f: float, p: float) -> float:
 
 
 def _classical_sweep(plan: _RunPlan, violations: list):
-    cfg, margin = plan.config, plan.margin
+    cfg, margin, k = plan.config, plan.margin, plan.k
     n = cfg.n
-    k = cfg.k or randomized_protocol.positions_count(margin, plan.eps)
     lam = margin.fraction
     fixed = {"record": "input", "n": n, "lambda": str(margin.fraction), "k": k}
     err_yes, err_no, det_no = _Running(), _Running(), _Running()
@@ -531,32 +495,22 @@ def _classical_sweep(plan: _RunPlan, violations: list):
 
 
 def _qcfa_sweep(plan: _RunPlan, violations: list):
-    cfg = plan.config
-    n = cfg.n
-    machines = [
-        ("equality", automata.equality_automaton(n),
-         automata.equality_word_problem(n), automata.equality_word, n),
-        ("disjointness", automata.disjointness_automaton(n),
-         automata.disjointness_word_problem(n), automata.disjointness_word, 2 * n),
-    ]
-    for name, machine, problem, builder, want_q in machines:
+    n = plan.config.n
+    for problem in automata.word_problems(n):
+        name, machine, cap = problem.kind, problem.machine, problem.no_cap
         # this machine's violations; its summary answers for these alone
         failed = []
-        # both machines keep two classical states beyond their quantum ones
-        want = (want_q, want_q + 2)
-        if (len(machine.quantum_labels), len(machine.classical_states)) != want:
+        counts = (len(machine.quantum_labels), len(machine.classical_states))
+        if counts != problem.state_counts:
             failed.append(f"{name} machine has unexpected state counts")
-        # a NO word's cap on S**2/n**2, the machine's accept probability
-        cap = Fraction(0) if name == "equality" else Fraction(1, 4)
         p_yes, p_no, deviations = _Running(), _Running(), _Running()
         fixed = {"record": "input", "machine": name, "n": n}
         for xs, ys, yes in _word_pair_stream(plan, problem):
             columns = _pair_columns(n, xs, ys, yes)
-            words = [builder(BitString(x, n), BitString(y, n)) for x, y in zip(xs, ys)]
+            words = [problem.word(BitString(x, n), BitString(y, n))
+                     for x, y in zip(xs, ys)]
             probabilities = automata.accept_probabilities(machine, words)
-            # n times the accept amplitude; equality's is n on YES words, 0 on NO
-            s = (np.where(yes, n, 0) if name == "equality"
-                 else np.array(quantum_protocol.round_amplitudes(xs, ys, n)))
+            s = problem.amplitudes(xs, ys)
             expected = (s * s / n**2).tolist()
             deviation = [abs(p - want) for p, want in zip(probabilities, expected)]
             columns.update(p_accept=probabilities, expected=expected, deviation=deviation)
@@ -621,10 +575,10 @@ def _reduction_sweep(plan: _RunPlan, violations: list):
     n = cfg.n
     dfa = automata.bruteforce_disjointness_dfa(n)
     protocol = automata.DfaProtocol(dfa, n)
-    promise = automata.disjointness_word_problem(n).promise
+    problem = automata.disjointness_word_problem(n)
     # decide runs the DFA over x#, y# and x: one pass checks DFA and protocol
     wrong = next((
-        (x, y) for x, y, label in promise_pairs(promise)
+        (x, y) for x, y, label in promise_pairs(problem.promise)
         if protocol.decide(x, y) != (1 if label is PromiseLabel.YES else 0)
     ), None)
     agreement = wrong is None
@@ -633,10 +587,8 @@ def _reduction_sweep(plan: _RunPlan, violations: list):
             f"brute-force DFA fails the promise check at n={n} on {wrong[0]},{wrong[1]}"
         )
     min_cc = None
-    if n % 4 == 0:
-        matrix = bounds.problem_matrix(
-            "promise_disj", n, Margin(Fraction(1, 4), n)
-        )
+    if (problem.lam * n).denominator == 1:  # else Margin refuses the band
+        matrix = bounds.problem_matrix("promise_disj", n, Margin(problem.lam, n))
         try:
             min_cc = bounds.exact_deterministic_cc(matrix)
         except bounds.SearchTooWideError:
@@ -667,15 +619,63 @@ def _reduction_sweep(plan: _RunPlan, violations: list):
     })
 
 
-#: Each sweep is a generator of record batches that appends every
-#: violated guarantee to the list it is given; the summary comes last.
-_SWEEPS = {
-    "quantum-sweep": _quantum_sweep,
-    "classical-sweep": _classical_sweep,
-    "qcfa-sweep": _qcfa_sweep,
-    "bounds": _bounds_sweep,
-    "reduction": _reduction_sweep,
+@dataclass(frozen=True)
+class _Command:
+    """One command: its sweep, its CSV columns, the largest n of its
+    exhaustive mode, and the options it reads beyond the common ones:
+    "k", "lambda", "eps" and "sample" (a sample mode)."""
+
+    #: A generator of record batches that appends every violated guarantee
+    #: to the list it is given; the summary comes last.
+    sweep: Callable[[_RunPlan, list], Iterator[_Batch]]
+    columns: tuple[str, ...]
+    cap: int
+    options: frozenset = frozenset()
+    #: With "k": the count for (margin, eps), None above the limit given.
+    repetitions: Callable | None = None
+
+
+_COMMAND_TABLE = {
+    "quantum-sweep": _Command(
+        _quantum_sweep,
+        ("record", "n", "lambda", "x", "y", "label", "p_single", "k",
+         "p_accept_k", "decision", "qubits", "count_yes", "count_no",
+         "p_yes_min", "p_yes_max", "p_yes_mean", "p_no_min", "p_no_max",
+         "p_no_mean", "p_accept_k_no_max", "qubits_total", "invariant_ok"),
+        10, frozenset({"k", "lambda", "eps", "sample"}),
+        quantum_protocol.repetition_count,
+    ),
+    "classical-sweep": _Command(
+        _classical_sweep,
+        ("record", "n", "lambda", "x", "y", "label", "k", "decision", "bits",
+         "exact_error", "literal_branch", "p_detect_exact", "mc_frequency",
+         "mc_trials", "count_yes", "count_no", "err_yes_max", "err_no_max",
+         "det_no_min", "det_no_max", "det_no_mean", "literal_no_count",
+         "mc_sigma_max", "bits_total", "invariant_ok"),
+        10, frozenset({"k", "lambda", "eps", "sample"}),
+        randomized_protocol.positions_count,
+    ),
+    "qcfa-sweep": _Command(
+        _qcfa_sweep,
+        ("record", "machine", "n", "x", "y", "label", "p_accept", "expected",
+         "deviation", "count_yes", "count_no", "p_yes_min", "p_no_max",
+         "deviation_max", "quantum_states", "classical_states", "invariant_ok"),
+        6, frozenset({"sample"}),
+    ),
+    "bounds": _Command(
+        _bounds_sweep,
+        ("record", "problem", "n", "lambda", "D", "C0", "C1", "bound_ok",
+         "problems", "all_bounds_ok"),
+        6, frozenset({"lambda"}),
+    ),
+    "reduction": _Command(
+        _reduction_sweep,
+        ("record", "n", "dfa_states", "cost", "agreement", "min_cc",
+         "cost_ge_min_cc", "invariant_ok"),
+        6,
+    ),
 }
+COMMANDS = tuple(_COMMAND_TABLE)
 
 
 # ---------------------------------------------------------------------------
@@ -746,7 +746,7 @@ def _render_json(batch: _Batch) -> str:
     return "".join(map(line.__mod__, rows))
 
 
-def _render_csv(columns: list[str], batch: _Batch, header: bool) -> str:
+def _render_csv(columns: tuple[str, ...], batch: _Batch, header: bool) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     if header:
@@ -765,7 +765,7 @@ def render_report(command: str, batch: _Batch, fmt: str, header: bool = True) ->
     out the CSV column line, for every batch after the first."""
     if fmt == "json":
         return _render_json(batch)
-    return _render_csv(_COLUMNS[command], batch, header)
+    return _render_csv(_COMMAND_TABLE[command].columns, batch, header)
 
 
 def _write_error(message: str) -> int:
@@ -798,7 +798,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     violations = []
     count = 0
     with report:
-        for batch in _SWEEPS[cfg.command](plan, violations):
+        for batch in _COMMAND_TABLE[cfg.command].sweep(plan, violations):
             report.write(render_report(cfg.command, batch, cfg.fmt, header=not count))
             count += batch.size
     try:

@@ -107,15 +107,15 @@ def closed_form_accept_probability(x: BitString, y: BitString) -> float:
     return ((n - 2 * m) / n) ** 2
 
 
-def repetition_count(margin, eps=Fraction(1, 3)) -> int:
+def repetition_count(margin, eps=Fraction(1, 3), limit: int | None = None) -> int | None:
     """Rounds needed so unanimous acceptance errs at most eps on band pairs:
-    the smallest k with (1 - 3*lam)**k <= eps.
+    the smallest k with (1 - 3*lam)**k <= eps, or None above ``limit``.
 
     Slope 3 because one round rejects a band pair with probability
     1 - ((n-2m)/n)**2 >= 1 - (1-2*lam)**2 = 4*lam*(1-lam) >= 3*lam for
     lam <= 1/4.
     """
-    return smallest_k(margin, 3, eps)
+    return smallest_k(margin, 3, eps, limit)
 
 
 def qubit_cost(n: int, k: int = 1) -> int:

@@ -44,10 +44,10 @@ def exact_detection_probability(x: BitString, y: BitString, k: int) -> float:
     return 1.0 - (1.0 - m / h) ** k
 
 
-def positions_count(margin, eps=Fraction(1, 3)) -> int:
+def positions_count(margin, eps=Fraction(1, 3), limit: int | None = None) -> int | None:
     """Samples needed so the miss probability on any band pair is <= eps:
-    the smallest k with (1 - lam)**k <= eps."""
-    return smallest_k(margin, 1, eps)
+    the smallest k with (1 - lam)**k <= eps, or None above ``limit``."""
+    return smallest_k(margin, 1, eps, limit)
 
 
 def bit_cost(n: int, k: int) -> int:

@@ -58,9 +58,16 @@ class TestWords:
         assert classify_word(problem, "0011#1100#0010") is PromiseLabel.OUTSIDE
 
     def test_malformed_words_are_outside(self):
-        problem = equality_word_problem(4)
-        for bad in ["", "0101", "0101#01", "0101#0101#0101", "01a1#0101"]:
-            assert classify_word(problem, bad) is PromiseLabel.OUTSIDE
+        cases = [
+            (equality_word_problem(4),
+             ["", "0101", "0101#01", "0101#0101#0101", "01a1#0101"]),
+            (disjointness_word_problem(4),
+             ["0011#1100", "0011#1100#0011#0011", "0011#1a00#0011",
+              "0011#1100#00a1", "0011#110#0011", "0011#1100#001"]),
+        ]
+        for problem, malformed in cases:
+            for bad in malformed:
+                assert classify_word(problem, bad) is PromiseLabel.OUTSIDE, bad
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_labels_match_oracle_on_all_pairs(self, n):

@@ -1,8 +1,8 @@
 """The batched automaton run, the pair rule for words and the integer round.
 
 The automaton sweep runs a chunk of words through a machine at once, labels
-pairs without building their words, and takes the disjointness machine's
-expected values from the batched integer round.  Each must give, bit for
+pairs without building their words, and takes each machine's expected
+values from its word problem's integer n - 2c.  Each must give, bit for
 bit, what one word or one pair gives alone, whatever the batch around it.
 The reference run below is the one-word-at-a-time walk the batch replaced.
 """
@@ -26,8 +26,9 @@ from promisecc.automata import (
     equality_automaton,
     equality_word,
     equality_word_problem,
+    word_problems,
 )
-from promisecc.bits import BitString, all_bitstrings, intersection_size
+from promisecc.bits import BitString, PromiseLabel, all_bitstrings, intersection_size
 from promisecc.quantum_protocol import round_accept_probabilities, round_amplitudes
 
 MACHINES = [
@@ -274,3 +275,23 @@ def test_batched_round_amplitudes_equal_pairs_alone(sized_chunks):
     dense = round_accept_probabilities([x for x, _ in pairs], [y for _, y in pairs], n)
     for p, s in zip(dense, alone):
         assert abs(p - s * s / n**2) <= 1e-12
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_word_problem_record_states_what_its_machine_does(n):
+    xs, ys = np.divmod(np.arange(4**n, dtype=np.uint64), 2**n)
+    pairs = [(BitString(int(x), n), BitString(int(y), n)) for x, y in zip(xs, ys)]
+    for problem in word_problems(n):
+        machine = problem.machine
+        counts = (len(machine.quantum_labels), len(machine.classical_states))
+        assert counts == problem.state_counts
+        amplitudes = problem.amplitudes(xs, ys).tolist()
+        accepted = accept_probabilities(machine, [problem.word(x, y) for x, y in pairs])
+        for p, s in zip(accepted, amplitudes):
+            assert abs(p - s * s / n**2) <= 1e-12
+        for (x, y), s in zip(pairs, amplitudes):
+            label = problem.classify_pair(x, y)
+            if label is PromiseLabel.YES:
+                assert abs(s) == n
+            elif label is PromiseLabel.NO:
+                assert s * s <= problem.no_cap * n * n

@@ -1,6 +1,7 @@
 """Experiment runner: config validation, reports, determinism, exit codes."""
 
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -196,6 +197,42 @@ class TestRepetitionCap:
         assert run_experiment(cfg) == EXIT_OK
         assert _read_json_lines(out)[-1]["k"] == cli._K_CAP
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["quantum-sweep", "classical-sweep"])
+    def test_eps_past_the_cap_is_refused_at_once(self, command, tmp_path):
+        # uncapped, this error bound takes k = 4,983 (quantum) or 24,012
+        # (classical), and seconds of exact powers to find it
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        run = subprocess.run(
+            [sys.executable, "-m", "promisecc", "--cmd", command, "--n", "4",
+             "--eps", f"1/{10**3000}", "--out", str(tmp_path / "r.json")],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert run.returncode == EXIT_CONFIG
+        assert run.stderr == (
+            f"config error: error bound needs k above {cli._K_CAP}, the --k cap\n"
+        )
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "command,base",
+        [("quantum-sweep", Fraction(1, 4)), ("classical-sweep", Fraction(3, 4))],
+        ids=["quantum-sweep", "classical-sweep"],
+    )
+    def test_eps_at_the_cap_runs(self, command, base, tmp_path, capsys):
+        # one round misses a band pair with probability at most base at lambda 1/4
+        eps = base ** cli._K_CAP
+        out = tmp_path / "r.json"
+        cfg = ExperimentConfig(command=command, n=4, eps_text=str(eps), out=str(out))
+        assert run_experiment(cfg) == EXIT_OK
+        assert _read_json_lines(out)[-1]["k"] == cli._K_CAP
+        capsys.readouterr()
+        smaller = ExperimentConfig(
+            command=command, n=4, eps_text=str(eps * Fraction(999_999, 10**6))
+        )
+        with pytest.raises(cli.ConfigError, match=f"needs k above {cli._K_CAP}"):
+            smaller.validated()
 
 
 class TestSampleModeSize:
@@ -511,7 +548,7 @@ class TestReports:
         assert run_experiment(cfg) == EXIT_OK
         reader = csv.reader(io.StringIO(out.read_text()))
         header = next(reader)
-        assert header == list(cli._COLUMNS["quantum-sweep"])
+        assert header == list(cli._COMMAND_TABLE["quantum-sweep"].columns)
         widths = {len(row) for row in reader}
         assert widths == {len(header)}
 
@@ -612,7 +649,8 @@ class TestExitCodes:
         def sweep(plan, violations):
             raise AssertionError("the sweep ran")
 
-        monkeypatch.setitem(cli._SWEEPS, "quantum-sweep", sweep)
+        row = dataclasses.replace(cli._COMMAND_TABLE["quantum-sweep"], sweep=sweep)
+        monkeypatch.setitem(cli._COMMAND_TABLE, "quantum-sweep", row)
         cfg = ExperimentConfig(command="quantum-sweep", n=4, out=str(tmp_path))
         assert run_experiment(cfg) == EXIT_CONFIG
         assert "is a directory" in capsys.readouterr().err
