@@ -45,7 +45,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -619,8 +619,7 @@ def _reduction_sweep(plan: _RunPlan, violations: list):
     })
 
 
-@dataclass(frozen=True)
-class _Command:
+class _Command(NamedTuple):
     """One command: its sweep, its CSV columns, the largest n of its
     exhaustive mode, and the options it reads beyond the common ones:
     "k", "lambda", "eps" and "sample" (a sample mode)."""

@@ -1,7 +1,6 @@
 """Experiment runner: config validation, reports, determinism, exit codes."""
 
 import csv
-import dataclasses
 import io
 import json
 import os
@@ -649,7 +648,7 @@ class TestExitCodes:
         def sweep(plan, violations):
             raise AssertionError("the sweep ran")
 
-        row = dataclasses.replace(cli._COMMAND_TABLE["quantum-sweep"], sweep=sweep)
+        row = cli._COMMAND_TABLE["quantum-sweep"]._replace(sweep=sweep)
         monkeypatch.setitem(cli._COMMAND_TABLE, "quantum-sweep", row)
         cfg = ExperimentConfig(command="quantum-sweep", n=4, out=str(tmp_path))
         assert run_experiment(cfg) == EXIT_CONFIG
