@@ -45,6 +45,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -112,10 +113,10 @@ class ExperimentConfig:
             raise ConfigError("seed must be non-negative")
         given = (("k", self.k), ("lambda", self.margin_text), ("eps", self.eps_text))
         for option, value in given:
-            if value is not None and option not in row["options"]:
+            if value is not None and option not in row.options:
                 raise ConfigError(f"{self.command} takes no --{option}")
         if self.mode == "sample":
-            if "sample" not in row["options"]:
+            if "sample" not in row.options:
                 raise ConfigError(f"{self.command} has no sample mode")
             if self.samples < 1:
                 raise ConfigError("sample mode needs --samples >= 1")
@@ -131,14 +132,14 @@ class ExperimentConfig:
                 )
         elif self.samples:
             raise ConfigError("--samples needs --mode sample")
-        if self.mode == "exhaustive" and self.n > row["cap"]:
+        if self.mode == "exhaustive" and self.n > row.cap:
             hint = "; use --mode sample for larger n"
             raise ConfigError(
-                f"{self.command} exhaustive mode supports n <= {row['cap']}"
-                + (hint if "sample" in row["options"] else "")
+                f"{self.command} exhaustive mode supports n <= {row.cap}"
+                + (hint if "sample" in row.options else "")
             )
         eps = None
-        if "eps" in row["options"]:
+        if "eps" in row.options:
             eps_text = DEFAULT_EPS if self.eps_text is None else self.eps_text
             try:
                 eps = Fraction(eps_text)
@@ -147,7 +148,7 @@ class ExperimentConfig:
             if not 0 < eps < 1:
                 raise ConfigError("error bound must be in (0, 1)")
         margin = None
-        if "lambda" in row["options"]:
+        if "lambda" in row.options:
             margin_text = DEFAULT_MARGIN if self.margin_text is None else self.margin_text
             try:
                 margin = Margin.from_text(margin_text, self.n)
@@ -158,8 +159,8 @@ class ExperimentConfig:
         if self.k is not None and not 1 <= self.k <= _K_CAP:
             raise ConfigError(f"k override must be in 1..{_K_CAP}")
         k = self.k
-        if k is None and "k" in row["options"]:
-            k = row["repetitions"](margin, eps, _K_CAP)
+        if k is None and "k" in row.options:
+            k = row.repetitions(margin, eps, _K_CAP)
             if k is None:
                 raise ConfigError(f"error bound needs k above {_K_CAP}, the --k cap")
         return _RunPlan(
@@ -618,66 +619,60 @@ def _reduction_sweep(plan: _RunPlan, violations: list):
     })
 
 
-#: One row per command: its "sweep", a generator of record batches that
-#: appends every violated guarantee to the list it is given, summary last;
-#: its CSV "columns"; "cap", the largest n of its exhaustive mode; the
-#: "options" it reads beyond the common ones ("k", "lambda", "eps", and
-#: "sample" for a sample mode); and with "k", "repetitions", the count for
-#: (margin, eps) or None above the limit given.
+class _Command(NamedTuple):
+    """One command: its sweep, its CSV columns, the largest n of its
+    exhaustive mode, and the options it reads beyond the common ones:
+    "k", "lambda", "eps" and "sample" (a sample mode)."""
+
+    #: A generator of record batches that appends every violated guarantee
+    #: to the list it is given; the summary comes last.
+    sweep: Callable[[_RunPlan, list], Iterator[_Batch]]
+    columns: tuple[str, ...]
+    cap: int
+    options: frozenset = frozenset()
+    #: With "k": the count for (margin, eps), None above the limit given.
+    repetitions: Callable | None = None
+
+
 _COMMAND_TABLE = {
-    "quantum-sweep": {
-        "sweep": _quantum_sweep,
-        "columns": (
-            "record", "n", "lambda", "x", "y", "label", "p_single", "k",
-            "p_accept_k", "decision", "qubits", "count_yes", "count_no",
-            "p_yes_min", "p_yes_max", "p_yes_mean", "p_no_min", "p_no_max",
-            "p_no_mean", "p_accept_k_no_max", "qubits_total", "invariant_ok",
-        ),
-        "cap": 10,
-        "options": {"k", "lambda", "eps", "sample"},
-        "repetitions": quantum_protocol.repetition_count,
-    },
-    "classical-sweep": {
-        "sweep": _classical_sweep,
-        "columns": (
-            "record", "n", "lambda", "x", "y", "label", "k", "decision", "bits",
-            "exact_error", "literal_branch", "p_detect_exact", "mc_frequency",
-            "mc_trials", "count_yes", "count_no", "err_yes_max", "err_no_max",
-            "det_no_min", "det_no_max", "det_no_mean", "literal_no_count",
-            "mc_sigma_max", "bits_total", "invariant_ok",
-        ),
-        "cap": 10,
-        "options": {"k", "lambda", "eps", "sample"},
-        "repetitions": randomized_protocol.positions_count,
-    },
-    "qcfa-sweep": {
-        "sweep": _qcfa_sweep,
-        "columns": (
-            "record", "machine", "n", "x", "y", "label", "p_accept", "expected",
-            "deviation", "count_yes", "count_no", "p_yes_min", "p_no_max",
-            "deviation_max", "quantum_states", "classical_states", "invariant_ok",
-        ),
-        "cap": 6,
-        "options": {"sample"},
-    },
-    "bounds": {
-        "sweep": _bounds_sweep,
-        "columns": (
-            "record", "problem", "n", "lambda", "D", "C0", "C1", "bound_ok",
-            "problems", "all_bounds_ok",
-        ),
-        "cap": 6,
-        "options": {"lambda"},
-    },
-    "reduction": {
-        "sweep": _reduction_sweep,
-        "columns": (
-            "record", "n", "dfa_states", "cost", "agreement", "min_cc",
-            "cost_ge_min_cc", "invariant_ok",
-        ),
-        "cap": 6,
-        "options": set(),
-    },
+    "quantum-sweep": _Command(
+        _quantum_sweep,
+        ("record", "n", "lambda", "x", "y", "label", "p_single", "k",
+         "p_accept_k", "decision", "qubits", "count_yes", "count_no",
+         "p_yes_min", "p_yes_max", "p_yes_mean", "p_no_min", "p_no_max",
+         "p_no_mean", "p_accept_k_no_max", "qubits_total", "invariant_ok"),
+        10, frozenset({"k", "lambda", "eps", "sample"}),
+        quantum_protocol.repetition_count,
+    ),
+    "classical-sweep": _Command(
+        _classical_sweep,
+        ("record", "n", "lambda", "x", "y", "label", "k", "decision", "bits",
+         "exact_error", "literal_branch", "p_detect_exact", "mc_frequency",
+         "mc_trials", "count_yes", "count_no", "err_yes_max", "err_no_max",
+         "det_no_min", "det_no_max", "det_no_mean", "literal_no_count",
+         "mc_sigma_max", "bits_total", "invariant_ok"),
+        10, frozenset({"k", "lambda", "eps", "sample"}),
+        randomized_protocol.positions_count,
+    ),
+    "qcfa-sweep": _Command(
+        _qcfa_sweep,
+        ("record", "machine", "n", "x", "y", "label", "p_accept", "expected",
+         "deviation", "count_yes", "count_no", "p_yes_min", "p_no_max",
+         "deviation_max", "quantum_states", "classical_states", "invariant_ok"),
+        6, frozenset({"sample"}),
+    ),
+    "bounds": _Command(
+        _bounds_sweep,
+        ("record", "problem", "n", "lambda", "D", "C0", "C1", "bound_ok",
+         "problems", "all_bounds_ok"),
+        6, frozenset({"lambda"}),
+    ),
+    "reduction": _Command(
+        _reduction_sweep,
+        ("record", "n", "dfa_states", "cost", "agreement", "min_cc",
+         "cost_ge_min_cc", "invariant_ok"),
+        6,
+    ),
 }
 COMMANDS = tuple(_COMMAND_TABLE)
 
@@ -769,7 +764,7 @@ def render_report(command: str, batch: _Batch, fmt: str, header: bool = True) ->
     out the CSV column line, for every batch after the first."""
     if fmt == "json":
         return _render_json(batch)
-    return _render_csv(_COMMAND_TABLE[command]["columns"], batch, header)
+    return _render_csv(_COMMAND_TABLE[command].columns, batch, header)
 
 
 def _write_error(message: str) -> int:
@@ -802,7 +797,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     violations = []
     count = 0
     with report:
-        for batch in _COMMAND_TABLE[cfg.command]["sweep"](plan, violations):
+        for batch in _COMMAND_TABLE[cfg.command].sweep(plan, violations):
             report.write(render_report(cfg.command, batch, cfg.fmt, header=not count))
             count += batch.size
     try:

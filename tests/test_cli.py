@@ -547,7 +547,7 @@ class TestReports:
         assert run_experiment(cfg) == EXIT_OK
         reader = csv.reader(io.StringIO(out.read_text()))
         header = next(reader)
-        assert header == list(cli._COMMAND_TABLE["quantum-sweep"]["columns"])
+        assert header == list(cli._COMMAND_TABLE["quantum-sweep"].columns)
         widths = {len(row) for row in reader}
         assert widths == {len(header)}
 
@@ -648,7 +648,8 @@ class TestExitCodes:
         def sweep(plan, violations):
             raise AssertionError("the sweep ran")
 
-        monkeypatch.setitem(cli._COMMAND_TABLE["quantum-sweep"], "sweep", sweep)
+        row = cli._COMMAND_TABLE["quantum-sweep"]._replace(sweep=sweep)
+        monkeypatch.setitem(cli._COMMAND_TABLE, "quantum-sweep", row)
         cfg = ExperimentConfig(command="quantum-sweep", n=4, out=str(tmp_path))
         assert run_experiment(cfg) == EXIT_CONFIG
         assert "is a directory" in capsys.readouterr().err
