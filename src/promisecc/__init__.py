@@ -40,6 +40,7 @@ from .quantum_protocol import (
     round_accept_probability,
     round_accept_probability_fast,
     round_amplitudes,
+    round_columns,
     run_protocol,
     sample_decisions,
 )
@@ -51,6 +52,7 @@ from .randomized_protocol import (
     exact_detection_probability,
     one_way_columns,
     positions_count,
+    report_floats,
     run_one_way,
     sample_positions,
 )

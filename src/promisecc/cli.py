@@ -22,12 +22,20 @@ table and yields the pairs kept from each block as one chunk.  The
 protocol sweeps hand a chunk's value columns to the batched rounds, the
 automaton sweep runs its chunk of words through a machine at once, and
 each hands the writer one batch per chunk: the fields every record of
-the chunk shares, once, and one list of plain Python values per other
-field.  Summary records and the bounds and reduction records are
-batches of one.  The writer renders a batch in one pass, a JSON line
-template filled once per record or one CSV ``writerows`` call, while the
-summary statistics are accumulated on the way.  No list of all records is
-built, so memory does not grow with the number of pairs.
+the chunk shares, once, and one column per other field.  A column is a
+list of plain Python values, or a coded column: the distinct values once
+and one index into them per record.  The x and y text, the labels,
+decisions, bits and flags are coded columns, and so are the protocol
+sweeps' probabilities: each is a function of a few integer counts, read
+from a small table that the sweep fills once (the quantum sweep prints
+the floats of the exact ``S**2/n**2`` and its k-th power per |S|, the
+classical sweep its error and detection floats per overlap and weight).
+Summary records and the bounds and reduction records are batches of one.
+The writer renders a batch in one pass, each distinct value of a coded
+column once, then a JSON line template filled once per record or one CSV
+``writerows`` call, while the summary statistics are accumulated on the
+way.  No list of all records is built, so memory does not grow with the
+number of pairs.
 """
 
 from __future__ import annotations
@@ -195,7 +203,8 @@ class _RunPlan:
 
 def _promise_stream(plan: _RunPlan, promise, seed):
     """Chunks ``(x values, y values, YES mask)`` of the pairs inside
-    ``promise``, exhaustive or sampled; no chunk is empty.
+    ``promise``, exhaustive or sampled, as numpy arrays (uint64 word
+    values); no chunk is empty.
 
     Both modes count blocks of candidate pairs with
     :meth:`Promise.counts`, keep the pairs inside the promise and yield
@@ -226,7 +235,7 @@ def _promise_stream(plan: _RunPlan, promise, seed):
         counts = promise.counts(xs, ys)
         keep = np.flatnonzero(inside[counts])[:left]
         if len(keep):
-            yield xs[keep].tolist(), ys[keep].tolist(), yes[counts[keep]]
+            yield xs[keep], ys[keep], yes[counts[keep]]
         left -= len(keep)
         if not left:
             return
@@ -291,10 +300,25 @@ class _Running:
         return self.total / self.count if self.count else None
 
 
+class _Coded:
+    """A report column of few distinct values: record r takes
+    ``values[codes[r]]``, so each distinct value is rendered once."""
+
+    __slots__ = ("values", "codes")
+
+    def __init__(self, values: list, codes):
+        self.values = values
+        self.codes = np.asarray(codes, dtype=np.intp)
+
+    def __getitem__(self, r: int):
+        return self.values[self.codes[r]]
+
+
 @dataclass(frozen=True)
 class _Batch:
-    """Report records that share the values in ``fixed``: record r takes
-    entry r of each list in ``columns`` for the other fields.
+    """Report records that share the values in ``fixed``: record r takes,
+    for each other field, entry r of its list in ``columns`` or its
+    :class:`_Coded` value.
 
     Every value is a plain Python scalar (None, bool, int, float or str).
     """
@@ -324,47 +348,53 @@ def _flag(violations: list, checks) -> None:
 
 
 def _pair_columns(n: int, xs, ys, yes) -> dict:
-    """The x, y and label text of a chunk of pairs of length-n words."""
+    """The x, y and label text of a chunk of pairs of length-n words, as
+    coded columns: each distinct word of the chunk is formatted once."""
+    columns = {"label": _Coded(["no", "yes"], yes)}
     spec = f"0{n}b"  # str(x), without a BitString per word
-    return {
-        "x": [format(x, spec) for x in xs],
-        "y": [format(y, spec) for y in ys],
-        "label": ["yes" if is_yes else "no" for is_yes in yes.tolist()],
-    }
+    for name, values in (("x", xs), ("y", ys)):
+        distinct, codes = np.unique(values, return_inverse=True)
+        columns[name] = _Coded([format(v, spec) for v in distinct.tolist()], codes)
+    return columns
 
 
 def _quantum_sweep(plan: _RunPlan, violations: list):
     cfg, margin, k = plan.config, plan.margin, plan.k
     n = cfg.n
-    # exact verdicts per |S|; with --k, k was not chosen for the error target
+    # exact values per |S|, and the report prints their floats; with --k,
+    # k was not chosen for the error target
     exact = [Fraction(s * s, n * n) for s in range(n + 1)]
+    exact_k = [p ** k for p in exact]
+    p_single, p_accept_k = [float(p) for p in exact], [float(p) for p in exact_k]
+    p_table = np.array(p_single)
     above_cap = np.array([p > (1 - 2 * margin.fraction) ** 2 for p in exact])
-    above_eps = np.array([cfg.k is None and p ** k > plan.eps for p in exact])
+    above_eps = np.array([cfg.k is None and p > plan.eps for p in exact_k])
     qubits = quantum_protocol.qubit_cost(n, k)
     fixed = {"record": "input", "n": n, "lambda": str(margin.fraction), "k": k,
              "qubits": qubits}
-    p_yes, p_no, accept_k_no = _Running(), _Running(), _Running()
+    # pairs per |S|: NO pairs in row 0, YES pairs in row 1
+    counts = np.zeros((2, n + 1), dtype=np.int64)
     stream = _decision_stream(plan)
     for xs, ys, yes in _pair_stream(plan):
         columns = _pair_columns(n, xs, ys, yes)
-        probabilities = quantum_protocol.round_accept_probabilities(xs, ys, n)
-        accept_k = [p ** k for p in probabilities]
+        amplitudes, witness = quantum_protocol.round_columns(xs, ys, n)
+        s = np.abs(amplitudes)
+        decision = np.asarray(quantum_protocol.sample_decisions(p_table[s], k, stream))
         columns.update(
-            p_single=probabilities,
-            p_accept_k=accept_k,
-            decision=quantum_protocol.sample_decisions(probabilities, k, stream),
+            p_single=_Coded(p_single, s),
+            p_accept_k=_Coded(p_accept_k, s),
+            decision=_Coded([0, 1], decision),
         )
         yield _Batch(fixed, columns, len(xs))
-        yes_list, no_list = yes.tolist(), (~yes).tolist()
-        p_yes.extend(itertools.compress(probabilities, yes_list))
-        p_no.extend(itertools.compress(probabilities, no_list))
-        accept_k_no.extend(itertools.compress(accept_k, no_list))
-        s = np.abs(quantum_protocol.round_amplitudes(xs, ys, n))
-        deviation = np.abs(np.array(probabilities) - s * s / n**2)
+        counts += [np.bincount(s[~yes], minlength=n + 1),
+                   np.bincount(s[yes], minlength=n + 1)]
+        deviation = np.abs(witness - p_table[s])
         x_text, y_text = columns["x"], columns["y"]
         _flag(violations, [
             (yes & (s != n),
              lambda i: f"yes pair {x_text[i]},{y_text[i]} accepted with {exact[s[i]]}"),
+            (yes & (decision != 1),
+             lambda i: f"yes pair {x_text[i]},{y_text[i]} rejected"),
             (~yes & above_cap[s],
              lambda i: f"no pair {x_text[i]},{y_text[i]} above single-round cap"),
             (~yes & above_eps[s],
@@ -373,19 +403,27 @@ def _quantum_sweep(plan: _RunPlan, violations: list):
              lambda i: (f"dense round on {x_text[i]},{y_text[i]} off by "
                         f"{deviation[i]:.3e}")),
         ])
+    summary = {}
+    for label, row in zip(("no", "yes"), counts.tolist()):
+        # S**2/n**2 and its k-th power grow with |S|: the extremes sit at
+        # the least and greatest |S| counted
+        present = [s for s, count in enumerate(row) if count] or [None]
+        low, high, pairs = present[0], present[-1], sum(row)
+        summary.update({
+            f"count_{label}": pairs,
+            f"p_{label}_min": None if low is None else p_single[low],
+            f"p_{label}_max": None if high is None else p_single[high],
+            f"p_{label}_mean": float(
+                sum(count * p for count, p in zip(row, exact)) / pairs
+            ) if pairs else None,
+        })
+        if label == "no":
+            summary["p_accept_k_no_max"] = None if high is None else p_accept_k[high]
     yield _record({
         **fixed,
+        **summary,
         "record": "summary",
-        "count_yes": p_yes.count,
-        "count_no": p_no.count,
-        "p_yes_min": p_yes.low,
-        "p_yes_max": p_yes.high,
-        "p_yes_mean": p_yes.mean,
-        "p_no_min": p_no.low,
-        "p_no_max": p_no.high,
-        "p_no_mean": p_no.mean,
-        "p_accept_k_no_max": accept_k_no.high,
-        "qubits_total": qubits * (p_yes.count + p_no.count),
+        "qubits_total": qubits * int(counts.sum()),
         "invariant_ok": not violations,
     })
 
@@ -410,6 +448,10 @@ def _classical_sweep(plan: _RunPlan, violations: list):
     n = cfg.n
     lam = margin.fraction
     fixed = {"record": "input", "n": n, "lambda": str(margin.fraction), "k": k}
+    # the exact error and detection floats of each (overlap m, weight h)
+    # a run reports, worked out once per sweep, at m * (n + 1) + h
+    table = {}
+    cost = randomized_protocol.bit_cost(n, k)
     err_yes, err_no, det_no = _Running(), _Running(), _Running()
     literal_no = 0
     sigma_max = 0.0
@@ -422,58 +464,73 @@ def _classical_sweep(plan: _RunPlan, violations: list):
     for xs, ys, yes in _pair_stream(plan):
         columns = _pair_columns(n, xs, ys, yes)
         runs = randomized_protocol.one_way_columns(xs, ys, n, k, stream)
-        detect, error = runs.p_detect, runs.exact_error_probability
-        literal = np.array(runs.literal_branch, dtype=bool)
-        mc_freq, mc_trials = [None] * len(xs), [0] * len(xs)
+        m, h, literal = runs.overlap, runs.weight, runs.literal_branch
+        keys, codes = np.unique(m * (n + 1) + h, return_inverse=True)
+        for key in keys.tolist():
+            if key not in table:
+                table[key] = randomized_protocol.report_floats(*divmod(key, n + 1), k)
+        error = [table[key][0] for key in keys.tolist()]
+        detect = [table[key][1] for key in keys.tolist()]
         mc_off = np.zeros(len(xs), dtype=bool)
         mc_messages = {}
-        if cfg.mode == "sample":
+        if cfg.mode == "exhaustive":  # no trials
+            none = np.zeros(len(xs), dtype=np.intp)
+            mc_freq, mc_trials = _Coded([None], none), _Coded([0], none)
+        else:
+            mc_freq, mc_trials = [None] * len(xs), [0] * len(xs)
             for i in np.flatnonzero(~literal).tolist():
-                x, y = BitString(xs[i], n), BitString(ys[i], n)
+                x, y = BitString(int(xs[i]), n), BitString(int(ys[i]), n)
+                p = detect[codes[i]]
                 mc_rng = np.random.default_rng((plan.seed, start + i, 1))
                 mc_freq[i] = freq = randomized_protocol.detection_frequency(
                     x, y, k, MC_TRIALS, mc_rng
                 )
                 mc_trials[i] = MC_TRIALS
-                spread = math.sqrt(max(detect[i] * (1.0 - detect[i]), 1e-12) / MC_TRIALS)
-                sigma = abs(freq - detect[i]) / spread
+                spread = math.sqrt(max(p * (1.0 - p), 1e-12) / MC_TRIALS)
+                sigma = abs(freq - p) / spread
                 sigma_max = max(sigma_max, sigma)
-                if MC_TRIALS * _bernoulli_divergence(freq, detect[i]) > mc_exponent:
+                if MC_TRIALS * _bernoulli_divergence(freq, p) > mc_exponent:
                     mc_off[i] = True
                     mc_messages[i] = (
                         f"pair {x},{y} Monte Carlo frequency {freq} against "
-                        f"{detect[i]:.6f} ({sigma:.1f} sigma off)"
+                        f"{p:.6f} ({sigma:.1f} sigma off)"
                     )
         columns.update(
-            decision=runs.decision,
-            bits=runs.bits_communicated,
-            exact_error=error,
-            literal_branch=runs.literal_branch,
-            p_detect_exact=detect,
+            decision=_Coded([0, 1], runs.decision),
+            bits=_Coded([cost, 1], literal),
+            exact_error=_Coded(error, codes),
+            literal_branch=_Coded([False, True], literal),
+            p_detect_exact=_Coded(detect, codes),
             mc_frequency=mc_freq,
             mc_trials=mc_trials,
         )
         yield _Batch(fixed, columns, len(xs))
         start += len(xs)
-        bits_total += sum(runs.bits_communicated)
+        literal_count = int(np.count_nonzero(literal))
+        bits_total += cost * (len(xs) - literal_count) + literal_count
         no, sampled_no = ~yes, ~yes & ~literal
-        err_yes.extend(itertools.compress(error, yes.tolist()))
-        err_no.extend(itertools.compress(error, no.tolist()))
-        det_no.extend(itertools.compress(detect, sampled_no.tolist()))
+        e = np.array(error)[codes]
+        err_yes.extend(e[yes].tolist())
+        err_no.extend(e[no].tolist())
+        det_no.extend(np.array(detect, dtype=float)[codes[sampled_no]].tolist())
         # tiny-n band pairs with fewer ones than samples: surfaced, not
         # treated as protocol failures
         literal_no += int(np.count_nonzero(no & literal))
-        e = np.array(error)
-        # a sampled NO pair's miss (1 - m/h)**k is capped by (1 - lam)**k iff m/h >= lam
-        m = margin.promise.counts(xs, ys).astype(np.int64)
-        h = np.bitwise_count(np.array(xs, dtype=np.uint64)).astype(np.int64)
+        # the run's own overlap and weight, against the pair's counts
+        m_pair = margin.promise.counts(xs, ys)
+        h_pair = np.bitwise_count(xs)
         x_text, y_text = columns["x"], columns["y"]
         _flag(violations, [
             (mc_off, mc_messages.__getitem__),
-            (yes & (np.array(runs.decision) != 1),
+            (yes & (runs.decision != 1),
              lambda i: f"yes pair {x_text[i]},{y_text[i]} rejected"),
             (yes & (e != 0.0),
              lambda i: f"yes pair {x_text[i]},{y_text[i]} has nonzero error"),
+            ((m != m_pair) | (h != h_pair),
+             lambda i: (f"pair {x_text[i]},{y_text[i]} run with overlap {m[i]} "
+                        f"and weight {h[i]}, not {m_pair[i]} and {h_pair[i]}")),
+            # a sampled NO pair's miss (1 - m/h)**k is capped by
+            # (1 - lam)**k iff m/h >= lam
             (sampled_no & (m * lam.denominator < lam.numerator * h),
              lambda i: f"no pair {x_text[i]},{y_text[i]} above miss cap"),
         ])
@@ -508,7 +565,7 @@ def _qcfa_sweep(plan: _RunPlan, violations: list):
         for xs, ys, yes in _word_pair_stream(plan, problem):
             columns = _pair_columns(n, xs, ys, yes)
             words = [problem.word(BitString(x, n), BitString(y, n))
-                     for x, y in zip(xs, ys)]
+                     for x, y in zip(xs.tolist(), ys.tolist())]
             probabilities = automata.accept_probabilities(machine, words)
             s = problem.amplitudes(xs, ys)
             expected = (s * s / n**2).tolist()
@@ -728,6 +785,14 @@ def _csv_cells(values) -> list[str]:
     ]
 
 
+def _cells(column, render) -> list[str]:
+    """Each record's cell of ``column``, a list rendered value by value or
+    a :class:`_Coded` column whose distinct values are rendered once."""
+    if isinstance(column, _Coded):
+        return np.array(render(column.values), dtype=object)[column.codes].tolist()
+    return render(column)
+
+
 def _render_json(batch: _Batch) -> str:
     """One ``json.dumps(record, sort_keys=True)`` line per record: the
     fixed fields are written once into a line template that each row of
@@ -736,7 +801,7 @@ def _render_json(batch: _Batch) -> str:
     for name in sorted({*batch.fixed, *batch.columns}):
         if name in batch.columns:
             fields.append(_json_text(name).replace("%", "%%") + ": %s")
-            cells.append(_json_cells(batch.columns[name]))
+            cells.append(_cells(batch.columns[name], _json_cells))
         else:
             text = f"{_json_text(name)}: {_json_value(batch.fixed[name])}"
             fields.append(text.replace("%", "%%"))
@@ -751,7 +816,7 @@ def _render_csv(columns: tuple[str, ...], batch: _Batch, header: bool) -> str:
     if header:
         writer.writerow(columns)
     cells = [
-        _csv_cells(batch.columns[name]) if name in batch.columns
+        _cells(batch.columns[name], _csv_cells) if name in batch.columns
         else itertools.repeat(_csv_cells([batch.fixed.get(name)])[0], batch.size)
         for name in columns
     ]

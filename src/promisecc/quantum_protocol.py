@@ -9,9 +9,10 @@ accepts with probability ``((n - 2m)/n)**2`` where ``m`` is the
 intersection size: certainty when the sets are disjoint, at most
 ``(1 - 2*lam)**2`` anywhere in the margin band.  Between the spread and
 the collect every operator is a signed permutation, so n times that
-amplitude is the integer ``S = n - 2m`` (:func:`round_amplitudes`) and
-the round accepts with probability exactly ``S**2 / n**2``; the dense
-simulation is its float witness.  Both run on a batch of pairs at once.
+amplitude is the integer ``S = n - 2m`` and the round accepts with
+probability exactly ``S**2 / n**2``; the dense simulation of the
+collect's accept row is its float witness.  One pass over a batch of
+pairs gives both (:func:`round_columns`).
 
 Repeating the round k times and accepting only on unanimous acceptance
 drives the error on band instances below any target; the count that
@@ -55,34 +56,49 @@ def _round_states(x_values, y_values, n: int) -> np.ndarray:
     return swap @ (qsim.phase(y_values, n) @ (swap @ np.repeat([1.0, 0.0], n)))
 
 
-def round_amplitudes(x_values, y_values, n: int) -> list[int]:
-    """Per pair, the integer ``S = n - 2m``: the low block of the round's
-    integer state, which the collect's uniform accept row sums.  Arguments
-    as for :func:`round_accept_probabilities`."""
-    psi = _round_states(x_values, y_values, n)
-    return psi[:, :n].sum(axis=1).astype(int).tolist()
-
-
-def round_accept_probabilities(x_values, y_values, n: int) -> list[float]:
-    """Exact dense simulation of one protocol round on a batch of pairs.
+def round_columns(x_values, y_values, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """One protocol round on a batch of pairs, read two ways.
 
     ``x_values`` and ``y_values`` hold N word values of length ``n``
     (below ``2**n``), pair r being ``(x_values[r], y_values[r])``.
-    Returns, per pair, the probability that the final measurement yields
-    (1, 0).
+    Returns two arrays with an entry per pair: the integer
+    ``S = n - 2m``, the low block of the round's integer state that the
+    collect's uniform accept row sums, so that the round accepts with
+    probability exactly ``S**2 / n**2``; and the dense witness, the
+    probability of outcome (1, 0) when the collect's accept row is applied
+    to the state in floats.
+
+    Both come from one pass of swap, phase, swap.  The spread is never
+    applied (the pass starts from its first column), so the witness checks
+    the collect's accept row only.
     """
-    collect = _collect(n)  # before the batch's arrays: a lower peak RSS
+    # before the batch's arrays: a lower peak RSS
+    accept_row = _collect(n)[qsim.pair_index(1, 0, n)]
+    psi = _round_states(x_values, y_values, n)
     # the integer states scaled by the spread's entry, as uniform_over has it
-    psi = _round_states(x_values, y_values, n).astype(complex) * (1.0 / np.sqrt(n))
-    accept = qsim.pair_index(1, 0, n)
-    # one collect @ psi per pair: a single product over the whole batch
-    # rounds some last bits differently, and the values must not depend on
-    # how pairs are batched
-    return [float(abs((collect @ row)[accept]) ** 2) for row in psi]
+    weights = (accept_row * (1.0 / np.sqrt(n))).tolist()
+    amplitude = np.zeros(len(psi), dtype=complex)
+    # term by term over the columns: a single product over the whole batch
+    # rounds some last bits differently, and a value must not depend on the
+    # pairs batched with it
+    for j, weight in enumerate(weights):
+        amplitude += weight * psi[:, j]
+    return psi[:, :n].sum(axis=1).astype(np.int64), np.abs(amplitude) ** 2
+
+
+def round_amplitudes(x_values, y_values, n: int) -> list[int]:
+    """Per pair, the integer ``S = n - 2m`` of :func:`round_columns`."""
+    return round_columns(x_values, y_values, n)[0].tolist()
+
+
+def round_accept_probabilities(x_values, y_values, n: int) -> list[float]:
+    """Per pair, the dense witness of :func:`round_columns`: the
+    probability that the final measurement yields (1, 0)."""
+    return round_columns(x_values, y_values, n)[1].tolist()
 
 
 def round_accept_probability(x: BitString, y: BitString) -> float:
-    """Exact dense simulation of one protocol round: a batch of one.
+    """The dense witness of one protocol round: a batch of one.
 
     Returns the probability that the final measurement yields (1, 0).
     """

@@ -91,16 +91,27 @@ def sample_positions(weights, k: int, rng: np.random.Generator) -> list[list[int
     return rng.integers(0, highs, size=(len(highs), k)).tolist()
 
 
-class OneWayColumns(NamedTuple):
-    """Outcomes of a batch of one-way runs: per field of
-    :class:`ClassicalProtocolReport` after x, y and k, one list with an
-    entry per pair."""
+def report_floats(m: int, h: int, k: int) -> tuple[float, float | None]:
+    """The exact error and detection probability a report prints for a
+    pair of overlap ``m`` whose x has ``h`` ones: ``(1 - m/h)**k`` as one
+    float expression, the error 0 on a disjoint pair, and on the literal
+    branch (``h < k``) the error 1 on an intersecting pair and no
+    detection probability."""
+    if h < k:
+        return (0.0 if m == 0 else 1.0), None
+    miss = (1.0 - m / h) ** k
+    # disjoint pairs are never detected, so only intersecting pairs can err
+    return (0.0 if m == 0 else miss), 1.0 - miss
 
-    decision: list[int]
-    bits_communicated: list[int]
-    exact_error_probability: list[float]
-    literal_branch: list[bool]
-    p_detect: list[float | None]
+
+class OneWayColumns(NamedTuple):
+    """Outcomes of a batch of one-way runs: one array with an entry per
+    pair in each field."""
+
+    decision: np.ndarray  # 1 iff no sampled position is a 1 of y
+    overlap: np.ndarray  # m = |x & y|
+    weight: np.ndarray  # h, the number of ones of x
+    literal_branch: np.ndarray  # h < k: Alice sent the answer 1
 
 
 def one_way_columns(x_values, y_values, n: int, k: int, rng) -> OneWayColumns:
@@ -111,9 +122,9 @@ def one_way_columns(x_values, y_values, n: int, k: int, rng) -> OneWayColumns:
     :func:`sample_positions` call, so a batch reads ``rng`` in pair order
     and gives what batches of one would.  A pair whose x has fewer than k
     ones takes the literal branch and draws nothing; ``rng`` may be None
-    when every pair does.  The exact error probability (of answering 1 on
-    an intersecting pair, or 0 on a disjoint one) and the exact detection
-    probability ride along.
+    when every pair does.  The overlap and weight the run used ride along;
+    :func:`report_floats` turns them into the exact error and detection
+    probabilities.
     """
     if len(x_values) != len(y_values):
         raise ValueError(f"batch mismatch: {len(x_values)} vs {len(y_values)}")
@@ -130,24 +141,11 @@ def one_way_columns(x_values, y_values, n: int, k: int, rng) -> OneWayColumns:
         ones = np.argsort(x_bits[drawn] == 0, axis=1, kind="stable")
         positions = np.take_along_axis(ones, picks, axis=1)
         hit[drawn] = np.take_along_axis(y_bits[drawn], positions, axis=1).any(axis=1)
-    overlaps = (x_bits & y_bits).sum(axis=1).tolist()
-    misses = [
-        None if h < k else (1.0 - m / h) ** k
-        for m, h in zip(overlaps, weights.tolist())
-    ]
-    cost = bit_cost(n, k)
     return OneWayColumns(
-        decision=(~hit).astype(int).tolist(),
-        # the literal answer costs one bit
-        bits_communicated=[1 if lit else cost for lit in literal.tolist()],
-        # disjoint pairs are never detected, so only intersecting pairs can
-        # err; the literal answer errs exactly when the pair intersects
-        exact_error_probability=[
-            0.0 if m == 0 else 1.0 if miss is None else miss
-            for m, miss in zip(overlaps, misses)
-        ],
-        literal_branch=literal.tolist(),
-        p_detect=[None if miss is None else 1.0 - miss for miss in misses],
+        decision=(~hit).astype(np.int64),
+        overlap=(x_bits & y_bits).sum(axis=1),
+        weight=weights,
+        literal_branch=literal,
     )
 
 
@@ -162,7 +160,17 @@ def run_one_way(
     if x.n != y.n:
         raise ValueError(f"length mismatch: {x.n} vs {y.n}")
     outcome = one_way_columns([x.value], [y.value], x.n, k, rng)
-    return ClassicalProtocolReport(x, y, k, *(column[0] for column in outcome))
+    literal = bool(outcome.literal_branch[0])
+    error, detect = report_floats(int(outcome.overlap[0]), int(outcome.weight[0]), k)
+    return ClassicalProtocolReport(
+        x, y, k,
+        decision=int(outcome.decision[0]),
+        # the literal answer costs one bit
+        bits_communicated=1 if literal else bit_cost(x.n, k),
+        exact_error_probability=error,
+        literal_branch=literal,
+        p_detect=detect,
+    )
 
 
 def detection_frequency(

@@ -593,12 +593,13 @@ class TestExitCodes:
 
     def test_invariant_violation_is_two(self, tmp_path, monkeypatch, capsys):
         # force a wrong single-round probability so the sweep flags it
-        real = cli.quantum_protocol.round_accept_probabilities
+        real = cli.quantum_protocol.round_columns
 
         def broken(x_values, y_values, n):
-            return [0.5 for _ in real(x_values, y_values, n)]
+            amplitudes, witness = real(x_values, y_values, n)
+            return amplitudes, np.full_like(witness, 0.5)
 
-        monkeypatch.setattr(cli.quantum_protocol, "round_accept_probabilities", broken)
+        monkeypatch.setattr(cli.quantum_protocol, "round_columns", broken)
         out = tmp_path / "q.json"
         cfg = ExperimentConfig(command="quantum-sweep", n=4, out=str(out))
         assert run_experiment(cfg) == EXIT_INVARIANT
@@ -608,13 +609,16 @@ class TestExitCodes:
     def test_dense_round_above_one_is_flagged(self, tmp_path, monkeypatch, capsys):
         # a YES pair a hair above certainty: no verdict reads the dense
         # value, so only its witness check can catch it
-        real = cli.quantum_protocol.round_accept_probabilities
+        real = cli.quantum_protocol.round_columns
 
         def above_one(x_values, y_values, n):
-            return [1 + 1e-6 if x & y == 0 else p
-                    for x, y, p in zip(x_values, y_values, real(x_values, y_values, n))]
+            amplitudes, witness = real(x_values, y_values, n)
+            return amplitudes, np.array(
+                [1 + 1e-6 if x & y == 0 else p
+                 for x, y, p in zip(x_values, y_values, witness)]
+            )
 
-        monkeypatch.setattr(cli.quantum_protocol, "round_accept_probabilities", above_one)
+        monkeypatch.setattr(cli.quantum_protocol, "round_columns", above_one)
         cfg = ExperimentConfig(command="quantum-sweep", n=4, out=str(tmp_path / "q.json"))
         assert run_experiment(cfg) == EXIT_INVARIANT
         err = capsys.readouterr().err
@@ -624,7 +628,7 @@ class TestExitCodes:
     def test_sweep_stopped_half_way_leaves_no_report(self, tmp_path, monkeypatch):
         # records are streamed, so a sweep that raises after some of them
         # must not leave a short report under the output name
-        real = cli.quantum_protocol.round_accept_probabilities
+        real = cli.quantum_protocol.round_columns
         calls = []
 
         def broken(x_values, y_values, n):
@@ -634,7 +638,7 @@ class TestExitCodes:
             return real(x_values, y_values, n)
 
         monkeypatch.setattr(cli, "SWEEP_CHUNK", 3)
-        monkeypatch.setattr(cli.quantum_protocol, "round_accept_probabilities", broken)
+        monkeypatch.setattr(cli.quantum_protocol, "round_columns", broken)
         out = tmp_path / "q.json"
         out.write_text("earlier report\n")
         cfg = ExperimentConfig(command="quantum-sweep", n=4, out=str(out))

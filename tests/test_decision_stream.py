@@ -18,9 +18,8 @@ from hypothesis import given, strategies as st
 from promisecc import cli
 from promisecc.cli import EXIT_INVARIANT, EXIT_OK, ExperimentConfig, run_experiment
 from promisecc.quantum_protocol import sample_decisions
-from promisecc.bits import BitString, hamming_weight
+from promisecc.bits import BitString, hamming_weight, intersection_size
 from promisecc.randomized_protocol import (
-    ClassicalProtocolReport,
     exact_detection_probability,
     one_way_columns,
     run_one_way,
@@ -74,18 +73,21 @@ def test_batched_runs_equal_runs_one_pair_at_a_time(chunks, k, seed):
     for chunk in chunks:
         columns = one_way_columns([x.value for x, _ in chunk],
                                   [y.value for _, y in chunk], n, k, batched)
-        together += [ClassicalProtocolReport(x, y, k, *outcome)
-                     for (x, y), outcome in zip(chunk, zip(*columns))]
+        together += zip(*(column.tolist() for column in columns))
     alone = [run_one_way(x, y, k, single) for chunk in chunks for x, y in chunk]
-    assert together == alone
+    # the draws a run takes alone, and the counts of the pair itself
+    assert together == [
+        (r.decision, intersection_size(r.x, r.y), hamming_weight(r.x), r.literal_branch)
+        for r in alone
+    ]
     # only the sampling pairs read the generator, each with the scalar call
     # a pair made alone before the draws were batched
     scalar = np.random.default_rng(seed)
-    for report in together:
+    for report in alone:
         if not report.literal_branch:
             scalar.integers(0, hamming_weight(report.x), size=k)
     assert batched.random() == scalar.random()
-    for report in together:
+    for report in alone:
         if report.literal_branch:
             assert report.p_detect is None
         else:

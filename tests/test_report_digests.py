@@ -3,9 +3,11 @@
 Reports are promised to be byte-identical run to run, and changes that
 only make a command faster must keep them so.  These digests turn that
 into a check: a change to the sweeps, the rounds or the renderer that
-moves any byte fails here.  Floating-point fields come from numpy and its
-BLAS, so a different build can round a last bit differently; on a
-mismatch, run the parent commit on the same machine before re-pinning.
+moves any byte fails here.  The quantum sweep prints the floats of exact
+values and the classical sweep Python float expressions, but the
+automaton sweep's fields come from numpy and its BLAS, so a different
+build can round a last bit differently; on a mismatch, run the parent
+commit on the same machine before re-pinning.
 
 The ``decision`` field of the protocol sweeps is a random draw.  A change
 to how the draws are made moves it and nothing else, so the sweep reports
@@ -44,7 +46,7 @@ CASES = {
         dict(command="quantum-sweep", n=48, mode="sample", samples=200, seed=1,
              fmt="csv"),
         201,
-        "9b4fdcd63dbda1acce027e22b1d99afff2bb88dc6a14ae75cacf720400ec35f9",
+        "b4336e382172cfef57d96fb0d222ba5132289d28703cc9e7508e2bf07cf1a42f",
     ),
     # sample mode adds the Monte Carlo trials
     "classical-n16-sample-csv": (
@@ -113,7 +115,7 @@ CASES = {
     "quantum-n5-lambda-1-5-json": (
         dict(command="quantum-sweep", n=5, margin_text="1/5", seed=1),
         1024,
-        "e933977860702b2b9b79f15db334a641fc959fec29e07ce8582cf661df43ba70",
+        "3e1dbf7cac479b024d3aad884dbd81f0b0281f3bfcecfc4b4c90ea8402dad0b0",
     ),
     "classical-n6-lambda-1-6-json": (
         dict(command="classical-sweep", n=6, margin_text="1/6", seed=1),
@@ -124,7 +126,7 @@ CASES = {
     "quantum-n6-lambda-1-6-json": (
         dict(command="quantum-sweep", n=6, margin_text="1/6", seed=1),
         4096,
-        "cd6d6173e1d605f53cc8452ef5feecdb67593b8fb6196f743e2eee12f97e0b0d",
+        "095adbdb2573f1b88ea95fa750e0dbf718a5e4bb7f90bd13cf47ce1b80657ef8",
     ),
     # the full 64-bit draw range in the two protocol sweeps
     "quantum-n64-sample-json": (
@@ -168,7 +170,7 @@ WITHOUT_DECISION = {
     "quantum-n4-json":
         "9837f0a673d578aa30597a454d65d4e41ed66a5b258cacd85c493bace2b51975",
     "quantum-n48-sample-csv":
-        "ee47f34e1c18158202a1e8228bcd82820eb1f743329635401f1bf370b449a1d2",
+        "407341fe9f979f34a4eed223c631c9fa7ce2d60ce92a6a76273edd07c69066dd",
     "classical-n4-json":
         "5f559e8c590a4e353958f29d1d881b0132a151ba57a6f129587fa22b3dc76562",
     "quantum-n16-sample-csv":
@@ -180,7 +182,7 @@ WITHOUT_DECISION = {
     "classical-n16-sample-2100-csv":
         "61e2057fa2b06c796b10a685d53f8fe703da5c9740d17bc0440997c0465f6a40",
     "quantum-n6-lambda-1-6-json":
-        "9dc2a6fc32239fa1110c28ad611c5c0574741f19db225faca23e1ee6f11ae700",
+        "ac506d70cfc57fcdf62475feb0c92cb03641d3cfe8582d56af8bcdf678c38495",
     "quantum-n64-sample-json":
         "66b67863a72eca1014b1c522edd39917fa3fa1838db9be5a4fadec9a293c5086",
     "classical-n64-sample-csv":

@@ -1,10 +1,12 @@
 """The report writer renders a column batch as the records it stands for.
 
 A sweep hands the writer one batch per chunk: the fields every record of
-the chunk shares, once, and one list per other field.  The text must be
-what rendering each record alone gives: one ``json.dumps(record,
-sort_keys=True)`` line per record, or one ``csv.writer`` row per record
-with empty cells for None and lowercase booleans.
+the chunk shares, once, and one list or coded column per other field.  The
+text must be what rendering each record alone gives: one
+``json.dumps(record, sort_keys=True)`` line per record, or one
+``csv.writer`` row per record with empty cells for None and lowercase
+booleans.  A coded column (distinct values and one index per record) must
+render as the list it stands for.
 """
 
 import csv
@@ -14,7 +16,7 @@ import math
 
 from hypothesis import given, strategies as st
 
-from promisecc.cli import _Batch, _render_csv, _render_json
+from promisecc.cli import _Batch, _Coded, _render_csv, _render_json
 
 SCALARS = st.one_of(
     st.none(),
@@ -82,3 +84,30 @@ def test_csv_batches_are_csv_writer_rows(drawn, missing):
         _render_csv(columns, batch, header=not i) for i, batch in enumerate(cut)
     )
     assert text == buf.getvalue()
+
+
+@st.composite
+def coded_batches(draw):
+    """A batch whose columns are all coded, with the same batch written
+    with each column expanded into its list."""
+    names = draw(NAMES)
+    size = draw(st.integers(1, 6))
+    fixed = {name: draw(SCALARS) for name in names if draw(st.booleans())}
+    coded, expanded = {}, {}
+    for name in names:
+        if name in fixed:
+            continue
+        # duplicates among the values too: equal values may sit at two codes
+        values = draw(st.lists(SCALARS, min_size=1, max_size=5))
+        codes = draw(st.lists(st.integers(0, len(values) - 1),
+                              min_size=size, max_size=size))
+        coded[name] = _Coded(values, codes)
+        expanded[name] = [values[c] for c in codes]
+    return names, _Batch(fixed, coded, size), _Batch(fixed, expanded, size)
+
+
+@given(coded_batches(), st.booleans())
+def test_coded_columns_render_as_their_lists(drawn, header):
+    names, coded, expanded = drawn
+    assert _render_json(coded) == _render_json(expanded)
+    assert _render_csv(names, coded, header) == _render_csv(names, expanded, header)
