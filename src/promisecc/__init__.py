@@ -50,6 +50,7 @@ from .randomized_protocol import (
     bit_cost,
     detection_frequency,
     exact_detection_probability,
+    miss_probability,
     one_way_columns,
     positions_count,
     report_floats,

@@ -29,25 +29,27 @@ decisions, bits and flags are coded columns, and so are the protocol
 sweeps' probabilities: each is a function of a few integer counts, read
 from a small table that the sweep fills once (the quantum sweep prints
 the floats of the exact ``S**2/n**2`` and its k-th power per |S|, the
-classical sweep its error and detection floats per overlap and weight).
-Summary records and the bounds and reduction records are batches of one.
-The writer renders a batch in one pass, each distinct value of a coded
-column once, then a JSON line template filled once per record or one CSV
-``writerows`` call, while the summary statistics are accumulated on the
-way.  No list of all records is built, so memory does not grow with the
-number of pairs.
+classical sweep the floats of the exact error and detection probability
+per overlap and weight).  Each protocol sweep also counts its NO and YES
+pairs per table key, and its summary is read from those counts and the
+table: floats of exact extremes and means, which do not depend on the
+order of the pairs.  The automaton sweep's probabilities are machine
+floats, kept as witnesses; its summary takes their extremes chunk by
+chunk.  Summary records and the bounds and reduction records are batches
+of one.  The writer renders a batch in one pass, each distinct value of a
+coded column once, then a JSON line template filled once per record or
+one CSV ``writerows`` call.  No list of all records is built, so memory
+does not grow with the number of pairs.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import io
 import itertools
 import json
 import math
-import operator
 import os
 import sys
 from dataclasses import dataclass
@@ -268,38 +270,6 @@ def _decision_stream(plan: _RunPlan) -> np.random.Generator:
 # per-command sweeps
 # ---------------------------------------------------------------------------
 
-class _Running:
-    """Count, minimum, maximum and sum of a stream of numbers.
-
-    They equal ``len``, ``min``, ``max`` and ``sum`` over the list of the
-    same numbers (``sum`` adding left to right, as it does for floats up
-    to Python 3.11), without keeping the list.
-    """
-
-    __slots__ = ("count", "low", "high", "total")
-
-    def __init__(self):
-        self.count, self.low, self.high, self.total = 0, None, None, 0
-
-    def extend(self, values) -> None:
-        """Take in ``values`` in order, as one number after another."""
-        values = list(values)
-        if not values:
-            return
-        if self.count == 0:
-            self.low = self.high = values[0]
-        # min and max replace their pick only on a strictly smaller or
-        # larger value, as comparing one number at a time would
-        self.low = min([self.low, *values])
-        self.high = max([self.high, *values])
-        self.count += len(values)
-        self.total = functools.reduce(operator.add, values, self.total)
-
-    @property
-    def mean(self):
-        return self.total / self.count if self.count else None
-
-
 class _Coded:
     """A report column of few distinct values: record r takes
     ``values[codes[r]]``, so each distinct value is rendered once."""
@@ -449,13 +419,12 @@ def _classical_sweep(plan: _RunPlan, violations: list):
     lam = margin.fraction
     fixed = {"record": "input", "n": n, "lambda": str(margin.fraction), "k": k}
     # the exact error and detection floats of each (overlap m, weight h)
-    # a run reports, worked out once per sweep, at m * (n + 1) + h
+    # a run reports, worked out once per sweep, at key m * (n + 1) + h
     table = {}
     cost = randomized_protocol.bit_cost(n, k)
-    err_yes, err_no, det_no = _Running(), _Running(), _Running()
-    literal_no = 0
+    # pairs per key: NO pairs in row 0, YES pairs in row 1
+    counts = np.zeros((2, (n + 1) ** 2), dtype=np.int64)
     sigma_max = 0.0
-    bits_total = 0
     # a frequency is flagged when the chance of one as far off, on either
     # side, is below MC_FALSE_ALARM over the pairs: 2 exp(-N KL) < rate / pairs
     mc_exponent = math.log(2 * max(cfg.samples, 1) / MC_FALSE_ALARM)
@@ -465,7 +434,8 @@ def _classical_sweep(plan: _RunPlan, violations: list):
         columns = _pair_columns(n, xs, ys, yes)
         runs = randomized_protocol.one_way_columns(xs, ys, n, k, stream)
         m, h, literal = runs.overlap, runs.weight, runs.literal_branch
-        keys, codes = np.unique(m * (n + 1) + h, return_inverse=True)
+        pair_keys = m * (n + 1) + h
+        keys, codes = np.unique(pair_keys, return_inverse=True)
         for key in keys.tolist():
             if key not in table:
                 table[key] = randomized_protocol.report_floats(*divmod(key, n + 1), k)
@@ -506,16 +476,9 @@ def _classical_sweep(plan: _RunPlan, violations: list):
         )
         yield _Batch(fixed, columns, len(xs))
         start += len(xs)
-        literal_count = int(np.count_nonzero(literal))
-        bits_total += cost * (len(xs) - literal_count) + literal_count
-        no, sampled_no = ~yes, ~yes & ~literal
-        e = np.array(error)[codes]
-        err_yes.extend(e[yes].tolist())
-        err_no.extend(e[no].tolist())
-        det_no.extend(np.array(detect, dtype=float)[codes[sampled_no]].tolist())
-        # tiny-n band pairs with fewer ones than samples: surfaced, not
-        # treated as protocol failures
-        literal_no += int(np.count_nonzero(no & literal))
+        counts += [np.bincount(pair_keys[~yes], minlength=(n + 1) ** 2),
+                   np.bincount(pair_keys[yes], minlength=(n + 1) ** 2)]
+        sampled_no = ~yes & ~literal
         # the run's own overlap and weight, against the pair's counts
         m_pair = margin.promise.counts(xs, ys)
         h_pair = np.bitwise_count(xs)
@@ -524,7 +487,7 @@ def _classical_sweep(plan: _RunPlan, violations: list):
             (mc_off, mc_messages.__getitem__),
             (yes & (runs.decision != 1),
              lambda i: f"yes pair {x_text[i]},{y_text[i]} rejected"),
-            (yes & (e != 0.0),
+            (yes & (np.array(error)[codes] != 0.0),
              lambda i: f"yes pair {x_text[i]},{y_text[i]} has nonzero error"),
             ((m != m_pair) | (h != h_pair),
              lambda i: (f"pair {x_text[i]},{y_text[i]} run with overlap {m[i]} "
@@ -534,19 +497,32 @@ def _classical_sweep(plan: _RunPlan, violations: list):
             (sampled_no & (m * lam.denominator < lam.numerator * h),
              lambda i: f"no pair {x_text[i]},{y_text[i]} above miss cap"),
         ])
+    # a key's pairs took the literal branch iff its weight h is below k
+    literal_key = np.arange((n + 1) ** 2) % (n + 1) < k
+    literal_pairs = int(counts[:, literal_key].sum())
+    no_keys, yes_keys = (np.flatnonzero(row).tolist() for row in counts)
+    # the sampled NO pairs per key, and their exact detection probabilities
+    sampled = {key: int(counts[0, key]) for key in no_keys if not literal_key[key]}
+    detect = [table[key][1] for key in sampled]
+    detect_sum = sum(
+        count * (1 - randomized_protocol.miss_probability(*divmod(key, n + 1), k))
+        for key, count in sampled.items()
+    )
     yield _record({
         **fixed,
         "record": "summary",
-        "count_yes": err_yes.count,
-        "count_no": err_no.count,
-        "err_yes_max": err_yes.high,
-        "err_no_max": err_no.high,
-        "det_no_min": det_no.low,
-        "det_no_max": det_no.high,
-        "det_no_mean": det_no.mean,
-        "literal_no_count": literal_no,
+        "count_yes": int(counts[1].sum()),
+        "count_no": int(counts[0].sum()),
+        "err_yes_max": max((table[key][0] for key in yes_keys), default=None),
+        "err_no_max": max((table[key][0] for key in no_keys), default=None),
+        "det_no_min": min(detect, default=None),
+        "det_no_max": max(detect, default=None),
+        "det_no_mean": float(detect_sum / sum(sampled.values())) if sampled else None,
+        # tiny-n band pairs with fewer ones than samples: surfaced, not
+        # treated as protocol failures
+        "literal_no_count": int(counts[0, literal_key].sum()),
         "mc_sigma_max": sigma_max,
-        "bits_total": bits_total,
+        "bits_total": cost * (int(counts.sum()) - literal_pairs) + literal_pairs,
         "invariant_ok": not violations,
     })
 
@@ -560,7 +536,9 @@ def _qcfa_sweep(plan: _RunPlan, violations: list):
         counts = (len(machine.quantum_labels), len(machine.classical_states))
         if counts != problem.state_counts:
             failed.append(f"{name} machine has unexpected state counts")
-        p_yes, p_no, deviations = _Running(), _Running(), _Running()
+        # the machine's floats are witnesses: their extremes, chunk by chunk
+        count_yes = count_no = 0
+        p_yes_min, p_no_max, deviation_max = math.inf, -math.inf, -math.inf
         fixed = {"record": "input", "machine": name, "n": n}
         for xs, ys, yes in _word_pair_stream(plan, problem):
             columns = _pair_columns(n, xs, ys, yes)
@@ -572,9 +550,12 @@ def _qcfa_sweep(plan: _RunPlan, violations: list):
             deviation = [abs(p - want) for p, want in zip(probabilities, expected)]
             columns.update(p_accept=probabilities, expected=expected, deviation=deviation)
             yield _Batch(fixed, columns, len(xs))
-            deviations.extend(deviation)
-            p_yes.extend(itertools.compress(probabilities, yes.tolist()))
-            p_no.extend(itertools.compress(probabilities, (~yes).tolist()))
+            p_yes = list(itertools.compress(probabilities, yes.tolist()))
+            p_no = list(itertools.compress(probabilities, (~yes).tolist()))
+            count_yes, count_no = count_yes + len(p_yes), count_no + len(p_no)
+            p_yes_min = min([p_yes_min, *p_yes])
+            p_no_max = max([p_no_max, *p_no])
+            deviation_max = max([deviation_max, *deviation])
             _flag(failed, [
                 (np.array(deviation) > PROB_TOL,
                  lambda i: f"{name} word {words[i]} off by {deviation[i]:.3e}"),
@@ -587,11 +568,11 @@ def _qcfa_sweep(plan: _RunPlan, violations: list):
         yield _record({
             **fixed,
             "record": "summary",
-            "count_yes": p_yes.count,
-            "count_no": p_no.count,
-            "p_yes_min": p_yes.low,
-            "p_no_max": p_no.high,
-            "deviation_max": deviations.high,
+            "count_yes": count_yes,
+            "count_no": count_no,
+            "p_yes_min": p_yes_min if count_yes else None,
+            "p_no_max": p_no_max if count_no else None,
+            "deviation_max": deviation_max if count_yes + count_no else None,
             "quantum_states": len(machine.quantum_labels),
             "classical_states": len(machine.classical_states),
             "invariant_ok": not failed,

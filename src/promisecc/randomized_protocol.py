@@ -8,7 +8,10 @@ she sends the literal answer 1 in a single bit instead.
 Disjoint pairs are never rejected.  On a band pair the chance that one
 sampled position lands in the intersection is m/H(x) >= lam, so the miss
 probability after k samples is (1 - m/H(x))**k <= (1 - lam)**k; the k that
-pushes this under a target error is computed exactly in rationals.
+pushes this under a target error is computed exactly in rationals.  That
+miss probability is held as an exact ``Fraction`` in one place,
+:func:`miss_probability`, and every probability a run reports is the
+correctly rounded float of an exact value derived from it.
 
 At tiny n a band pair can itself have fewer than k ones, forcing the
 literal-1 branch and a certain error; reports flag this instead of hiding
@@ -28,10 +31,16 @@ from .bits import BitString, hamming_weight, intersection_size, smallest_k
 from .qsim import _ones
 
 
+def miss_probability(m: int, h: int, k: int) -> Fraction:
+    """Exact chance that k positions drawn uniformly from the ``h`` ones of
+    x all miss the ``m`` positions shared with y: ``((h - m)/h)**k``."""
+    return Fraction(h - m, h) ** k
+
+
 def exact_detection_probability(x: BitString, y: BitString, k: int) -> float:
     """Probability that k sampled 1-positions of x hit the intersection:
-    1 - (1 - m/H)**k.  Undefined when x has no ones (the protocol never
-    samples then).
+    the float of 1 - (1 - m/H)**k.  Undefined when x has no ones (the
+    protocol never samples then).
     """
     if x.n != y.n:
         raise ValueError(f"length mismatch: {x.n} vs {y.n}")
@@ -40,8 +49,7 @@ def exact_detection_probability(x: BitString, y: BitString, k: int) -> float:
     h = hamming_weight(x)
     if h == 0:
         raise ValueError("detection undefined for weight-0 x (literal-1 branch)")
-    m = intersection_size(x, y)
-    return 1.0 - (1.0 - m / h) ** k
+    return float(1 - miss_probability(intersection_size(x, y), h, k))
 
 
 def positions_count(margin, eps=Fraction(1, 3), limit: int | None = None) -> int | None:
@@ -79,7 +87,7 @@ class ClassicalProtocolReport:
     p_detect: float | None
 
 
-def sample_positions(weights, k: int, rng: np.random.Generator) -> list[list[int]]:
+def sample_positions(weights, k: int, rng: np.random.Generator) -> np.ndarray:
     """Alice's k draws for each of N pairs: row r holds k indices into pair
     r's 1-positions, uniform below ``weights[r]``, her number of ones.
 
@@ -88,20 +96,20 @@ def sample_positions(weights, k: int, rng: np.random.Generator) -> list[list[int
     batches of one would.
     """
     highs = np.asarray(weights, dtype=np.int64)[:, None]
-    return rng.integers(0, highs, size=(len(highs), k)).tolist()
+    return rng.integers(0, highs, size=(len(highs), k))
 
 
 def report_floats(m: int, h: int, k: int) -> tuple[float, float | None]:
-    """The exact error and detection probability a report prints for a
-    pair of overlap ``m`` whose x has ``h`` ones: ``(1 - m/h)**k`` as one
-    float expression, the error 0 on a disjoint pair, and on the literal
-    branch (``h < k``) the error 1 on an intersecting pair and no
-    detection probability."""
+    """The error and detection probability a report prints for a pair of
+    overlap ``m`` whose x has ``h`` ones: the floats of the exact
+    :func:`miss_probability` and of one minus it, the error 0 on a disjoint
+    pair, and on the literal branch (``h < k``) the error 1 on an
+    intersecting pair and no detection probability."""
     if h < k:
         return (0.0 if m == 0 else 1.0), None
-    miss = (1.0 - m / h) ** k
+    miss = miss_probability(m, h, k)
     # disjoint pairs are never detected, so only intersecting pairs can err
-    return (0.0 if m == 0 else miss), 1.0 - miss
+    return (float(miss) if m else 0.0), float(1 - miss)
 
 
 class OneWayColumns(NamedTuple):
@@ -136,7 +144,7 @@ def one_way_columns(x_values, y_values, n: int, k: int, rng) -> OneWayColumns:
     hit = np.zeros(len(weights), dtype=bool)
     drawn = np.flatnonzero(~literal)
     if len(drawn):
-        picks = np.array(sample_positions(weights[drawn], k, rng))
+        picks = sample_positions(weights[drawn], k, rng)
         # each row's 1-positions in order, ahead of its 0-positions
         ones = np.argsort(x_bits[drawn] == 0, axis=1, kind="stable")
         positions = np.take_along_axis(ones, picks, axis=1)

@@ -46,7 +46,8 @@ def chunkings(draw, items):
 )
 def test_batched_picks_equal_draws_one_pair_at_a_time(chunks, k, seed):
     batched, single = np.random.default_rng(seed), np.random.default_rng(seed)
-    together = [row for chunk in chunks for row in sample_positions(chunk, k, batched)]
+    together = [row for chunk in chunks
+                for row in sample_positions(chunk, k, batched).tolist()]
     # the scalar call a single pair made before the draws were batched
     alone = [single.integers(0, h, size=k).tolist() for chunk in chunks for h in chunk]
     assert together == alone

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from promisecc.bits import BitString, Margin
 from promisecc.randomized_protocol import (
@@ -11,6 +12,7 @@ from promisecc.randomized_protocol import (
     detection_frequency,
     exact_detection_probability,
     positions_count,
+    report_floats,
     run_one_way,
 )
 
@@ -37,6 +39,31 @@ class TestExactDetection:
         x, y = BitString("11110000"), BitString("10000000")
         ps = [exact_detection_probability(x, y, k) for k in (1, 2, 4, 8)]
         assert ps == sorted(ps)
+
+
+@st.composite
+def pairs(draw):
+    n = draw(st.integers(1, 64))
+    words = st.integers(0, 2**n - 1)
+    return BitString(draw(words), n), BitString(draw(words), n)
+
+
+@given(pairs(), st.integers(1, 64), st.integers(0, 2**32))
+def test_every_reported_probability_is_the_float_of_the_exact_miss(pair, k, seed):
+    x, y = pair
+    m, h = (x.value & y.value).bit_count(), x.value.bit_count()
+    assume(h > 0)
+    miss = Fraction(h - m, h) ** k
+    assert exact_detection_probability(x, y, k) == float(1 - miss)
+    report = run_one_way(x, y, k, np.random.default_rng(seed))
+    error, detect = report_floats(m, h, k)
+    if h < k:  # the literal answer 1 samples nothing
+        assert report.p_detect is detect is None
+        assert report.exact_error_probability == error == float(m > 0)
+    else:
+        assert report.p_detect == detect == float(1 - miss)
+        # a disjoint pair is never rejected, so it never errs
+        assert report.exact_error_probability == error == (float(miss) if m else 0.0)
 
 
 class TestPositionsCount:

@@ -3,8 +3,8 @@
 Reports are promised to be byte-identical run to run, and changes that
 only make a command faster must keep them so.  These digests turn that
 into a check: a change to the sweeps, the rounds or the renderer that
-moves any byte fails here.  The quantum sweep prints the floats of exact
-values and the classical sweep Python float expressions, but the
+moves any byte fails here.  The two protocol sweeps print the floats of
+exact values, read from exact tables and per-key counts, but the
 automaton sweep's fields come from numpy and its BLAS, so a different
 build can round a last bit differently; on a mismatch, run the parent
 commit on the same machine before re-pinning.
@@ -53,7 +53,7 @@ CASES = {
         dict(command="classical-sweep", n=16, mode="sample", samples=300, seed=1,
              fmt="csv"),
         301,
-        "1286f92539db9c29577d3f353f3d8926d83a48572ca56090ce55d22a8ea681f1",
+        "bac50b338da441930cf2895bafd3c0e1be864c81b5359f6abdc9ae7cefcaf70d",
     ),
     "qcfa-n3-json": (
         dict(command="qcfa-sweep", n=3, seed=1),
@@ -87,7 +87,7 @@ CASES = {
         dict(command="classical-sweep", n=16, mode="sample", samples=2100, seed=1,
              fmt="csv"),
         2101,
-        "d65d0c30d799bc544694c151b6f46bce65e6e4e7f4869e4c4ba64d761507a9ed",
+        "7887aa6f81f4c8f192794326d44b1943f2ec21024e4ae13518906c3003b7a192",
     ),
     "qcfa-n16-sample-1100-csv": (
         dict(command="qcfa-sweep", n=16, mode="sample", samples=1100, seed=1,
@@ -138,7 +138,7 @@ CASES = {
         dict(command="classical-sweep", n=64, mode="sample", samples=50, seed=1,
              fmt="csv"),
         51,
-        "ec25d295483cac9203016251d250333a36f6226c0d59b1f150f6b2f9c2be25ab",
+        "506f6b8ddfbba2466e1a9f2d2b81240837c5b4eb021733114826c15de93e0cb9",
     ),
     # odd n: the x#y#x band from ceil(n/4) to floor(3n/4), and no
     # equality NO words
@@ -176,17 +176,17 @@ WITHOUT_DECISION = {
     "quantum-n16-sample-csv":
         "feecc354b44bb09149eecbced5e4ac4067401f73bcfe2a95c558c2744d041c5e",
     "classical-n16-sample-csv":
-        "9fe6785c8650e6c479c01716645b8715f0d1dabc18101c1871065b5039826937",
+        "7cabbea580e6f816552288cdae4b5f4f559b122413a3856da5ce28f307a58066",
     "quantum-n16-sample-2100-json":
         "3810787faad1c6df4bba808793f141eae148f8bc71f4e226db972a31af96a494",
     "classical-n16-sample-2100-csv":
-        "61e2057fa2b06c796b10a685d53f8fe703da5c9740d17bc0440997c0465f6a40",
+        "ea689f4308c755348c170cc5b36622409dd3f613cd27013575c767360aa4f29f",
     "quantum-n6-lambda-1-6-json":
         "ac506d70cfc57fcdf62475feb0c92cb03641d3cfe8582d56af8bcdf678c38495",
     "quantum-n64-sample-json":
         "66b67863a72eca1014b1c522edd39917fa3fa1838db9be5a4fadec9a293c5086",
     "classical-n64-sample-csv":
-        "05314dee2f181e1ed9edb755de6f2729cb30679297587ab798bfcb5c4fb03bca",
+        "326cc6c5d28db2b69d4c00e2485541de27534743c77e4522ed1ee5308ab6119b",
 }
 
 
