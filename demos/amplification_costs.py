@@ -17,7 +17,7 @@ from promisecc import (
     promise_pairs,
     qubit_cost,
     repetition_count,
-    round_accept_probabilities,
+    round_columns,
 )
 
 # ---------------------------------------------------------------------------
@@ -69,6 +69,6 @@ no_pairs = [
     if label is PromiseLabel.NO
 ]
 x_values, y_values = zip(*no_pairs)
-worst = max(p**k for p in round_accept_probabilities(x_values, y_values, n))
+worst = max(p**k for p in round_columns(x_values, y_values, n)[1].tolist())
 print(f"\nlambda={lam}, n={n}: k={k} rounds, worst No acceptance "
       f"{worst:.4f} <= 1/3 = {float(Fraction(1, 3)):.4f}")

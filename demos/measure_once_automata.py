@@ -18,8 +18,6 @@ from promisecc import (
     equality_automaton,
     equality_word,
     equality_word_problem,
-    qcfa_from_json,
-    qcfa_to_json,
     round_accept_probability_fast,
 )
 
@@ -76,14 +74,3 @@ x, y = BitString(0b1100, n), BitString(0b0110, n)
 print(f"  example {disjointness_word(x, y)}: accept "
       f"{accept_probability(dj, disjointness_word(x, y)):.6f} "
       f"(overlap {(0b1100 & 0b0110).bit_count()})")
-
-# ---------------------------------------------------------------------------
-# Machines serialize to JSON and come back behaviorally identical. Signed
-# permutations are stored as index and sign lists, so only the spread and
-# collect are written out as matrices.
-# ---------------------------------------------------------------------------
-blob = qcfa_to_json(eq)
-clone = qcfa_from_json(blob)
-word = equality_word(BitString(0b1001, n), BitString(0b1001, n))
-print(f"\nJSON roundtrip: {len(blob)} chars, clone accepts {word} with "
-      f"{accept_probability(clone, word):.6f}")

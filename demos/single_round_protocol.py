@@ -17,7 +17,7 @@ from promisecc import (
     Margin,
     closed_form_accept_probability,
     round_accept_probability,
-    round_amplitudes,
+    round_columns,
     run_protocol,
 )
 from fractions import Fraction
@@ -39,8 +39,7 @@ print(f"{'m':>3} {'x':>6} {'y':>6} {'dense':>10} {'S':>3} {'S^2/n^2':>10} {'clos
 for m in range(n + 1):
     x = BitString((1 << n) - 1, n)  # all ones
     y = BitString((1 << m) - 1, n)  # first m positions shared
-    dense = round_accept_probability(x, y)
-    s = round_amplitudes([x.value], [y.value], n)[0]
+    s, dense = (column[0] for column in round_columns([x.value], [y.value], n))
     closed = closed_form_accept_probability(x, y)
     print(f"{m:>3} {x!s:>6} {y!s:>6} {dense:>10.6f} {s:>3} {s * s / n**2:>10.6f} "
           f"{closed:>10.6f}")

@@ -17,14 +17,12 @@ from .bits import (
     classify_disj_promise,
     disjointness_promise,
     equality_promise,
-    hamming_distance,
     hamming_weight,
     intersection_size,
     promise_pairs,
 )
 from .qsim import (
     SignedPermutation,
-    basis_state,
     collect_op,
     complete_unitary_from_column,
     is_unitary,
@@ -36,10 +34,8 @@ from .quantum_protocol import (
     closed_form_accept_probability,
     qubit_cost,
     repetition_count,
-    round_accept_probabilities,
     round_accept_probability,
     round_accept_probability_fast,
-    round_amplitudes,
     round_columns,
     run_protocol,
     sample_decisions,
@@ -65,7 +61,6 @@ from .automata import (
     accept_probabilities,
     accept_probability,
     bruteforce_disjointness_dfa,
-    classify_word,
     disjointness_automaton,
     disjointness_word,
     disjointness_word_problem,
@@ -74,8 +69,6 @@ from .automata import (
     equality_word_problem,
     extended_transition,
     protocol_from_dfa,
-    qcfa_from_json,
-    qcfa_to_json,
     run_dfa,
     verify_promise_dfa,
 )

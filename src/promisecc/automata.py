@@ -28,7 +28,8 @@ Each word problem is one :class:`WordProblem` record, which is all that
 sets the two apart: its promise and margin, its word, its machine and
 what that machine must do.  It labels a pair by its promise table,
 :meth:`WordProblem.classify_pair`, without building the word;
-:func:`classify_word` reads a word's first two blocks and the same table.
+:meth:`WordProblem.classify` reads a word's first two blocks and the same
+table.
 
 A brute-force DFA for the ``x#y#x`` problem (tracking the first block
 verbatim plus the running intersection count) witnesses the classical
@@ -39,7 +40,6 @@ three-message deterministic protocol whose transcript costs
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -341,7 +341,18 @@ class WordProblem:
         return self.n - 2 * self.promise.counts(x_values, y_values).astype(np.int64)
 
     def classify(self, word: str) -> PromiseLabel:
-        return classify_word(self, word)
+        """Label a word by :meth:`classify_pair` of its first two blocks; a
+        word that is not this problem's word of those blocks, such as an
+        ``x#y#x`` word whose third block is not its first, is outside."""
+        blocks = word.split(SEPARATOR)
+        if len(blocks) < 2 or any(
+            len(b) != self.n or not set(b) <= {"0", "1"} for b in blocks[:2]
+        ):
+            return PromiseLabel.OUTSIDE
+        x, y = BitString(blocks[0]), BitString(blocks[1])
+        if self.word(x, y) != word:
+            return PromiseLabel.OUTSIDE
+        return self.classify_pair(x, y)
 
     def classify_pair(self, x: BitString, y: BitString) -> PromiseLabel:
         """Label the word of the pair without building it."""
@@ -359,21 +370,6 @@ def equality_word_problem(n: int) -> WordProblem:
 
 def disjointness_word_problem(n: int) -> WordProblem:
     return WordProblem(n, "disjointness")
-
-
-def classify_word(problem: WordProblem, word: str) -> PromiseLabel:
-    """Label a word by :meth:`WordProblem.classify_pair` of its first two
-    blocks; a word that is not the problem's word of those blocks, such as
-    an ``x#y#x`` word whose third block is not its first, is outside."""
-    blocks = word.split(SEPARATOR)
-    if len(blocks) < 2 or any(
-        len(b) != problem.n or not set(b) <= {"0", "1"} for b in blocks[:2]
-    ):
-        return PromiseLabel.OUTSIDE
-    x, y = BitString(blocks[0]), BitString(blocks[1])
-    if problem.word(x, y) != word:
-        return PromiseLabel.OUTSIDE
-    return problem.classify_pair(x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -514,87 +510,3 @@ def protocol_from_dfa(d: Dfa, n: int) -> DfaProtocol:
     if not verify_promise_dfa(d, n):
         raise ValueError("DFA fails the exhaustive promise check")
     return DfaProtocol(dfa=d, n=n)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def _operator_to_json(u) -> dict:
-    if isinstance(u, qsim.SignedPermutation):
-        return {"perm": u.perm.tolist(), "sign": u.sign.astype(int).tolist()}
-    return {"matrix": {"re": np.real(u).tolist(), "im": np.imag(u).tolist()}}
-
-
-def _operator_from_json(entry):
-    if "perm" in entry:
-        return qsim.SignedPermutation(np.array(entry["perm"]), np.array(entry["sign"]))
-    return np.array(entry["matrix"]["re"]) + 1j * np.array(entry["matrix"]["im"])
-
-
-def _label_to_json(l):
-    return list(l) if isinstance(l, tuple) else l
-
-
-def _label_from_json(l):
-    return tuple(l) if isinstance(l, list) else l
-
-
-#: The keys :func:`qcfa_to_json` writes; :func:`qcfa_from_json` reads no other.
-_JSON_KEYS = frozenset({
-    "quantum_labels", "classical_states", "alphabet", "initial_quantum",
-    "initial_classical", "accept_outcomes", "quantum_tr", "classical_tr",
-})
-
-
-def qcfa_to_json(machine: Qcfa) -> str:
-    """JSON description: labels, states and the transitions given.
-
-    A signed permutation is stored as ``perm``/``sign`` lists, a dense
-    operator as ``matrix`` with ``re``/``im`` rows.
-    """
-    payload = {
-        "quantum_labels": [_label_to_json(l) for l in machine.quantum_labels],
-        "classical_states": list(machine.classical_states),
-        "alphabet": list(machine.alphabet),
-        "initial_quantum": _label_to_json(machine.initial_quantum),
-        "initial_classical": machine.initial_classical,
-        "accept_outcomes": [_label_to_json(o) for o in sorted(machine.accept_outcomes)],
-        "quantum_tr": [
-            {"state": s, "symbol": sym, **_operator_to_json(u)}
-            for (s, sym), u in sorted(machine.quantum_tr.items(), key=repr)
-        ],
-        "classical_tr": [
-            {"state": s, "symbol": sym, "next": t}
-            for (s, sym), t in sorted(machine.classical_tr.items(), key=repr)
-        ],
-    }
-    return json.dumps(payload)
-
-
-def qcfa_from_json(text: str) -> Qcfa:
-    """Inverse of :func:`qcfa_to_json`; the machine is validated on the way in."""
-    d = json.loads(text)
-    unknown = set(d) - _JSON_KEYS
-    if unknown:
-        raise ValueError(f"unknown QCFA fields {sorted(unknown)}")
-    machine = Qcfa(
-        quantum_labels=tuple(_label_from_json(l) for l in d["quantum_labels"]),
-        classical_states=tuple(_label_from_json(s) for s in d["classical_states"]),
-        alphabet=tuple(d["alphabet"]),
-        quantum_tr={
-            (_label_from_json(e["state"]), e["symbol"]): _operator_from_json(e)
-            for e in d["quantum_tr"]
-        },
-        classical_tr={
-            (_label_from_json(e["state"]), e["symbol"]): _label_from_json(e["next"])
-            for e in d["classical_tr"]
-        },
-        initial_quantum=_label_from_json(d["initial_quantum"]),
-        initial_classical=_label_from_json(d["initial_classical"]),
-        accept_outcomes=frozenset(
-            _label_from_json(o) for o in d["accept_outcomes"]
-        ),
-    )
-    machine.validate()
-    return machine

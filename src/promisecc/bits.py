@@ -138,12 +138,6 @@ def hamming_weight(x: BitString) -> int:
     return x.value.bit_count()
 
 
-def hamming_distance(x: BitString, y: BitString) -> int:
-    """Number of positions where ``x`` and ``y`` differ."""
-    _check_same_length(x, y)
-    return (x.value ^ y.value).bit_count()
-
-
 def intersection_size(x: BitString, y: BitString) -> int:
     """Number of positions where both words carry a 1."""
     _check_same_length(x, y)

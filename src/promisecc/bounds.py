@@ -86,15 +86,6 @@ class CommMatrix:
         """Index pairs of the cells holding value."""
         return [(int(i), int(j)) for i, j in np.argwhere(self.entries == value)]
 
-    def submatrix(self, row_indices, col_indices) -> "CommMatrix":
-        ri = list(row_indices)
-        ci = list(col_indices)
-        return CommMatrix(
-            rows=tuple(self.rows[i] for i in ri),
-            cols=tuple(self.cols[j] for j in ci),
-            entries=self.entries[np.ix_(ri, ci)],
-        )
-
 
 _ENTRY = {PromiseLabel.YES: 1, PromiseLabel.NO: 0, PromiseLabel.OUTSIDE: UNDEFINED}
 

@@ -48,21 +48,6 @@ def pair_index(i: int, b: int, n: int) -> int:
     return b * n + (i - 1)
 
 
-def basis_state(dim: int, index: int) -> np.ndarray:
-    """Standard basis vector e_index in dimension dim."""
-    psi = np.zeros(dim, dtype=complex)
-    psi[index] = 1.0
-    return psi
-
-
-def norm(psi: np.ndarray) -> float:
-    return float(np.linalg.norm(psi))
-
-
-def is_unit(psi: np.ndarray) -> bool:
-    return abs(norm(psi) - 1.0) <= ATOL
-
-
 def is_unitary(u: np.ndarray) -> bool:
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
@@ -83,14 +68,15 @@ def complete_unitary_from_column(column: np.ndarray) -> np.ndarray:
     basis vectors that become dependent.  Same input, same matrix.
     """
     c = np.asarray(column, dtype=complex).reshape(-1)
-    if not is_unit(c):
+    if abs(np.linalg.norm(c) - 1.0) > ATOL:
         raise ValueError("first column must have unit norm")
     dim = c.shape[0]
     cols = [c]
     for k in range(dim):
         if len(cols) == dim:
             break
-        v = basis_state(dim, k)
+        v = np.zeros(dim, dtype=complex)
+        v[k] = 1.0
         for w in cols:
             v = v - np.vdot(w, v) * w
         nv = np.linalg.norm(v)
@@ -131,8 +117,8 @@ class SignedPermutation:
     ``op @ psi`` then applies row r to ``psi`` itself (one state, shape
     (dim,)) or to ``psi[r]`` (N states, shape (N, dim)), giving N states.
 
-    The constructor trusts its arguments; :meth:`validate` checks them
-    where they come from outside the package.
+    The constructor trusts its arguments; :meth:`validate` checks them,
+    as :meth:`Qcfa.validate` does for every signed permutation of a machine.
     """
 
     perm: np.ndarray  # integer index vector, or one per row

@@ -86,17 +86,6 @@ def round_columns(x_values, y_values, n: int) -> tuple[np.ndarray, np.ndarray]:
     return psi[:, :n].sum(axis=1).astype(np.int64), np.abs(amplitude) ** 2
 
 
-def round_amplitudes(x_values, y_values, n: int) -> list[int]:
-    """Per pair, the integer ``S = n - 2m`` of :func:`round_columns`."""
-    return round_columns(x_values, y_values, n)[0].tolist()
-
-
-def round_accept_probabilities(x_values, y_values, n: int) -> list[float]:
-    """Per pair, the dense witness of :func:`round_columns`: the
-    probability that the final measurement yields (1, 0)."""
-    return round_columns(x_values, y_values, n)[1].tolist()
-
-
 def round_accept_probability(x: BitString, y: BitString) -> float:
     """The dense witness of one protocol round: a batch of one.
 
@@ -104,14 +93,14 @@ def round_accept_probability(x: BitString, y: BitString) -> float:
     """
     if x.n != y.n:
         raise ValueError(f"length mismatch: {x.n} vs {y.n}")
-    return round_accept_probabilities([x.value], [y.value], x.n)[0]
+    return float(round_columns([x.value], [y.value], x.n)[1][0])
 
 
 def round_accept_probability_fast(x: BitString, y: BitString) -> float:
-    """The exact ``S**2 / n**2`` of :func:`round_amplitudes`: a batch of one."""
+    """The exact ``S**2 / n**2`` of :func:`round_columns`: a batch of one."""
     if x.n != y.n:
         raise ValueError(f"length mismatch: {x.n} vs {y.n}")
-    return round_amplitudes([x.value], [y.value], x.n)[0] ** 2 / x.n ** 2
+    return int(round_columns([x.value], [y.value], x.n)[0][0]) ** 2 / x.n ** 2
 
 
 def closed_form_accept_probability(x: BitString, y: BitString) -> float:

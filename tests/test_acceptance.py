@@ -31,9 +31,9 @@ from promisecc import (
     protocol_from_dfa,
     qubit_cost,
     repetition_count,
-    round_accept_probabilities,
     round_accept_probability,
     round_accept_probability_fast,
+    round_columns,
     run_one_way,
     verify_promise_dfa,
 )
@@ -92,9 +92,7 @@ def test_repetition_count_caps_no_acceptance_at_one_third(capsys):
     start = time.perf_counter()
     # one batched dense round over all pairs, x-major
     xs, ys = np.divmod(np.arange(1 << (2 * n)), 1 << n)
-    singles = np.array(
-        round_accept_probabilities(xs.tolist(), ys.tolist(), n)
-    ).reshape(1 << n, 1 << n)
+    singles = round_columns(xs.tolist(), ys.tolist(), n)[1].reshape(1 << n, 1 << n)
     meets = np.array(
         [[_popcount(xv & yv) for yv in range(1 << n)] for xv in range(1 << n)]
     )

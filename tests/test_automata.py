@@ -1,7 +1,5 @@
 """Measure-once automata, promise word problems, and the DFA reduction."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -10,7 +8,6 @@ from promisecc.automata import (
     Dfa,
     accept_probability,
     bruteforce_disjointness_dfa,
-    classify_word,
     disjointness_automaton,
     disjointness_word,
     disjointness_word_problem,
@@ -19,8 +16,6 @@ from promisecc.automata import (
     equality_word_problem,
     extended_transition,
     protocol_from_dfa,
-    qcfa_from_json,
-    qcfa_to_json,
     run_dfa,
     verify_promise_dfa,
 )
@@ -29,7 +24,7 @@ from promisecc.bits import (
     Margin,
     PromiseLabel,
     all_bitstrings,
-    hamming_distance,
+    hamming_weight,
     intersection_size,
 )
 from promisecc.quantum_protocol import closed_form_accept_probability
@@ -46,16 +41,16 @@ class TestWords:
 
     def test_classify_equality_words(self):
         problem = equality_word_problem(4)
-        assert classify_word(problem, "0101#0101") is PromiseLabel.YES
-        assert classify_word(problem, "0101#0110") is PromiseLabel.NO
-        assert classify_word(problem, "0101#0100") is PromiseLabel.OUTSIDE
+        assert problem.classify("0101#0101") is PromiseLabel.YES
+        assert problem.classify("0101#0110") is PromiseLabel.NO
+        assert problem.classify("0101#0100") is PromiseLabel.OUTSIDE
 
     def test_classify_disjointness_words(self):
         problem = disjointness_word_problem(4)
-        assert classify_word(problem, "0011#1100#0011") is PromiseLabel.YES
-        assert classify_word(problem, "0011#0011#0011") is PromiseLabel.NO
+        assert problem.classify("0011#1100#0011") is PromiseLabel.YES
+        assert problem.classify("0011#0011#0011") is PromiseLabel.NO
         # third block must repeat the first
-        assert classify_word(problem, "0011#1100#0010") is PromiseLabel.OUTSIDE
+        assert problem.classify("0011#1100#0010") is PromiseLabel.OUTSIDE
 
     def test_malformed_words_are_outside(self):
         cases = [
@@ -67,7 +62,7 @@ class TestWords:
         ]
         for problem, malformed in cases:
             for bad in malformed:
-                assert classify_word(problem, bad) is PromiseLabel.OUTSIDE, bad
+                assert problem.classify(bad) is PromiseLabel.OUTSIDE, bad
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_labels_match_oracle_on_all_pairs(self, n):
@@ -85,15 +80,15 @@ class TestWords:
         flip_last = BitString(1, n)
         for x in all_bitstrings(n):
             for y in all_bitstrings(n):
-                assert classify_word(eq, equality_word(x, y)).value == eq_oracle(
+                assert eq.classify(equality_word(x, y)).value == eq_oracle(
                     x.value, y.value
                 )
-                assert classify_word(disj, disjointness_word(x, y)).value == (
+                assert disj.classify(disjointness_word(x, y)).value == (
                     disj_oracle(x.value, y.value)
                 )
                 # a third block that differs from the first is outside
                 word = f"{x}#{y}#{x ^ flip_last}"
-                assert classify_word(disj, word) is PromiseLabel.OUTSIDE
+                assert disj.classify(word) is PromiseLabel.OUTSIDE
 
 
 class TestEqualityAutomaton:
@@ -112,7 +107,7 @@ class TestEqualityAutomaton:
         problem = equality_word_problem(n)
         for x in all_bitstrings(n):
             for y in all_bitstrings(n):
-                label = classify_word(problem, equality_word(x, y))
+                label = problem.classify(equality_word(x, y))
                 if label is PromiseLabel.OUTSIDE:
                     continue
                 p = accept_probability(machine, equality_word(x, y))
@@ -124,7 +119,7 @@ class TestEqualityAutomaton:
         machine = equality_automaton(4)
         x, y = BitString("0000"), BitString("0001")
         p = accept_probability(machine, equality_word(x, y))
-        d = hamming_distance(x, y)
+        d = hamming_weight(x ^ y)
         assert p == pytest.approx((1 - 2 * d / 4) ** 2, abs=1e-9)
 
     def test_rejects_bad_symbols(self):
@@ -158,66 +153,6 @@ class TestDisjointnessAutomaton:
         assert accept_probability(
             machine, disjointness_word(BitString("0001"), BitString("0011"))
         ) == pytest.approx(0.25, abs=1e-9)
-
-
-class TestSerialization:
-    @pytest.mark.parametrize("build,n", [(equality_automaton, 4), (disjointness_automaton, 2)])
-    def test_roundtrip_preserves_acceptance(self, build, n):
-        machine = build(n)
-        restored = qcfa_from_json(qcfa_to_json(machine))
-        restored.validate()
-        words = (
-            [equality_word(x, y) for x in all_bitstrings(n) for y in all_bitstrings(n)]
-            if build is equality_automaton
-            else [disjointness_word(x, y) for x in all_bitstrings(n) for y in all_bitstrings(n)]
-        )
-        for w in words[:64]:
-            assert accept_probability(restored, w) == pytest.approx(
-                accept_probability(machine, w), abs=1e-9
-            )
-
-
-    def test_disjointness_n8_is_compact_and_roundtrips(self):
-        machine = disjointness_automaton(8)
-        blob = qcfa_to_json(machine)
-        assert len(blob) < 50_000
-        restored = qcfa_from_json(blob)
-        assert restored.quantum_tr.keys() == machine.quantum_tr.keys()
-        for key, u in machine.quantum_tr.items():
-            v = restored.quantum_tr[key]
-            if isinstance(u, np.ndarray):
-                assert np.array_equal(v, u)
-            else:
-                assert np.array_equal(v.perm, u.perm) and np.array_equal(v.sign, u.sign)
-        # a dense matrix comes back in C order, so products may round differently
-        rng = np.random.default_rng(8)
-        for _ in range(40):
-            x = BitString(rng.integers(0, 2, size=8).tolist())
-            y = BitString(rng.integers(0, 2, size=8).tolist())
-            w = disjointness_word(x, y)
-            assert accept_probability(restored, w) == pytest.approx(
-                accept_probability(machine, w), abs=1e-12
-            )
-
-    @pytest.mark.parametrize("field,value", [
-        ("perm", [0, 0, 2, 3]),  # not a permutation
-        ("perm", [0, 1, 2, 4]),  # index out of range
-        ("sign", [1, -1, 2, 1]),  # sign other than +-1
-        ("sign", [1, 1, 1]),  # sign of the wrong length
-    ])
-    def test_from_json_rejects_bad_signed_permutation(self, field, value):
-        payload = json.loads(qcfa_to_json(disjointness_automaton(2)))
-        entry = next(e for e in payload["quantum_tr"] if "perm" in e)
-        entry[field] = value
-        with pytest.raises(ValueError):
-            qcfa_from_json(json.dumps(payload))
-
-    def test_from_json_rejects_unknown_fields(self):
-        # a payload from a machine with halting states must not load as one without
-        payload = json.loads(qcfa_to_json(equality_automaton(2)))
-        payload["accepting_states"] = [3]
-        with pytest.raises(ValueError, match="unknown QCFA fields"):
-            qcfa_from_json(json.dumps(payload))
 
     def test_missing_transitions_are_identity_and_stay(self):
         machine = disjointness_automaton(3)

@@ -29,7 +29,7 @@ from promisecc.automata import (
     word_problems,
 )
 from promisecc.bits import BitString, PromiseLabel, all_bitstrings, intersection_size
-from promisecc.quantum_protocol import round_accept_probabilities, round_amplitudes
+from promisecc.quantum_protocol import round_columns
 
 MACHINES = [
     (equality_automaton, equality_word, equality_word_problem),
@@ -41,7 +41,8 @@ def _reference(machine: Qcfa, word: str) -> float:
     """One word, one symbol at a time: the walk the batched run replaced."""
     index = machine.quantum_labels.index
     s = machine.initial_classical
-    psi = qsim.basis_state(machine.dim, index(machine.initial_quantum))
+    psi = np.zeros(machine.dim, dtype=complex)
+    psi[index(machine.initial_quantum)] = 1.0
     for sym in (LEFT_MARKER, *word, RIGHT_MARKER):
         u = machine.quantum_tr.get((s, sym))
         if u is not None:
@@ -197,8 +198,8 @@ class TestTransitionsReadPerRun:
 class TestBatchInputs:
     def test_empty_batch(self):
         assert accept_probabilities(equality_automaton(2), []) == []
-        assert round_amplitudes([], [], 3) == []
-        assert round_accept_probabilities([], [], 3) == []
+        amplitudes, dense = round_columns([], [], 3)
+        assert amplitudes.shape == dense.shape == (0,)
 
     def test_mixed_lengths(self):
         with pytest.raises(ValueError, match="equal length"):
@@ -218,9 +219,7 @@ class TestBatchInputs:
 
     def test_round_batch_mismatch(self):
         with pytest.raises(ValueError, match="batch mismatch"):
-            round_amplitudes([1, 2], [3], 2)
-        with pytest.raises(ValueError, match="batch mismatch"):
-            round_accept_probabilities([1, 2], [3], 2)
+            round_columns([1, 2], [3], 2)
 
 
 @pytest.mark.parametrize("build,word_of,problem_of", MACHINES)
@@ -260,19 +259,19 @@ def test_pair_rule_rejects_words_of_another_length():
         )))
     ),
 )
-def test_batched_round_amplitudes_equal_pairs_alone(sized_chunks):
+def test_batched_round_columns_equal_pairs_alone(sized_chunks):
     n, chunks = sized_chunks
     together = [
         s for chunk in chunks
-        for s in round_amplitudes([x for x, _ in chunk], [y for _, y in chunk], n)
+        for s in round_columns([x for x, _ in chunk], [y for _, y in chunk], n)[0].tolist()
     ]
     pairs = [(x, y) for chunk in chunks for x, y in chunk]
-    alone = [round_amplitudes([x], [y], n)[0] for x, y in pairs]
+    alone = [round_columns([x], [y], n)[0].tolist()[0] for x, y in pairs]
     assert together == alone
     assert alone == [
         n - 2 * intersection_size(BitString(x, n), BitString(y, n)) for x, y in pairs
     ]
-    dense = round_accept_probabilities([x for x, _ in pairs], [y for _, y in pairs], n)
+    dense = round_columns([x for x, _ in pairs], [y for _, y in pairs], n)[1].tolist()
     for p, s in zip(dense, alone):
         assert abs(p - s * s / n**2) <= 1e-12
 

@@ -12,7 +12,6 @@ from promisecc.bits import (
     classify_disj_promise,
     disjointness_promise,
     equality_promise,
-    hamming_distance,
     hamming_weight,
     intersection_size,
     promise_pairs,
@@ -61,9 +60,6 @@ class TestWeights:
     def test_hamming_weight(self):
         assert hamming_weight(BitString("0000")) == 0
         assert hamming_weight(BitString("1011")) == 3
-
-    def test_hamming_distance(self):
-        assert hamming_distance(BitString("1010"), BitString("0110")) == 2
 
     def test_intersection_size(self):
         assert intersection_size(BitString("1100"), BitString("0110")) == 1
@@ -165,7 +161,7 @@ class TestEnumeration:
         # 4 equal pairs and 8 at distance one
         assert [label.value for _, _, label in pairs].count("yes") == 4
         assert len(pairs) == 12
-        assert all(hamming_distance(x, y) in (0, 1) for x, y, _ in pairs)
+        assert all(hamming_weight(x ^ y) in (0, 1) for x, y, _ in pairs)
 
     def test_promise_pairs_margin_length_mismatch(self):
         # the pairs come at the margin's length; a pair of another is refused

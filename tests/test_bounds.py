@@ -28,6 +28,15 @@ from promisecc.bounds import (
 )
 
 
+def _block(m, rows, cols):
+    """The block of ``m`` at the given row and column indices."""
+    return CommMatrix(
+        rows=tuple(m.rows[i] for i in rows),
+        cols=tuple(m.cols[j] for j in cols),
+        entries=m.entries[np.ix_(rows, cols)],
+    )
+
+
 class TestCommMatrix:
     def test_entry_and_shape(self):
         m = problem_matrix("eq", 1)
@@ -59,14 +68,6 @@ class TestCommMatrix:
         assert len(ones) == 4  # the diagonal
         assert len(zeros) == 8  # distance-one pairs
         assert len(undef) == 4  # distance-two pairs
-
-    def test_submatrix(self):
-        m = problem_matrix("eq", 2)
-        sub = m.submatrix([0, 1], [0, 1])
-        assert sub.shape == (2, 2)
-        assert sub.rows == (BitString("00"), BitString("01"))
-        assert sub.entries[0, 0] == 1
-        assert sub.entries[0, 1] == 0
 
 
 class TestProblemMatrix:
@@ -304,7 +305,7 @@ class TestPartition:
         )
         rows = [m.rows.index(x) for x in band]
         cols = [m.cols.index(~x) for x in band]
-        sub = m.submatrix(rows, cols)
+        sub = _block(m, rows, cols)
         result = min_monochromatic_partition(sub, 1)
         assert result.count == len(band)
         assert verify_partition(sub, 1, result.rectangles)
@@ -450,7 +451,7 @@ class TestBruteForceProtocolTree:
         rng = random.Random(4)
         for _ in range(5):
             rows, cols = (sorted(rng.sample(range(16), 4)) for _ in range(2))
-            sub = m.submatrix(rows, cols)
+            sub = _block(m, rows, cols)
             grid = tuple(map(tuple, sub.entries.tolist()))
             assert exact_deterministic_cc(sub) == _brute_depth(grid), grid
 

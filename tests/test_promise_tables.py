@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 
 from promisecc.automata import (
     WordProblem,
-    classify_word,
     disjointness_word,
     equality_word,
 )
@@ -108,7 +107,7 @@ def test_word_pair_rule_labels_the_built_word(kind, pairs):
     for xv, yv in values:
         x, y = BitString(xv, n), BitString(yv, n)
         label = problem.classify_pair(x, y)
-        assert label is classify_word(problem, word_of(x, y))
+        assert label is problem.classify(word_of(x, y))
         assert label.value == _rule(name, n, None, xv, yv)
 
 

@@ -15,6 +15,12 @@ def _random_state(rng, dim):
     return psi / np.linalg.norm(psi)
 
 
+def _basis(dim, index):
+    psi = np.zeros(dim, dtype=complex)
+    psi[index] = 1.0
+    return psi
+
+
 class TestBasics:
     def test_pair_index_layout(self):
         # low block holds (i, 0), high block holds (i, 1), both 1-based in i
@@ -24,15 +30,8 @@ class TestBasics:
         assert qsim.pair_index(1, 1, n) == 4
         assert qsim.pair_index(4, 1, n) == 7
 
-    def test_basis_state(self):
-        psi = qsim.basis_state(4, 2)
-        assert psi.shape == (4,)
-        assert psi[2] == 1.0
-        assert qsim.is_unit(psi)
-
     def test_uniform_over(self):
         psi = qsim.uniform_over(8, 4)
-        assert qsim.is_unit(psi)
         assert np.allclose(psi[:4], 0.5)
         assert np.allclose(psi[4:], 0.0)
 
@@ -51,7 +50,7 @@ class TestUnitaries:
 
     def test_spread_prepares_uniform_low_block(self):
         n = 4
-        psi = qsim.basis_state(2 * n, qsim.pair_index(1, 0, n))
+        psi = _basis(2 * n, qsim.pair_index(1, 0, n))
         psi = qsim.spread_op(n) @ psi
         assert np.allclose(psi, qsim.uniform_over(2 * n, n))
 
@@ -61,27 +60,27 @@ class TestUnitaries:
         spread = qsim.spread_op(n)
         uniform = qsim.uniform_over(2 * n, n)
         assert np.array_equal(spread[:, 0], uniform)
-        assert np.array_equal(spread @ qsim.basis_state(2 * n, 0), uniform)
+        assert np.array_equal(spread @ _basis(2 * n, 0), uniform)
 
     def test_collect_inverts_spread_on_first_column(self):
         n = 4
-        start = qsim.basis_state(2 * n, qsim.pair_index(1, 0, n))
+        start = _basis(2 * n, qsim.pair_index(1, 0, n))
         out = qsim.collect_op(n) @ (qsim.spread_op(n) @ start)
         assert np.allclose(out, start, atol=1e-12)
 
     def test_swap_moves_low_to_high_at_one_positions(self):
         u = qsim.swap(BitString("0100"))
-        lo = qsim.basis_state(8, qsim.pair_index(2, 0, 4))
-        hi_expected = qsim.basis_state(8, qsim.pair_index(2, 1, 4))
+        lo = _basis(8, qsim.pair_index(2, 0, 4))
+        hi_expected = _basis(8, qsim.pair_index(2, 1, 4))
         assert np.array_equal(u @ lo, hi_expected)
         # zero positions stay put
-        keep = qsim.basis_state(8, qsim.pair_index(1, 0, 4))
+        keep = _basis(8, qsim.pair_index(1, 0, 4))
         assert np.array_equal(u @ keep, keep)
 
     def test_phase_flips_high_block_only(self):
         u = qsim.phase(BitString("0100"))
-        hi = qsim.basis_state(8, qsim.pair_index(2, 1, 4))
-        lo = qsim.basis_state(8, qsim.pair_index(2, 0, 4))
+        hi = _basis(8, qsim.pair_index(2, 1, 4))
+        lo = _basis(8, qsim.pair_index(2, 0, 4))
         assert np.array_equal(u @ hi, -hi)
         assert np.array_equal(u @ lo, lo)
 
@@ -94,6 +93,10 @@ class TestUnitaries:
         u = qsim.complete_unitary_from_column(column)
         assert qsim.is_unitary(u)
         assert np.allclose(u[:, 0], column)
+
+    def test_complete_unitary_rejects_a_column_off_unit_norm(self):
+        with pytest.raises(ValueError, match="unit norm"):
+            qsim.complete_unitary_from_column(2 * qsim.uniform_over(6, 3))
 
 
 class TestFastPaths:
@@ -120,7 +123,7 @@ class TestSignedPermutation:
 
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            qsim.swap(BitString("01")) @ qsim.basis_state(6, 0)
+            qsim.swap(BitString("01")) @ _basis(6, 0)
 
     @pytest.mark.parametrize("n", [1, 3, 8, 64, 70])
     def test_batch_rows_are_the_single_operators(self, n):

@@ -12,10 +12,9 @@ from promisecc.quantum_protocol import (
     closed_form_accept_probability,
     qubit_cost,
     repetition_count,
-    round_accept_probabilities,
     round_accept_probability,
     round_accept_probability_fast,
-    round_amplitudes,
+    round_columns,
     run_protocol,
 )
 from promisecc.randomized_protocol import bit_cost, positions_count
@@ -65,8 +64,7 @@ class TestRoundProbability:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_integer_round_on_every_pair(self, n):
         xs, ys = (v.tolist() for v in np.divmod(np.arange(1 << 2 * n), 1 << n))
-        amplitudes = round_amplitudes(xs, ys, n)
-        dense = round_accept_probabilities(xs, ys, n)
+        amplitudes, dense = (column.tolist() for column in round_columns(xs, ys, n))
         for x, y, s, p in zip(xs, ys, amplitudes, dense):
             assert s == n - 2 * (x & y).bit_count()
             assert abs(p - s * s / n**2) <= 1e-12
