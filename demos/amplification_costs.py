@@ -11,10 +11,8 @@ from fractions import Fraction
 
 from promisecc import (
     Margin,
-    PromiseLabel,
     bit_cost,
     positions_count,
-    promise_pairs,
     qubit_cost,
     repetition_count,
     round_columns,
@@ -62,13 +60,11 @@ n = 8
 lam = Fraction(1, 8)
 margin = Margin(lam, n)
 k = repetition_count(lam, Fraction(1, 3))
-# one batched dense round over every No pair
-no_pairs = [
-    (x.value, y.value)
-    for x, y, label in promise_pairs(margin.promise)
-    if label is PromiseLabel.NO
-]
-x_values, y_values = zip(*no_pairs)
-worst = max(p**k for p in round_columns(x_values, y_values, n)[1].tolist())
+# one batched dense round over the No pairs of each chunk of the promise's pairs
+worst = max(
+    p**k
+    for x_values, y_values, yes in margin.promise.chunks()
+    for p in round_columns(x_values[~yes], y_values[~yes], n)[1].tolist()
+)
 print(f"\nlambda={lam}, n={n}: k={k} rounds, worst No acceptance "
       f"{worst:.4f} <= 1/3 = {float(Fraction(1, 3)):.4f}")

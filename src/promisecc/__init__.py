@@ -15,11 +15,8 @@ from .bits import (
     Promise,
     band,
     classify_disj_promise,
-    disjointness_promise,
-    equality_promise,
     hamming_weight,
     intersection_size,
-    promise_pairs,
 )
 from .qsim import (
     SignedPermutation,

@@ -48,15 +48,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .bits import (
-    BitString,
-    Promise,
-    PromiseLabel,
-    band,
-    disjointness_promise,
-    equality_promise,
-    promise_pairs,
-)
+from .bits import BitString, Promise, PromiseLabel
 from . import qsim
 
 LEFT_MARKER = "^"
@@ -316,10 +308,7 @@ class WordProblem:
 
     @cached_property
     def promise(self) -> Promise:
-        if _KINDS[self.kind].overlap:
-            return disjointness_promise(self.n, *band(self.lam, self.n))
-        # band(1/2, n) is the single distance n/2, empty at odd n
-        return equality_promise(self.n)
+        return Promise.from_margin(self.n, _KINDS[self.kind].overlap, self.lam)
 
     def word(self, x: BitString, y: BitString) -> str:
         return _KINDS[self.kind].word(x, y)
@@ -476,8 +465,9 @@ def verify_promise_dfa(d: Dfa, n: int) -> bool:
     """Exhaustively check a DFA against every x#y#x promise word."""
     problem = disjointness_word_problem(n)
     return all(
-        run_dfa(d, problem.word(x, y)) == (label is PromiseLabel.YES)
-        for x, y, label in promise_pairs(problem.promise)
+        run_dfa(d, problem.word(BitString(x, n), BitString(y, n))) == yes
+        for xs, ys, mask in problem.promise.chunks()
+        for x, y, yes in zip(xs.tolist(), ys.tolist(), mask.tolist())
     )
 
 

@@ -3,36 +3,39 @@
 The two base problems live on pairs of equal-length binary words: equality
 (are ``x`` and ``y`` the same word?) and disjointness (do ``x`` and ``y``,
 read as characteristic vectors of subsets of ``{1..n}``, share an index?).
-Their promise variants restrict attention to well-separated instances, and
-each labels a pair by one count:
+Each problem labels a pair by one count, the distance ``|x ^ y|`` or the
+overlap ``|x & y|``, and a margin lam: YES at count 0, NO at a count in
+the band ``ceil(lam*n) .. floor((1-lam)*n)`` (:func:`band`).
 
-* promise equality reads the distance ``|x ^ y|``: YES at 0, NO at exactly
-  ``n/2``, so odd n has no NO count (:func:`equality_promise`);
-* promise disjointness reads the overlap ``|x & y|``: YES at 0, NO in the
-  band ``ceil(lam*n) .. floor((1-lam)*n)`` (:func:`band`,
-  :func:`disjointness_promise`).
+* lam = 0 gives the total problem: NO at every count but 0;
+* promise equality takes lam = 1/2: NO at exactly ``n/2``, so odd n has
+  no NO count;
+* promise disjointness takes lam in (0, 1/4].
 
 Everything else is outside the promise and carries no correctness
 obligation.  A :class:`Promise` states the rule once, as one label per
-count 0..n, and every labeller reads that table.  Pairs of word values
-are counted in batches by :meth:`Promise.counts`, which serves
-:func:`promise_pairs` (every pair inside a promise, as words), the
-problem matrices and the sweeps' pair stream; single pairs and words are
-labelled by :meth:`Promise.label`.  The margin is kept as an exact
-rational, so the band ends are exact integers, never float comparisons.
+count 0..n, built by :meth:`Promise.from_margin`, and every labeller reads
+that table.  Pairs of word values are counted in batches by
+:meth:`Promise.counts`, which serves the problem matrices and the one pair
+stream, :meth:`Promise.chunks` (every pair inside the promise, or uniform
+draws kept inside it); single pairs and words are labelled by
+:meth:`Promise.label`.  The margin is kept as an exact rational, so the
+band ends are exact integers, never float comparisons.
 
 Words are written most-significant-position-first: ``str(x)[0]`` is the
-first bit of ``x``.
+first bit of ``x``; :func:`unpack_bits` spreads word values into that
+order.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -144,6 +147,36 @@ def intersection_size(x: BitString, y: BitString) -> int:
     return (x.value & y.value).bit_count()
 
 
+@lru_cache(maxsize=None)
+def _bit_masks(n: int) -> np.ndarray:
+    """The value of each position, first bit first: 2**(n-1), ..., 2, 1.
+
+    uint64 up to n = 64; Python integers beyond.
+    """
+    masks = np.array([1 << shift for shift in range(n - 1, -1, -1)],
+                     dtype=np.uint64 if n <= 64 else object)
+    masks.setflags(write=False)  # shared by every caller
+    return masks
+
+
+def unpack_bits(x, n: int | None = None) -> np.ndarray:
+    """Boolean mask of the 1-positions, first bit first.
+
+    ``x`` is a :class:`BitString` (shape ``(n,)``) or an array of N word
+    values of length ``n`` (shape ``(N, n)``).
+    """
+    if isinstance(x, BitString):
+        x, n = x.value, x.n
+    masks = _bit_masks(n)
+    values = np.asarray(x, dtype=masks.dtype)
+    return np.bitwise_and(values[..., None], masks).astype(bool)
+
+
+#: Candidate pairs per block of :meth:`Promise.chunks`; the pairs kept from
+#: one block make one chunk.
+SWEEP_CHUNK = 1024
+
+
 @dataclass(frozen=True)
 class Promise:
     """A promise problem on words of length ``n`` that labels a pair by one
@@ -153,6 +186,17 @@ class Promise:
     n: int
     overlap: bool
     labels: tuple
+
+    @classmethod
+    def from_margin(cls, n: int, overlap: bool, lam) -> "Promise":
+        """Count 0 is YES, a count in ``band(lam, n)`` NO, any other OUTSIDE."""
+        low, high = band(Fraction(lam), n)
+        return cls(n, overlap, tuple(
+            PromiseLabel.YES if c == 0
+            else PromiseLabel.NO if low <= c <= high
+            else PromiseLabel.OUTSIDE
+            for c in range(n + 1)
+        ))
 
     @property
     def combine(self):
@@ -171,25 +215,42 @@ class Promise:
             raise ValueError(f"promise is for n={self.n}, inputs have n={x.n}")
         return self.labels[self.combine(x.value, y.value).bit_count()]
 
+    def chunks(self, samples: int | None = None, seed=None):
+        """Chunks ``(x values, y values, YES mask)`` of the pairs inside the
+        promise, as numpy arrays (uint64 word values); no chunk is empty.
 
-def disjointness_promise(n: int, low: int, high: int) -> Promise:
-    """Promise disjointness: overlap 0 is YES, an overlap in [low, high] NO."""
-    return Promise(n, True, tuple(
-        PromiseLabel.YES if m == 0
-        else PromiseLabel.NO if low <= m <= high
-        else PromiseLabel.OUTSIDE
-        for m in range(n + 1)
-    ))
-
-
-def equality_promise(n: int) -> Promise:
-    """Promise equality: distance 0 is YES, distance exactly n/2 NO."""
-    return Promise(n, False, tuple(
-        PromiseLabel.YES if d == 0
-        else PromiseLabel.NO if 2 * d == n
-        else PromiseLabel.OUTSIDE
-        for d in range(n + 1)
-    ))
+        Blocks of candidate pairs are counted with :meth:`counts`, and the
+        pairs inside the promise kept as one chunk.  With ``samples`` None
+        the blocks are ``SWEEP_CHUNK >> n`` x values (at least one) against
+        every y, so every pair comes, x then y in numeric order.  Otherwise
+        the blocks are SWEEP_CHUNK pairs drawn uniformly from
+        ``default_rng(seed)``, x then y, which are the values one draw per
+        word would give; the stream stops after ``samples`` pairs.
+        """
+        n = self.n
+        if samples is None:
+            left = total = 1 << 2 * n
+            size = max(1, SWEEP_CHUNK >> n) << n
+            blocks = (
+                np.divmod(np.arange(start, min(start + size, total), dtype=np.uint64), 1 << n)
+                for start in range(0, total, size)
+            )
+        else:
+            left, rng = samples, np.random.default_rng(seed)
+            blocks = (
+                rng.integers(0, 1 << n, size=(SWEEP_CHUNK, 2), dtype=np.uint64).T
+                for _ in itertools.count()
+            )
+        inside = np.array([label is not PromiseLabel.OUTSIDE for label in self.labels])
+        yes = np.array([label is PromiseLabel.YES for label in self.labels])
+        for xs, ys in blocks:
+            counts = self.counts(xs, ys)
+            keep = np.flatnonzero(inside[counts])[:left]
+            if len(keep):
+                yield xs[keep], ys[keep], yes[counts[keep]]
+            left -= len(keep)
+            if not left:
+                return
 
 
 def band(fraction: Fraction, n: int) -> tuple[int, int]:
@@ -222,18 +283,10 @@ class Margin:
         """Parse a 'p/q' rational (or plain integer) margin."""
         return cls(Fraction(text), n)
 
-    @property
-    def low(self) -> int:
-        return band(self.fraction, self.n)[0]
-
-    @property
-    def high(self) -> int:
-        return band(self.fraction, self.n)[1]
-
     @cached_property
     def promise(self) -> Promise:
         """Promise disjointness with this band."""
-        return disjointness_promise(self.n, self.low, self.high)
+        return Promise.from_margin(self.n, True, self.fraction)
 
     def __str__(self) -> str:
         return str(self.fraction)
@@ -273,19 +326,3 @@ def all_bitstrings(n: int) -> Iterator[BitString]:
 def classify_disj_promise(x: BitString, y: BitString, margin: Margin) -> PromiseLabel:
     """Label a pair under promise disjointness with the given margin."""
     return margin.promise.label(x, y)
-
-
-def promise_pairs(
-    promise: Promise,
-) -> Iterator[tuple[BitString, BitString, PromiseLabel]]:
-    """Every pair inside ``promise`` as ``(x, y, label)``, x then y in numeric order.
-
-    Each label is read from the table by the pair's count, a row at a
-    time; OUTSIDE pairs are skipped.  All 4**n pairs are visited.
-    """
-    words = list(all_bitstrings(promise.n))
-    values = np.arange(len(words), dtype=np.uint64)
-    for x in words:
-        for y, count in zip(words, promise.counts(x.value, values).tolist()):
-            if (label := promise.labels[count]) is not PromiseLabel.OUTSIDE:
-                yield x, y, label

@@ -28,6 +28,7 @@ fraction-free integer elimination, so every step is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import ceil, log2
 
 import numpy as np
@@ -39,11 +40,18 @@ from .bits import (
     all_bitstrings,
     # not called here; perfbench/tracer.py wraps bounds.classify_disj_promise
     classify_disj_promise,
-    equality_promise,
 )
 
 UNDEFINED = -1
-PROBLEM_KINDS = ("eq", "disj", "promise_eq", "promise_disj")
+#: Each problem by kind: whether its count is the overlap (else the
+#: distance), and its margin lam (see ``Promise.from_margin``); None takes
+#: the margin given.
+PROBLEMS = {
+    "eq": (False, Fraction(0)),
+    "disj": (True, Fraction(0)),
+    "promise_eq": (False, Fraction(1, 2)),
+    "promise_disj": (True, None),
+}
 
 #: Row/column cap for the protocol-tree search.
 MATRIX_SIZE_LIMIT = 64
@@ -91,31 +99,27 @@ _ENTRY = {PromiseLabel.YES: 1, PromiseLabel.NO: 0, PromiseLabel.OUTSIDE: UNDEFIN
 
 
 def problem_matrix(kind: str, n: int, margin: Margin | None = None) -> CommMatrix:
-    """Matrix of one of the four problems over all length-n inputs.
+    """Matrix of one of the :data:`PROBLEMS` over all length-n inputs.
 
     An entry depends only on the popcount of ``x ^ y`` (equality) or
     ``x & y`` (disjointness), so each problem is a :class:`Promise` and the
     matrix is read from its table, the whole grid counted at once by
-    :meth:`Promise.counts`.  The total problems are YES at count 0
-    and NO at every other count.
+    :meth:`Promise.counts`.  A problem with no NO count at n is refused.
     """
-    if kind not in PROBLEM_KINDS:
+    if kind not in PROBLEMS:
         raise ValueError(f"unknown problem kind {kind!r}")
     if not 1 <= n <= 10:
         raise ValueError("matrix construction supports 1 <= n <= 10")
-    if kind == "promise_eq":
-        if n % 2:
-            raise ValueError("promise equality needs even n")
-        promise = equality_promise(n)
-    elif kind == "promise_disj":
+    overlap, lam = PROBLEMS[kind]
+    if lam is None:
         if margin is None:
             raise ValueError("promise disjointness needs a margin")
         if margin.n != n:
             raise ValueError("margin length does not match n")
-        promise = margin.promise
-    else:
-        total = (PromiseLabel.YES,) + (PromiseLabel.NO,) * n
-        promise = Promise(n, kind == "disj", total)
+        lam = margin.fraction
+    promise = Promise.from_margin(n, overlap, lam)
+    if PromiseLabel.NO not in promise.labels:
+        raise ValueError(f"{kind} has no NO count at n={n}")
     by_count = np.array([_ENTRY[label] for label in promise.labels], dtype=np.int8)
     values = np.arange(1 << n, dtype=np.uint64)
     entries = by_count[promise.counts(values[:, None], values)]

@@ -8,17 +8,20 @@ and the options it reads; validation, the run and the writer read that
 row.  The automaton sweep reads each word problem from its
 :class:`automata.WordProblem` record.  Sweeps re-assert the owning
 module's guarantees while running; a violated guarantee still writes the
-report but exits with status 2.  Inputs come from one stream: every pair
-inside the promise, or uniform draws kept only inside it, as integer
-columns of word values with a YES mask.  The protocol sweeps draw their
-random decisions from one stream per sweep, seeded by the seed and read
-in pair order a chunk at a time; the draws do not depend on the chunk
-size.  Monte Carlo trials draw from (seed, pair index, 1).  So identical
-configurations produce byte-identical reports.
+report but exits with status 2.  Inputs come from one stream, the
+promise's :meth:`bits.Promise.chunks`: every pair inside the promise
+(exhaustive mode, and ``reduction``), or ``--samples`` uniform draws kept
+only inside it, as integer columns of word values with a YES mask.
+``bounds`` runs each problem of :data:`bounds.PROBLEMS` that has a NO
+count at n.  The protocol sweeps draw their random decisions from one
+stream per sweep, seeded by the seed and read in pair order a chunk at a
+time; the draws do not depend on the chunk size.  Monte Carlo trials draw
+from (seed, pair index, 1).  So identical configurations produce
+byte-identical reports.
 
 Reports are streamed: each sweep is a generator of column batches.  The
-stream labels ``SWEEP_CHUNK`` candidate pairs at a time from the promise
-table and yields the pairs kept from each block as one chunk.  The
+stream labels ``bits.SWEEP_CHUNK`` candidate pairs at a time from the
+promise table and yields the pairs kept from each block as one chunk.  The
 protocol sweeps hand a chunk's value columns to the batched rounds, the
 automaton sweep runs its chunk of words through a machine at once, and
 each hands the writer one batch per chunk: the fields every record of
@@ -57,17 +60,20 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
 
-import numpy as np
-
-from . import automata, bounds, quantum_protocol, randomized_protocol
+# bits before numpy, as cli in __init__: compiled before numpy loads, it
+# leaves a smaller heap behind
 from .bits import (
     BitString,
     Margin,
+    Promise,
     PromiseLabel,
     # not called here; perfbench/tracer.py wraps cli.classify_disj_promise
     classify_disj_promise,
-    promise_pairs,
 )
+
+import numpy as np
+
+from . import automata, bounds, quantum_protocol, randomized_protocol
 
 OUTPUT_DIR_ENV = "PROMISECC_OUT_DIR"
 EXIT_OK = 0
@@ -79,14 +85,11 @@ MC_TRIALS = 1000
 #: Chance that a sampled classical sweep flags some correct Monte Carlo
 #: frequency, shared over its pairs (Bonferroni).
 MC_FALSE_ALARM = 1e-6
-#: Candidate pairs per block of the pair stream; the pairs kept from one
-#: block make one protocol batch, automaton run and report batch.
-SWEEP_CHUNK = 1024
 
 #: Sample mode draws each word as one 64-bit integer.
 _SAMPLE_CAP = 64
 #: Largest --k, given or worked out from --eps: one chunk's draws stay at
-#: SWEEP_CHUNK x 4096 numbers (32 MB).
+#: bits.SWEEP_CHUNK x 4096 numbers (32 MB).
 _K_CAP = 4096
 DEFAULT_MARGIN = "1/4"
 DEFAULT_EPS = "1/3"
@@ -203,56 +206,16 @@ class _RunPlan:
 # input streams
 # ---------------------------------------------------------------------------
 
-def _promise_stream(plan: _RunPlan, promise, seed):
-    """Chunks ``(x values, y values, YES mask)`` of the pairs inside
-    ``promise``, exhaustive or sampled, as numpy arrays (uint64 word
-    values); no chunk is empty.
-
-    Both modes count blocks of candidate pairs with
-    :meth:`Promise.counts`, keep the pairs inside the promise and yield
-    them as one chunk.  Exhaustive blocks are ``SWEEP_CHUNK >> n`` x values
-    (at least one) against every y, so the pairs come in the order of
-    :func:`promise_pairs`.  Sample blocks are SWEEP_CHUNK pairs drawn
-    uniformly from ``default_rng(seed)``, x then y, which are the values
-    one draw per word would give; the stream stops after ``--samples``
-    pairs.
-    """
-    n = plan.config.n
-    if plan.config.mode == "exhaustive":
-        left = total = 1 << 2 * n
-        size = max(1, SWEEP_CHUNK >> n) << n
-        blocks = (
-            np.divmod(np.arange(start, min(start + size, total), dtype=np.uint64), 1 << n)
-            for start in range(0, total, size)
-        )
-    else:
-        left, rng = plan.config.samples, np.random.default_rng(seed)
-        blocks = (
-            rng.integers(0, 1 << n, size=(SWEEP_CHUNK, 2), dtype=np.uint64).T
-            for _ in itertools.count()
-        )
-    inside = np.array([label is not PromiseLabel.OUTSIDE for label in promise.labels])
-    yes = np.array([label is PromiseLabel.YES for label in promise.labels])
-    for xs, ys in blocks:
-        counts = promise.counts(xs, ys)
-        keep = np.flatnonzero(inside[counts])[:left]
-        if len(keep):
-            yield xs[keep], ys[keep], yes[counts[keep]]
-        left -= len(keep)
-        if not left:
-            return
-
-
 def _pair_stream(plan: _RunPlan):
     """Promise disjointness pairs for the protocol sweeps, seeded by the seed."""
-    return _promise_stream(plan, plan.margin.promise, plan.seed)
+    return plan.margin.promise.chunks(plan.config.samples or None, plan.seed)
 
 
 def _word_pair_stream(plan: _RunPlan, problem: automata.WordProblem):
     """Pairs whose word is inside ``problem``'s promise, seeded by (seed, i)
     for the i-th of :func:`automata.word_problems`; no word is built."""
     stream = automata.word_problems(problem.n).index(problem)
-    return _promise_stream(plan, problem.promise, (plan.seed, stream))
+    return problem.promise.chunks(plan.config.samples or None, (plan.seed, stream))
 
 
 def _decision_stream(plan: _RunPlan) -> np.random.Generator:
@@ -492,6 +455,10 @@ def _classical_sweep(plan: _RunPlan, violations: list):
             ((m != m_pair) | (h != h_pair),
              lambda i: (f"pair {x_text[i]},{y_text[i]} run with overlap {m[i]} "
                         f"and weight {h[i]}, not {m_pair[i]} and {h_pair[i]}")),
+            # lam*n <= m <= (1 - lam)*n, from lam itself, not from the table
+            (~yes & ((m * lam.denominator < lam.numerator * n)
+                     | (m * lam.denominator > (lam.denominator - lam.numerator) * n)),
+             lambda i: f"no pair {x_text[i]},{y_text[i]} overlap {m[i]} outside the band"),
             # a sampled NO pair's miss (1 - m/h)**k is capped by
             # (1 - lam)**k iff m/h >= lam
             (sampled_no & (m * lam.denominator < lam.numerator * h),
@@ -581,11 +548,12 @@ def _qcfa_sweep(plan: _RunPlan, violations: list):
 
 def _bounds_sweep(plan: _RunPlan, violations: list):
     cfg, margin = plan.config, plan.margin
-    problems = ["eq", "disj"]
-    if cfg.n % 2 == 0:
-        problems.append("promise_eq")
-    if margin is not None:
-        problems.append("promise_disj")
+    # each problem with a NO count at n; promise_disj takes the margin
+    problems = [
+        kind for kind, (overlap, lam) in bounds.PROBLEMS.items()
+        if (margin is not None if lam is None
+            else PromiseLabel.NO in Promise.from_margin(cfg.n, overlap, lam).labels)
+    ]
     for problem in problems:
         matrix = bounds.problem_matrix(problem, cfg.n, margin)
         report = bounds.check_rectangle_bound(matrix)
@@ -615,10 +583,12 @@ def _reduction_sweep(plan: _RunPlan, violations: list):
     protocol = automata.DfaProtocol(dfa, n)
     problem = automata.disjointness_word_problem(n)
     # decide runs the DFA over x#, y# and x: one pass checks DFA and protocol
-    wrong = next((
-        (x, y) for x, y, label in promise_pairs(problem.promise)
-        if protocol.decide(x, y) != (1 if label is PromiseLabel.YES else 0)
-    ), None)
+    pairs = (
+        (BitString(x, n), BitString(y, n), is_yes)
+        for xs, ys, yes in problem.promise.chunks()
+        for x, y, is_yes in zip(xs.tolist(), ys.tolist(), yes.tolist())
+    )
+    wrong = next(((x, y) for x, y, is_yes in pairs if protocol.decide(x, y) != is_yes), None)
     agreement = wrong is None
     if not agreement:
         violations.append(
@@ -870,7 +840,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="promisecc",
         description="Sweep promise-protocol experiments and write reports.",
     )
-    parser.add_argument("--cmd", required=True, choices=COMMANDS,
+    parser.add_argument("--cmd", dest="command", required=True, choices=COMMANDS,
                         help="experiment to run")
     parser.add_argument("--n", required=True, type=int, help="input length")
     parser.add_argument("--lambda", dest="margin_text", default=None, metavar="P/Q",
@@ -898,19 +868,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code == 0 else EXIT_CONFIG
-    cfg = ExperimentConfig(
-        command=args.cmd,
-        n=args.n,
-        margin_text=args.margin_text,
-        eps_text=args.eps_text,
-        k=args.k,
-        mode=args.mode,
-        samples=args.samples,
-        seed=args.seed,
-        out=args.out,
-        fmt=args.fmt,
-    )
-    return run_experiment(cfg)
+    return run_experiment(ExperimentConfig(**vars(args)))
 
 
 if __name__ == "__main__":

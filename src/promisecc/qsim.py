@@ -29,11 +29,10 @@ O(n) numpy operations; given an array of word values, :func:`swap` and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .bits import BitString
+from .bits import unpack_bits
 
 #: Entrywise tolerance for unitarity / norm checks.
 ATOL = 1e-10
@@ -151,38 +150,13 @@ class SignedPermutation:
             raise ValueError("sign must hold one +1 or -1 per index")
 
 
-@lru_cache(maxsize=None)
-def _bit_masks(n: int) -> np.ndarray:
-    """The value of each position, first bit first: 2**(n-1), ..., 2, 1.
-
-    uint64 up to n = 64; Python integers beyond.
-    """
-    masks = np.array([1 << shift for shift in range(n - 1, -1, -1)],
-                     dtype=np.uint64 if n <= 64 else object)
-    masks.setflags(write=False)  # shared by every caller
-    return masks
-
-
-def _ones(x, n: int | None = None) -> np.ndarray:
-    """Boolean mask of the 1-positions, first bit first.
-
-    ``x`` is a :class:`BitString` (shape ``(n,)``) or an array of N word
-    values of length ``n`` (shape ``(N, n)``).
-    """
-    if isinstance(x, BitString):
-        x, n = x.value, x.n
-    masks = _bit_masks(n)
-    values = np.asarray(x, dtype=masks.dtype)
-    return np.bitwise_and(values[..., None], masks).astype(bool)
-
-
 def swap(x, n: int | None = None) -> SignedPermutation:
     """Swap (i,0) and (i,1) at every position where x has a 1; an involution.
 
     ``x`` is one :class:`BitString`, or an array of N word values of
     length ``n`` for a batch of N operators.
     """
-    ones = _ones(x, n)
+    ones = unpack_bits(x, n)
     n = ones.shape[-1]
     offset = ones * n
     perm = np.concatenate((offset, -offset), axis=-1)
@@ -196,7 +170,7 @@ def phase(y, n: int | None = None) -> SignedPermutation:
     ``y`` is one :class:`BitString`, or an array of N word values of
     length ``n`` for a batch of N operators.
     """
-    ones = _ones(y, n)
+    ones = unpack_bits(y, n)
     n = ones.shape[-1]
     sign = np.ones(ones.shape[:-1] + (2 * n,))
     sign[..., n:][ones] = -1.0

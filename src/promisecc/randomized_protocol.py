@@ -27,8 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bits import BitString, hamming_weight, intersection_size, smallest_k
-from .qsim import _ones
+from .bits import BitString, hamming_weight, intersection_size, smallest_k, unpack_bits
 
 
 def miss_probability(m: int, h: int, k: int) -> Fraction:
@@ -138,7 +137,7 @@ def one_way_columns(x_values, y_values, n: int, k: int, rng) -> OneWayColumns:
         raise ValueError(f"batch mismatch: {len(x_values)} vs {len(y_values)}")
     if k < 1:
         raise ValueError("k must be positive")
-    x_bits, y_bits = _ones(x_values, n), _ones(y_values, n)
+    x_bits, y_bits = unpack_bits(x_values, n), unpack_bits(y_values, n)
     weights = x_bits.sum(axis=1)
     literal = weights < k
     hit = np.zeros(len(weights), dtype=bool)
@@ -197,7 +196,7 @@ def detection_frequency(
     h = hamming_weight(x)
     if h < k:
         raise ValueError("weight(x) < k: every run would take the literal branch")
-    x_bits, y_bits = _ones([x.value, y.value], x.n)
+    x_bits, y_bits = unpack_bits([x.value, y.value], x.n)
     ones = np.flatnonzero(x_bits)
     picks = rng.integers(0, h, size=(trials, k))
     hits = y_bits[ones[picks]].any(axis=1)

@@ -7,15 +7,28 @@ import pytest
 from promisecc.bits import (
     BitString,
     Margin,
+    Promise,
     PromiseLabel,
     all_bitstrings,
     classify_disj_promise,
-    disjointness_promise,
-    equality_promise,
     hamming_weight,
     intersection_size,
-    promise_pairs,
 )
+
+HALF = Fraction(1, 2)
+
+
+def _no_counts(promise):
+    return [c for c, label in enumerate(promise.labels) if label is PromiseLabel.NO]
+
+
+def _pairs(promise, samples=None, seed=None):
+    """The chunks of ``promise`` as one list of (x value, y value, YES)."""
+    return [
+        pair
+        for xs, ys, yes in promise.chunks(samples, seed)
+        for pair in zip(xs.tolist(), ys.tolist(), yes.tolist(), strict=True)
+    ]
 
 
 class TestBitString:
@@ -69,12 +82,11 @@ class TestMargin:
     def test_from_text(self):
         m = Margin.from_text("1/4", 8)
         assert m.fraction == Fraction(1, 4)
-        assert m.low == 2
-        assert m.high == 6
+        assert _no_counts(m.promise) == [2, 3, 4, 5, 6]
 
     def test_band_endpoints(self):
         m = Margin.from_text("1/8", 8)
-        assert (m.low, m.high) == (1, 7)
+        assert _no_counts(m.promise) == list(range(1, 8))
 
     def test_rejects_fraction_above_quarter(self):
         with pytest.raises(ValueError):
@@ -111,29 +123,37 @@ class TestClassification:
         assert got is PromiseLabel.OUTSIDE
 
     def test_eq_yes(self):
-        got = equality_promise(4).label(BitString("0101"), BitString("0101"))
+        eq = Promise.from_margin(4, False, HALF)
+        got = eq.label(BitString("0101"), BitString("0101"))
         assert got is PromiseLabel.YES
 
     def test_eq_no_at_half_distance(self):
-        got = equality_promise(4).label(BitString("0000"), BitString("0011"))
+        eq = Promise.from_margin(4, False, HALF)
+        got = eq.label(BitString("0000"), BitString("0011"))
         assert got is PromiseLabel.NO
 
     def test_eq_outside(self):
-        got = equality_promise(4).label(BitString("0000"), BitString("0001"))
+        eq = Promise.from_margin(4, False, HALF)
+        got = eq.label(BitString("0000"), BitString("0001"))
         assert got is PromiseLabel.OUTSIDE
 
     def test_eq_odd_length_has_no_no_count(self):
-        assert PromiseLabel.NO not in equality_promise(5).labels
+        assert PromiseLabel.NO not in Promise.from_margin(5, False, HALF).labels
 
     def test_integer_rules(self):
-        assert [label.value for label in disjointness_promise(4, 1, 3).labels] == [
+        disj = Promise.from_margin(4, True, Fraction(1, 4))
+        assert [label.value for label in disj.labels] == [
             "yes", "no", "no", "no", "outside",
         ]
-        assert [label.value for label in equality_promise(4).labels] == [
+        eq = Promise.from_margin(4, False, HALF)
+        assert [label.value for label in eq.labels] == [
             "yes", "outside", "no", "outside", "outside",
         ]
-        assert disjointness_promise(4, 1, 3).overlap
-        assert not equality_promise(4).overlap
+        # margin 0 is the total problem: NO at every count but 0
+        total = Promise.from_margin(4, True, 0)
+        assert [label.value for label in total.labels] == ["yes"] + ["no"] * 4
+        assert disj.overlap and total.overlap
+        assert not eq.overlap
 
 
 class TestEnumeration:
@@ -144,29 +164,29 @@ class TestEnumeration:
 
     def test_promise_pair_counts(self):
         m = Margin.from_text("1/4", 4)
-        pairs = list(promise_pairs(m.promise))
-        yes = [(x, y) for x, y, label in pairs if label is PromiseLabel.YES]
-        no = [(x, y) for x, y, label in pairs if label is PromiseLabel.NO]
+        pairs = _pairs(m.promise)
+        yes = [(x, y) for x, y, is_yes in pairs if is_yes]
+        no = [(x, y) for x, y, is_yes in pairs if not is_yes]
         # 3^4 disjoint pairs; every other pair except (1111, 1111) lands
         # in the band [1, 3]
         assert len(yes) == 81
         assert len(no) == 174
-        assert all(intersection_size(x, y) == 0 for x, y in yes)
-        assert [(x.value, y.value) for x, y, _ in pairs] == sorted(
-            (x.value, y.value) for x, y, _ in pairs
-        )
+        assert all(x & y == 0 for x, y in yes)
+        assert [(x, y) for x, y, _ in pairs] == sorted((x, y) for x, y, _ in pairs)
 
-    def test_promise_pairs_equality(self):
-        pairs = list(promise_pairs(equality_promise(2)))
+    def test_equality_chunks(self):
+        pairs = _pairs(Promise.from_margin(2, False, HALF))
         # 4 equal pairs and 8 at distance one
-        assert [label.value for _, _, label in pairs].count("yes") == 4
+        assert [is_yes for _, _, is_yes in pairs].count(True) == 4
         assert len(pairs) == 12
-        assert all(hamming_weight(x ^ y) in (0, 1) for x, y, _ in pairs)
+        assert all((x ^ y).bit_count() in (0, 1) for x, y, _ in pairs)
 
-    def test_promise_pairs_margin_length_mismatch(self):
+    def test_chunks_margin_length_mismatch(self):
         # the pairs come at the margin's length; a pair of another is refused
         m = Margin.from_text("1/4", 8)
-        assert {x.n for x, _, _ in promise_pairs(m.promise)} == {8}
+        pairs = _pairs(m.promise)
+        assert max(max(x, y) for x, y, _ in pairs) == (1 << 8) - 1
+        assert len(_pairs(m.promise, samples=50, seed=3)) == 50
         with pytest.raises(ValueError):
             classify_disj_promise(BitString("0011"), BitString("0011"), m)
 

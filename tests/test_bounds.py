@@ -114,11 +114,15 @@ class TestProblemMatrix:
                 return int(m == 0)
             if kind == "promise_eq":
                 return 1 if d == 0 else 0 if 2 * d == n else UNDEFINED
-            return 1 if m == 0 else 0 if margin.low <= m <= margin.high else UNDEFINED
+            lam = margin.fraction
+            return 1 if m == 0 else 0 if lam * n <= m <= (1 - lam) * n else UNDEFINED
 
         cases = [("eq", None), ("disj", None)]
         if n % 2 == 0:
             cases.append(("promise_eq", None))
+        else:
+            with pytest.raises(ValueError, match="no NO count"):
+                problem_matrix("promise_eq", n)
         cases += [
             ("promise_disj", Margin(Fraction(j, n), n)) for j in range(1, n // 4 + 1)
         ]

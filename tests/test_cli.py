@@ -13,15 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from promisecc import automata, cli
-from promisecc.bits import (
-    Promise,
-    PromiseLabel,
-    band,
-    disjointness_promise,
-    equality_promise,
-    promise_pairs,
-)
+from promisecc import automata, bits, bounds, cli
+from promisecc.bits import BitString, Promise
 from promisecc.cli import (
     COMMANDS,
     EXIT_CONFIG,
@@ -449,15 +442,12 @@ def _drawn(n, count, oracle, seed):
 _KINDS = ("eq", "disj", "promise_eq", "promise_disj", "equality", "disjointness")
 
 
-def _promise(kind, n, low, high):
-    """The count table of ``kind`` at length n; promise disjointness takes
-    the NO band low..high."""
-    if kind in ("eq", "disj"):
-        return Promise(n, kind == "disj", (PromiseLabel.YES,) + (PromiseLabel.NO,) * n)
-    if kind == "promise_eq":
-        return equality_promise(n)
-    if kind == "promise_disj":
-        return disjointness_promise(n, low, high)
+def _promise(kind, n, lam):
+    """The count table of ``kind`` at length n, read from the ``bounds``
+    table or the word problem; promise disjointness takes the margin lam."""
+    if kind in bounds.PROBLEMS:
+        overlap, fixed = bounds.PROBLEMS[kind]
+        return Promise.from_margin(n, overlap, lam if fixed is None else fixed)
     return automata.WordProblem(n, kind).promise
 
 
@@ -498,33 +488,28 @@ class TestPairStreams:
     @given(
         kind=st.sampled_from(_KINDS),
         n=st.integers(1, 6),
-        band_ends=st.tuples(st.integers(1, 6), st.integers(0, 5)),
+        eighths=st.integers(1, 4),
         big_n=st.sampled_from([16, 64]),
         sixteenths=st.integers(1, 4),
         samples=st.integers(1, 40),
         seed=st.integers(0, 3),
     )
     def test_chunks_do_not_depend_on_the_chunk_size(
-        self, kind, n, band_ends, big_n, sixteenths, samples, seed
+        self, kind, n, eighths, big_n, sixteenths, samples, seed
     ):
-        low = min(band_ends[0], n)
-        promise = _promise(kind, n, low, min(low + band_ends[1], n))
-        plan = ExperimentConfig(command="qcfa-sweep", n=n).validated()
-        # at big_n promise disjointness takes a margin of 1/16 .. 1/4, so
-        # every promise keeps a fair share of the draws
-        big = _promise(kind, big_n, *band(Fraction(sixteenths, 16), big_n))
-        big_plan = ExperimentConfig(
-            command="qcfa-sweep", n=big_n, mode="sample", samples=samples, seed=seed
-        ).validated()
-        want = [
-            (str(x), str(y), label.value) for x, y, label in promise_pairs(promise)
-        ]
+        # promise disjointness takes a margin of 1/8 .. 1/2 at n, and of
+        # 1/16 .. 1/4 at big_n, so every promise keeps a fair share of the draws
+        promise = _promise(kind, n, Fraction(eighths, 8))
+        big = _promise(kind, big_n, Fraction(sixteenths, 16))
+        want = _brute_force(
+            n, lambda n, x, y: promise.label(BitString(x, n), BitString(y, n)).value
+        )
         drawn = []
         for size in (1, 3, 1024):
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(cli, "SWEEP_CHUNK", size)
-                chunks = list(cli._promise_stream(plan, promise, seed))
-                big_chunks = list(cli._promise_stream(big_plan, big, seed))
+                patch.setattr(bits, "SWEEP_CHUNK", size)
+                chunks = list(promise.chunks())
+                big_chunks = list(big.chunks(samples, seed))
             assert all(len(xs) for xs, _, _ in chunks + big_chunks)
             assert _as_text(chunks, n) == want
             drawn.append(_as_text(big_chunks, big_n))
@@ -637,7 +622,7 @@ class TestExitCodes:
                 raise RuntimeError("stopped")
             return real(x_values, y_values, n)
 
-        monkeypatch.setattr(cli, "SWEEP_CHUNK", 3)
+        monkeypatch.setattr(bits, "SWEEP_CHUNK", 3)
         monkeypatch.setattr(cli.quantum_protocol, "round_columns", broken)
         out = tmp_path / "q.json"
         out.write_text("earlier report\n")
@@ -698,10 +683,7 @@ class TestParser:
         assert args.mode == "exhaustive"
         assert args.fmt == "json"
         assert args.seed is None
-        plan = ExperimentConfig(
-            command=args.cmd, n=args.n,
-            margin_text=args.margin_text, eps_text=args.eps_text,
-        ).validated()
+        plan = ExperimentConfig(**vars(args)).validated()
         assert plan.margin.fraction == Fraction(1, 4)
         assert plan.eps == Fraction(1, 3)
 
@@ -714,4 +696,4 @@ class TestParser:
     def test_all_commands_accepted(self):
         parser = build_parser()
         for command in COMMANDS:
-            assert parser.parse_args(["--cmd", command, "--n", "2"]).cmd == command
+            assert parser.parse_args(["--cmd", command, "--n", "2"]).command == command

@@ -4,19 +4,60 @@ Each test swaps one part of the program for a wrong one and asserts that
 the sweep's checks see it: exit status 2 and the named violation.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from promisecc import automata, bits, cli, qsim
-from promisecc.bits import BitString
+from promisecc.bits import BitString, PromiseLabel
 from promisecc.cli import EXIT_INVARIANT, ExperimentConfig, run_experiment
 
+#: Sample mode at n=16: 300 pairs, seed 1.
+_SAMPLED = dict(mode="sample", samples=300, seed=1)
 
-def _violations(tmp_path, capsys, command, n):
+
+def _violations(tmp_path, capsys, command, n, **options):
     """Run one command; assert it exits on a violation and return stderr."""
-    cfg = ExperimentConfig(command=command, n=n, out=str(tmp_path / "r.json"))
+    cfg = ExperimentConfig(command=command, n=n, out=str(tmp_path / "r.json"), **options)
     assert run_experiment(cfg) == EXIT_INVARIANT
     return capsys.readouterr().err
+
+
+def _all_violations(tmp_path, monkeypatch, command, n, **options):
+    """Run one command; assert it exits on a violation and return every
+    violation, not only the first 20 that stderr shows."""
+    row = cli._COMMAND_TABLE[command]
+    flagged = []
+
+    def sweep(plan, violations):
+        flagged.append(violations)
+        return row.sweep(plan, violations)
+
+    monkeypatch.setitem(cli._COMMAND_TABLE, command, row._replace(sweep=sweep))
+    cfg = ExperimentConfig(command=command, n=n, out=str(tmp_path / "r.json"), **options)
+    assert run_experiment(cfg) == EXIT_INVARIANT
+    return "\n".join(flagged[0])
+
+
+def _flip_labels(monkeypatch, flips):
+    """Make ``Promise.from_margin``, which builds every promise table, write
+    the labels ``flips(n, lam)`` gives, as {count: label}."""
+    real = bits.Promise.from_margin.__func__
+
+    def flipped(cls, n, overlap, lam):
+        labels = list(real(cls, n, overlap, lam).labels)
+        for count, label in flips(n, Fraction(lam)).items():
+            labels[count] = label
+        return cls(n, overlap, tuple(labels))
+
+    monkeypatch.setattr(bits.Promise, "from_margin", classmethod(flipped))
+
+
+def _widened(n, lam):
+    """The NO band one count wider at each end."""
+    low, high = bits.band(lam, n)
+    return {low - 1: PromiseLabel.NO, high + 1: PromiseLabel.NO}
 
 
 @pytest.fixture
@@ -73,12 +114,42 @@ def test_sweeps_flag_a_phase_on_the_low_block(
     ("classical-sweep", "above miss cap"),
 ], ids=["quantum", "classical"])
 def test_protocol_sweeps_flag_a_band_widened_by_one(
-    command, message, tmp_path, monkeypatch, capsys
+    command, message, tmp_path, monkeypatch
 ):
-    real = bits.disjointness_promise
-    monkeypatch.setattr(bits, "disjointness_promise",
-                        lambda n, low, high: real(n, low - 1, high + 1))
-    assert message in _violations(tmp_path, capsys, command, 8)
+    _flip_labels(monkeypatch, _widened)
+    assert message in _all_violations(tmp_path, monkeypatch, command, 8)
+
+
+def test_classical_sweep_flags_a_widened_band_in_sample_mode(
+    tmp_path, monkeypatch, capsys
+):
+    # the 300 pairs hold 84 NO pairs at overlap 3 and none at 13; none of
+    # them has weight above 12, so the miss cap alone does not see them
+    _flip_labels(monkeypatch, _widened)
+    err = _violations(tmp_path, capsys, "classical-sweep", 16, **_SAMPLED)
+    assert " overlap 3 outside the band" in err
+
+
+#: Per flipped label of the promise table: the count, its wrong label, and
+#: the violation each protocol sweep must flag.
+_FLIPS = {
+    "outside-to-no": (1, PromiseLabel.NO, "above single-round cap", "above miss cap"),
+    "no-to-yes": (2, PromiseLabel.YES, "accepted with", "has nonzero error"),
+    "yes-to-no": (0, PromiseLabel.NO, "above single-round cap", "above miss cap"),
+}
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "sample"])
+@pytest.mark.parametrize("command", ["quantum-sweep", "classical-sweep"])
+@pytest.mark.parametrize("flip", list(_FLIPS))
+def test_protocol_sweeps_flag_a_flipped_promise_label(
+    flip, command, mode, tmp_path, monkeypatch
+):
+    count, label, quantum, classical = _FLIPS[flip]
+    _flip_labels(monkeypatch, lambda n, lam: {count: label})
+    n, options = (8, {}) if mode == "exhaustive" else (16, _SAMPLED)
+    message = quantum if command == "quantum-sweep" else classical
+    assert message in _all_violations(tmp_path, monkeypatch, command, n, **options)
 
 
 def test_quantum_sweep_flags_rejected_yes_pairs(tmp_path, monkeypatch, capsys):

@@ -1,5 +1,5 @@
 """Every promise is one count table, and every reader of it agrees with the
-rule written out here pair by pair: the pair enumerator, the problem
+rule written out here pair by pair: the pair stream, the problem
 matrices, the word problems and the band of a margin."""
 
 from fractions import Fraction
@@ -14,11 +14,11 @@ from promisecc.automata import (
 from promisecc.bits import (
     BitString,
     Margin,
+    Promise,
+    PromiseLabel,
     band,
-    equality_promise,
-    promise_pairs,
 )
-from promisecc.bounds import UNDEFINED, problem_matrix
+from promisecc.bounds import PROBLEMS, UNDEFINED, problem_matrix
 
 #: The four matrix problems of ``bounds`` and the two word problems.
 KINDS = ("eq", "disj", "promise_eq", "promise_disj", "equality", "disjointness")
@@ -53,24 +53,23 @@ def _rule(kind, n, lam, x, y) -> str:
 
 
 def _promise(kind, n, lam):
-    """The count table of a promise problem; None for the total problems,
-    which only ``problem_matrix`` builds."""
-    if kind == "promise_eq":
-        return equality_promise(n)
-    if kind == "promise_disj":
-        return Margin(lam, n).promise
+    """The count table of a problem: a word problem's own, or one built from
+    the ``bounds`` table; promise_disj takes its margin's table."""
     if kind in ("equality", "disjointness"):
         return WordProblem(n, kind).promise
-    return None
+    if kind == "promise_disj":
+        return Margin(lam, n).promise
+    return Promise.from_margin(n, *PROBLEMS[kind])
 
 
 @given(problems())
-def test_promise_pairs_are_the_pairs_the_rule_keeps(problem):
+def test_chunks_are_the_pairs_the_rule_keeps(problem):
     kind, n, lam = problem
-    promise = _promise(kind, n, lam)
-    if promise is None:
-        return
-    got = [(x.value, y.value, label.value) for x, y, label in promise_pairs(promise)]
+    got = [
+        (x, y, "yes" if is_yes else "no")
+        for xs, ys, yes in _promise(kind, n, lam).chunks()
+        for x, y, is_yes in zip(xs.tolist(), ys.tolist(), yes.tolist(), strict=True)
+    ]
     want = [
         (x, y, label)
         for x in range(1 << n)
@@ -116,6 +115,7 @@ def test_band_is_the_margin_band_and_the_word_band(n, q):
     assert band(Fraction(1, 4), n) == ((n + 3) // 4, 3 * n // 4)
     lam = Fraction(1, q)
     if lam <= Fraction(1, 4) and (lam * n).denominator == 1:
-        margin = Margin(lam, n)
-        assert band(lam, n) == (margin.low, margin.high)
+        no = [c for c, label in enumerate(Margin(lam, n).promise.labels)
+              if label is PromiseLabel.NO]
+        assert band(lam, n) == (no[0], no[-1])
         assert band(lam, n) == (n // q, n - n // q)

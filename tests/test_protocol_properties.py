@@ -4,7 +4,7 @@ sweep reports."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from promisecc import cli
+from promisecc import bits, cli
 from promisecc.automata import accept_probability, disjointness_automaton, disjointness_word
 from promisecc.bits import BitString
 from promisecc.quantum_protocol import (
@@ -89,9 +89,9 @@ _SWEEP_CONFIGS = st.one_of(
 def test_report_bytes_do_not_depend_on_the_chunk_size(options, tmp_path_factory):
     out = tmp_path_factory.mktemp("chunks")
     reports = []
-    for size in (cli.SWEEP_CHUNK, 1, 3):
+    for size in (bits.SWEEP_CHUNK, 1, 3):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(cli, "SWEEP_CHUNK", size)
+            patch.setattr(bits, "SWEEP_CHUNK", size)
             path = out / f"chunk{size}"
             code = cli.run_experiment(cli.ExperimentConfig(out=str(path), **options))
         assert code in (cli.EXIT_OK, cli.EXIT_INVARIANT)

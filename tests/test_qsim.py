@@ -7,7 +7,7 @@ import pytest
 
 from promisecc import qsim
 from promisecc.automata import accept_probability, disjointness_automaton
-from promisecc.bits import BitString
+from promisecc.bits import BitString, unpack_bits
 
 
 def _random_state(rng, dim):
@@ -170,8 +170,8 @@ class TestSignedPermutation:
         words += [BitString(0, n), ~BitString(0, n)]
         for word in words:
             expected = [c == "1" for c in str(word)]
-            assert qsim._ones(word).tolist() == expected
-        batch = qsim._ones([w.value for w in words], n)
+            assert unpack_bits(word).tolist() == expected
+        batch = unpack_bits([w.value for w in words], n)
         assert batch.tolist() == [[c == "1" for c in str(w)] for w in words]
 
     @pytest.mark.parametrize("perm,sign", [

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from promisecc.bits import BitString, Margin, PromiseLabel, all_bitstrings, intersection_size
+from promisecc.bits import BitString, Margin, PromiseLabel, all_bitstrings
 from promisecc.quantum_protocol import (
     QuantumProtocolReport,
     closed_form_accept_probability,
@@ -192,7 +192,7 @@ class TestAmplifiedSoundness:
         while checked < 30:
             x = BitString(rng.integers(0, 2, size=8).tolist())
             y = BitString(rng.integers(0, 2, size=8).tolist())
-            if not margin.low <= intersection_size(x, y) <= margin.high:
+            if margin.promise.label(x, y) is not PromiseLabel.NO:
                 continue
             assert round_accept_probability_fast(x, y) <= bound + 1e-9
             checked += 1
