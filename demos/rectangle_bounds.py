@@ -61,7 +61,7 @@ for rect in ones.rectangles:
 # ---------------------------------------------------------------------------
 matrix = problem_matrix("eq", 2)
 size = len(matrix.rows)
-fooling = all(matrix.entries[i, j] == 0
+fooling = all(matrix.entries[i][j] == 0
               for i in range(size) for j in range(size) if i != j)
 print(f"\nequality n=2: diagonal is a fooling set: {fooling} -> C1 >= {size}; "
       f"search: C1 = {min_monochromatic_partition(matrix, 1).count}")

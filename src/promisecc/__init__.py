@@ -5,7 +5,6 @@ promise disjointness, finite automata built from them, and exact
 classical lower-bound searches, all at desk scale.
 """
 
-# cli first: compiled before numpy loads, it leaves a smaller heap behind
 from .cli import ExperimentConfig, run_experiment
 from .bits import (
     BitString,

@@ -46,9 +46,7 @@ from functools import cached_property, lru_cache
 from math import ceil, log2
 from typing import Callable, NamedTuple
 
-import numpy as np
-
-from .bits import BitString, Promise, PromiseLabel
+from .bits import BitString, Promise, PromiseLabel, np
 from . import qsim
 
 LEFT_MARKER = "^"
@@ -465,9 +463,11 @@ def verify_promise_dfa(d: Dfa, n: int) -> bool:
     """Exhaustively check a DFA against every x#y#x promise word."""
     problem = disjointness_word_problem(n)
     return all(
-        run_dfa(d, problem.word(BitString(x, n), BitString(y, n))) == yes
-        for xs, ys, mask in problem.promise.chunks()
-        for x, y, yes in zip(xs.tolist(), ys.tolist(), mask.tolist())
+        run_dfa(d, problem.word(BitString(x, n), BitString(y, n)))
+        == (label is PromiseLabel.YES)
+        for x, row in enumerate(problem.promise.grid())
+        for y, label in enumerate(row)
+        if label is not PromiseLabel.OUTSIDE
     )
 
 

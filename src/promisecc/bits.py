@@ -15,12 +15,14 @@ the band ``ceil(lam*n) .. floor((1-lam)*n)`` (:func:`band`).
 Everything else is outside the promise and carries no correctness
 obligation.  A :class:`Promise` states the rule once, as one label per
 count 0..n, built by :meth:`Promise.from_margin`, and every labeller reads
-that table.  Pairs of word values are counted in batches by
-:meth:`Promise.counts`, which serves the problem matrices and the one pair
-stream, :meth:`Promise.chunks` (every pair inside the promise, or uniform
-draws kept inside it); single pairs and words are labelled by
-:meth:`Promise.label`.  The margin is kept as an exact rational, so the
-band ends are exact integers, never float comparisons.
+that table.  Pairs of word values are counted in numpy batches by
+:meth:`Promise.counts`, which serves the one pair stream,
+:meth:`Promise.chunks` (every pair inside the promise, or uniform draws
+kept inside it); :meth:`Promise.grid` labels every pair in plain Python,
+for the problem matrices and the DFA check; single pairs and words are
+labelled by :meth:`Promise.label`.  The margin is kept as an exact
+rational, so the band ends are exact integers, never float comparisons.
+numpy is loaded on first use, through the :data:`np` handle.
 
 Words are written most-significant-position-first: ``str(x)[0]`` is the
 first bit of ``x``; :func:`unpack_bits` spreads word values into that
@@ -38,7 +40,22 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterator
 
-import numpy as np
+
+class _Numpy:
+    """numpy, imported on the first attribute read; each attribute is kept
+    on the handle, so later reads are plain attribute reads.  Every module
+    of the package takes ``np`` from here, so a command that makes no
+    array, such as ``bounds``, never loads numpy."""
+
+    def __getattr__(self, name):
+        import numpy
+
+        value = getattr(numpy, name)
+        setattr(self, name, value)
+        return value
+
+
+np = _Numpy()
 
 
 class PromiseLabel(enum.Enum):
@@ -214,6 +231,15 @@ class Promise:
         if x.n != self.n:
             raise ValueError(f"promise is for n={self.n}, inputs have n={x.n}")
         return self.labels[self.combine(x.value, y.value).bit_count()]
+
+    def grid(self) -> tuple:
+        """The label of every pair of word values: one row per x value, one
+        entry per y value, both in numeric order."""
+        labels, combine = self.labels, self.combine
+        values = range(1 << self.n)
+        return tuple(
+            tuple(labels[combine(x, y).bit_count()] for y in values) for x in values
+        )
 
     def chunks(self, samples: int | None = None, seed=None):
         """Chunks ``(x values, y values, YES mask)`` of the pairs inside the

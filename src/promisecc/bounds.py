@@ -20,9 +20,10 @@ searches are provided.
 * :func:`check_rectangle_bound` ties the two together and asserts the
   rectangle bound D >= max(ceil(log2 C0), ceil(log2 C1)).
 
-The searches run on plain Python data: a sub-matrix is a tuple of row
-tuples, row and column sets are int bitmasks, and the rank bound uses
-fraction-free integer elimination, so every step is exact.
+Everything runs on plain Python data, without numpy: a matrix's entries
+and every sub-matrix are a tuple of row tuples of ints, row and column
+sets are int bitmasks, and the rank bound uses fraction-free integer
+elimination, so every step is exact.
 """
 
 from __future__ import annotations
@@ -30,8 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, log2
-
-import numpy as np
 
 from .bits import (
     Margin,
@@ -69,30 +68,37 @@ _BIPARTITION_LIMIT = 1 << 16
 
 @dataclass(frozen=True, eq=False)
 class CommMatrix:
-    """Partial two-party matrix: rows are Alice inputs, columns Bob inputs."""
+    """Partial two-party matrix: rows are Alice inputs, columns Bob inputs.
+
+    ``entries`` is given as any grid of rows and kept as a tuple of row
+    tuples of ints: ``entries[r][c]`` is the cell of row r and column c.
+    """
 
     rows: tuple
     cols: tuple
-    entries: np.ndarray
+    entries: tuple
 
     def __post_init__(self):
-        e = np.array(self.entries, dtype=np.int8)
-        if e.shape != (len(self.rows), len(self.cols)):
+        entries = tuple(map(tuple, self.entries))
+        if len(entries) != len(self.rows) or any(len(r) != len(self.cols) for r in entries):
             raise ValueError("entry grid does not match the label counts")
-        if not np.isin(e, (0, 1, UNDEFINED)).all():
+        if not {v for row in entries for v in row} <= {0, 1, UNDEFINED}:
             raise ValueError("entries must be 0, 1, or UNDEFINED")
-        e.setflags(write=False)
-        object.__setattr__(self, "entries", e)
+        entries = tuple(tuple(map(int, row)) for row in entries)
+        object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "rows", tuple(self.rows))
         object.__setattr__(self, "cols", tuple(self.cols))
 
     @property
     def shape(self):
-        return self.entries.shape
+        return len(self.rows), len(self.cols)
 
     def defined_cells(self, value: int):
-        """Index pairs of the cells holding value."""
-        return [(int(i), int(j)) for i, j in np.argwhere(self.entries == value)]
+        """Index pairs of the cells holding value, row by row."""
+        return [
+            (i, j) for i, row in enumerate(self.entries)
+            for j, v in enumerate(row) if v == value
+        ]
 
 
 _ENTRY = {PromiseLabel.YES: 1, PromiseLabel.NO: 0, PromiseLabel.OUTSIDE: UNDEFINED}
@@ -103,8 +109,8 @@ def problem_matrix(kind: str, n: int, margin: Margin | None = None) -> CommMatri
 
     An entry depends only on the popcount of ``x ^ y`` (equality) or
     ``x & y`` (disjointness), so each problem is a :class:`Promise` and the
-    matrix is read from its table, the whole grid counted at once by
-    :meth:`Promise.counts`.  A problem with no NO count at n is refused.
+    matrix is its :meth:`Promise.grid` of labels, each read as an entry.
+    A problem with no NO count at n is refused.
     """
     if kind not in PROBLEMS:
         raise ValueError(f"unknown problem kind {kind!r}")
@@ -120,9 +126,7 @@ def problem_matrix(kind: str, n: int, margin: Margin | None = None) -> CommMatri
     promise = Promise.from_margin(n, overlap, lam)
     if PromiseLabel.NO not in promise.labels:
         raise ValueError(f"{kind} has no NO count at n={n}")
-    by_count = np.array([_ENTRY[label] for label in promise.labels], dtype=np.int8)
-    values = np.arange(1 << n, dtype=np.uint64)
-    entries = by_count[promise.counts(values[:, None], values)]
+    entries = tuple(tuple(map(_ENTRY.__getitem__, row)) for row in promise.grid())
     words = tuple(all_bitstrings(n))
     return CommMatrix(rows=words, cols=words, entries=entries)
 
@@ -311,12 +315,11 @@ def exact_deterministic_cc(m: CommMatrix) -> int:
         raise SearchTooWideError(
             f"matrix {n_rows}x{n_cols} exceeds the search limit {MATRIX_SIZE_LIMIT}"
         )
-    grid = tuple(map(tuple, m.entries.tolist()))
     search = _ProtocolSearch()
     # budgets below the root's clique bound fail without a branch, and
     # its dedup bound ends the loop
     depth = 0
-    while not search.solvable(grid, depth):
+    while not search.solvable(m.entries, depth):
         depth += 1
     return depth
 
@@ -445,7 +448,7 @@ def min_monochromatic_partition(m: CommMatrix, value: int) -> PartitionResult:
             f"{len(cells)} cells exceed the partition search limit"
             f" {PARTITION_CELL_LIMIT}"
         )
-    entries = m.entries.tolist()
+    entries = m.entries
     rows_used, cols_used, rects = _tight_rectangles(entries, value, cells)
     full = (1 << len(cells)) - 1
     by_cell = [[] for _ in cells]
@@ -628,7 +631,7 @@ def verify_partition(m: CommMatrix, value: int, rectangles) -> bool:
     seen = set()
     for rect in rectangles:
         for r, c in rect.cells():
-            e = int(m.entries[r, c])
+            e = m.entries[r][c]
             if e not in (value, UNDEFINED):
                 return False
             if (r, c) in seen:

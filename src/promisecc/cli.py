@@ -60,8 +60,6 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
 
-# bits before numpy, as cli in __init__: compiled before numpy loads, it
-# leaves a smaller heap behind
 from .bits import (
     BitString,
     Margin,
@@ -69,10 +67,9 @@ from .bits import (
     PromiseLabel,
     # not called here; perfbench/tracer.py wraps cli.classify_disj_promise
     classify_disj_promise,
+    # numpy on first use; perfbench/tracer.py replaces cli.np
+    np,
 )
-
-import numpy as np
-
 from . import automata, bounds, quantum_protocol, randomized_protocol
 
 OUTPUT_DIR_ENV = "PROMISECC_OUT_DIR"
@@ -137,8 +134,12 @@ class ExperimentConfig:
                 raise ConfigError("sample mode needs an explicit --seed")
             if self.n > _SAMPLE_CAP:
                 raise ConfigError(f"sample mode supports n <= {_SAMPLE_CAP}")
-            if self.command == "qcfa-sweep" and self.n % 2:
-                # the sampler would wait for x == y, one draw in 2**n
+            if self.command == "qcfa-sweep" and any(
+                PromiseLabel.NO not in problem.promise.labels
+                for problem in automata.word_problems(self.n)
+            ):
+                # e.g. equality at odd n, whose sampler would wait for
+                # x == y, one draw in 2**n
                 raise ConfigError(
                     "promise equality has no NO words at odd n; "
                     "use an even n or exhaustive mode"
@@ -307,6 +308,7 @@ def _quantum_sweep(plan: _RunPlan, violations: list):
              "qubits": qubits}
     # pairs per |S|: NO pairs in row 0, YES pairs in row 1
     counts = np.zeros((2, n + 1), dtype=np.int64)
+    accepted_no = 0
     stream = _decision_stream(plan)
     for xs, ys, yes in _pair_stream(plan):
         columns = _pair_columns(n, xs, ys, yes)
@@ -321,6 +323,7 @@ def _quantum_sweep(plan: _RunPlan, violations: list):
         yield _Batch(fixed, columns, len(xs))
         counts += [np.bincount(s[~yes], minlength=n + 1),
                    np.bincount(s[yes], minlength=n + 1)]
+        accepted_no += int(decision[~yes].sum())
         deviation = np.abs(witness - p_table[s])
         x_text, y_text = columns["x"], columns["y"]
         _flag(violations, [
@@ -336,6 +339,10 @@ def _quantum_sweep(plan: _RunPlan, violations: list):
              lambda i: (f"dense round on {x_text[i]},{y_text[i]} off by "
                         f"{deviation[i]:.3e}")),
         ])
+    no_row = counts[0].tolist()
+    # a NO pair at |S| passes all k rounds with probability exact_k[|S|]
+    _check_accepted_no(violations, accepted_no, sum(no_row),
+                       sum(count * p for count, p in zip(no_row, exact_k)))
     summary = {}
     for label, row in zip(("no", "yes"), counts.tolist()):
         # S**2/n**2 and its k-th power grow with |S|: the extremes sit at
@@ -376,6 +383,23 @@ def _bernoulli_divergence(f: float, p: float) -> float:
     return term(f, p) + term(1.0 - f, 1.0 - p)
 
 
+def _check_accepted_no(violations: list, accepted: int, pairs: int, expected) -> None:
+    """Flag a sweep whose ``pairs`` NO pairs were accepted ``accepted``
+    times, where their exact accept probabilities sum to ``expected``.
+
+    By Hoeffding's bound, which holds for unequal probabilities, the
+    frequency lies at f or beyond, on f's side of the mean p, with
+    probability at most exp(-pairs * KL(f || p)).  As in the Monte Carlo
+    check, the count is flagged when that chance, on either side, is below
+    MC_FALSE_ALARM.
+    """
+    if pairs and pairs * _bernoulli_divergence(
+        accepted / pairs, float(expected / pairs)
+    ) > math.log(2 / MC_FALSE_ALARM):
+        violations.append(f"{accepted} of {pairs} no pairs accepted, against "
+                          f"{float(expected):.1f} expected")
+
+
 def _classical_sweep(plan: _RunPlan, violations: list):
     cfg, margin, k = plan.config, plan.margin, plan.k
     n = cfg.n
@@ -387,6 +411,7 @@ def _classical_sweep(plan: _RunPlan, violations: list):
     cost = randomized_protocol.bit_cost(n, k)
     # pairs per key: NO pairs in row 0, YES pairs in row 1
     counts = np.zeros((2, (n + 1) ** 2), dtype=np.int64)
+    accepted_no = 0
     sigma_max = 0.0
     # a frequency is flagged when the chance of one as far off, on either
     # side, is below MC_FALSE_ALARM over the pairs: 2 exp(-N KL) < rate / pairs
@@ -441,6 +466,7 @@ def _classical_sweep(plan: _RunPlan, violations: list):
         start += len(xs)
         counts += [np.bincount(pair_keys[~yes], minlength=(n + 1) ** 2),
                    np.bincount(pair_keys[yes], minlength=(n + 1) ** 2)]
+        accepted_no += int(runs.decision[~yes].sum())
         sampled_no = ~yes & ~literal
         # the run's own overlap and weight, against the pair's counts
         m_pair = margin.promise.counts(xs, ys)
@@ -468,6 +494,9 @@ def _classical_sweep(plan: _RunPlan, violations: list):
     literal_key = np.arange((n + 1) ** 2) % (n + 1) < k
     literal_pairs = int(counts[:, literal_key].sum())
     no_keys, yes_keys = (np.flatnonzero(row).tolist() for row in counts)
+    # a NO pair is accepted, wrongly, with its key's exact error
+    _check_accepted_no(violations, accepted_no, int(counts[0].sum()),
+                       sum(int(counts[0, key]) * table[key][0] for key in no_keys))
     # the sampled NO pairs per key, and their exact detection probabilities
     sampled = {key: int(counts[0, key]) for key in no_keys if not literal_key[key]}
     detect = [table[key][1] for key in sampled]
@@ -584,9 +613,10 @@ def _reduction_sweep(plan: _RunPlan, violations: list):
     problem = automata.disjointness_word_problem(n)
     # decide runs the DFA over x#, y# and x: one pass checks DFA and protocol
     pairs = (
-        (BitString(x, n), BitString(y, n), is_yes)
-        for xs, ys, yes in problem.promise.chunks()
-        for x, y, is_yes in zip(xs.tolist(), ys.tolist(), yes.tolist())
+        (BitString(x, n), BitString(y, n), label is PromiseLabel.YES)
+        for x, row in enumerate(problem.promise.grid())
+        for y, label in enumerate(row)
+        if label is not PromiseLabel.OUTSIDE
     )
     wrong = next(((x, y) for x, y, is_yes in pairs if protocol.decide(x, y) != is_yes), None)
     agreement = wrong is None

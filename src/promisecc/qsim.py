@@ -30,9 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .bits import unpack_bits
+from .bits import np, unpack_bits
 
 #: Entrywise tolerance for unitarity / norm checks.
 ATOL = 1e-10

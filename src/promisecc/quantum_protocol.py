@@ -30,14 +30,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from .bits import (
     BitString,
     Margin,
     PromiseLabel,
     classify_disj_promise,
     intersection_size,
+    np,
     smallest_k,
 )
 from . import qsim

@@ -25,9 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-import numpy as np
-
-from .bits import BitString, hamming_weight, intersection_size, smallest_k, unpack_bits
+from .bits import BitString, hamming_weight, intersection_size, np, smallest_k, unpack_bits
 
 
 def miss_probability(m: int, h: int, k: int) -> Fraction:

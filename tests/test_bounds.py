@@ -33,7 +33,7 @@ def _block(m, rows, cols):
     return CommMatrix(
         rows=tuple(m.rows[i] for i in rows),
         cols=tuple(m.cols[j] for j in cols),
-        entries=m.entries[np.ix_(rows, cols)],
+        entries=[[m.entries[r][c] for c in cols] for r in rows],
     )
 
 
@@ -41,8 +41,8 @@ class TestCommMatrix:
     def test_entry_and_shape(self):
         m = problem_matrix("eq", 1)
         assert m.shape == (2, 2)
-        assert m.entries[0, 0] == 1
-        assert m.entries[0, 1] == 0
+        assert m.entries[0][0] == 1
+        assert m.entries[0][1] == 0
 
     def test_rejects_bad_entries(self):
         with pytest.raises(ValueError):
@@ -73,11 +73,13 @@ class TestCommMatrix:
 class TestProblemMatrix:
     def test_eq_is_identity_pattern(self):
         m = problem_matrix("eq", 2)
-        assert np.array_equal(m.entries, np.eye(4, dtype=np.int8))
+        assert m.entries == tuple(
+            tuple(int(i == j) for j in range(4)) for i in range(4)
+        )
 
     def test_disj_n1(self):
         m = problem_matrix("disj", 1)
-        assert m.entries.tolist() == [[1, 1], [1, 0]]
+        assert m.entries == ((1, 1), (1, 0))
 
     def test_promise_disj_undefined_only_outside_band(self):
         margin = Margin.from_text("1/4", 4)
@@ -128,10 +130,10 @@ class TestProblemMatrix:
         ]
         size = 1 << n
         for kind, margin in cases:
-            want = [
-                [cell(kind, x, y, margin) for y in range(size)] for x in range(size)
-            ]
-            assert problem_matrix(kind, n, margin).entries.tolist() == want
+            want = tuple(
+                tuple(cell(kind, x, y, margin) for y in range(size)) for x in range(size)
+            )
+            assert problem_matrix(kind, n, margin).entries == want
 
 
 class TestFoolingSet:
@@ -151,7 +153,7 @@ class TestFoolingSet:
             classify_disj_promise(x, y, margin) is PromiseLabel.YES for x, y in pairs
         )
         assert all(
-            m.entries[m.rows.index(x), m.cols.index(y)] == 1 for x, y in pairs
+            m.entries[m.rows.index(x)][m.cols.index(y)] == 1 for x, y in pairs
         )
 
     def test_cross_refutation_witness(self):
@@ -242,16 +244,18 @@ class TestExactCc:
         # x and Bob answers whether his parity is the same.  A No pair
         # differs in n/2 = 3 positions, so its parities differ.
         m = problem_matrix("promise_eq", 6)
-        row_parity = np.array([hamming_weight(x) % 2 for x in m.rows])
-        col_parity = np.array([hamming_weight(y) % 2 for y in m.cols])
-        answer = (row_parity[:, None] == col_parity[None, :]).astype(m.entries.dtype)
-        defined = m.entries != UNDEFINED
-        assert defined.sum() == 64 + 64 * 20  # the diagonal, and C(6, 3) per row
-        assert np.array_equal(m.entries[defined], answer[defined])
+        defined = [
+            (value, int(hamming_weight(x) % 2 == hamming_weight(y) % 2))
+            for x, row in zip(m.rows, m.entries)
+            for y, value in zip(m.cols, row)
+            if value != UNDEFINED
+        ]
+        assert len(defined) == 64 + 64 * 20  # the diagonal, and C(6, 3) per row
+        assert all(value == answer for value, answer in defined)
         # and no single bit suffices: every row and every column holds a
         # Yes and a No cell, so neither party can name the answer alone
-        for line in (*m.entries, *m.entries.T):
-            assert {0, 1} <= set(line.tolist())
+        for line in (*m.entries, *zip(*m.entries)):
+            assert {0, 1} <= set(line)
 
 
 class TestPartition:
@@ -444,7 +448,7 @@ class TestBruteForceProtocolTree:
     )
     def test_problem_matrices(self, kind, n):
         m = problem_matrix(kind, n)
-        assert exact_deterministic_cc(m) == _brute_depth(tuple(map(tuple, m.entries.tolist())))
+        assert exact_deterministic_cc(m) == _brute_depth(m.entries)
 
     @pytest.mark.parametrize("kind", ["promise_eq", "promise_disj"])
     def test_promise_submatrices_n4(self, kind):
@@ -456,8 +460,7 @@ class TestBruteForceProtocolTree:
         for _ in range(5):
             rows, cols = (sorted(rng.sample(range(16), 4)) for _ in range(2))
             sub = _block(m, rows, cols)
-            grid = tuple(map(tuple, sub.entries.tolist()))
-            assert exact_deterministic_cc(sub) == _brute_depth(grid), grid
+            assert exact_deterministic_cc(sub) == _brute_depth(sub.entries), sub.entries
 
     def test_random_partial_matrices(self):
         rng = random.Random(7)

@@ -180,3 +180,36 @@ def test_classical_sweep_checks_the_overlap_the_run_used(
                            **sample)
     assert run_experiment(cfg) == EXIT_INVARIANT
     assert " run with overlap " in capsys.readouterr().err
+
+
+#: Per protocol sweep, a wrong program that accepts every NO pair, which
+#: only the count of accepted NO pairs against its exact mean sees.
+def _accept_every_pair(monkeypatch):
+    monkeypatch.setattr(cli.quantum_protocol, "sample_decisions",
+                        lambda p_values, k, rng: [1] * len(p_values))
+
+
+def _never_detect(monkeypatch):
+    # at n=4 the 174 NO pairs would be accepted by chance with probability
+    # 5.5e-6, above the false-alarm rate, so the tests run at n >= 8
+    real = cli.randomized_protocol.one_way_columns
+
+    def never(*args):
+        runs = real(*args)
+        return runs._replace(decision=np.ones_like(runs.decision))
+
+    monkeypatch.setattr(cli.randomized_protocol, "one_way_columns", never)
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "sample"])
+@pytest.mark.parametrize("command,mutate", [
+    ("quantum-sweep", _accept_every_pair),
+    ("classical-sweep", _never_detect),
+], ids=["quantum-accepts-all", "classical-never-detects"])
+def test_protocol_sweeps_flag_no_pairs_accepted_too_often(
+    command, mutate, mode, tmp_path, monkeypatch
+):
+    mutate(monkeypatch)
+    n, options = (8, {}) if mode == "exhaustive" else (16, _SAMPLED)
+    violations = _all_violations(tmp_path, monkeypatch, command, n, **options)
+    assert " no pairs accepted, against " in violations

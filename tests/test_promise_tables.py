@@ -85,11 +85,11 @@ def test_matrix_entries_follow_the_rule(problem):
     if kind in ("equality", "disjointness") or (kind == "promise_eq" and n % 2):
         return
     margin = Margin(lam, n) if lam is not None else None
-    entries = problem_matrix(kind, n, margin).entries.tolist()
-    assert entries == [
-        [ENTRY[_rule(kind, n, lam, x, y)] for y in range(1 << n)]
+    entries = problem_matrix(kind, n, margin).entries
+    assert entries == tuple(
+        tuple(ENTRY[_rule(kind, n, lam, x, y)] for y in range(1 << n))
         for x in range(1 << n)
-    ]
+    )
 
 
 @given(
