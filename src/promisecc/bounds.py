@@ -165,32 +165,12 @@ def _greedy_clique(grid, orders):
 # ---------------------------------------------------------------------------
 
 def _normalize(sub: tuple) -> tuple:
-    """Deduplicate and sort rows and columns to a stable normal form."""
+    """Deduplicate and sort rows and columns, the protocol search's memo
+    key: the same matrix up to duplicate lines and line order."""
     for _ in range(2):
         sub = sorted(set(sub))
         sub = list(zip(*sorted(set(zip(*sub)))))
     return tuple(sub)
-
-
-def _canonical(sub: tuple) -> tuple:
-    """Normal form up to row/col dedup, permutation, and transposition.
-
-    Of the two orientations the one first in (shape, int8 bytes) order is
-    kept; in those bytes UNDEFINED is 0xFF, so it sorts after 0 and 1.
-    The form is a sound memo key, not a complete one: a shuffled copy can
-    land on a different but equivalent form, which costs only a memo miss.
-    """
-    a = _normalize(sub)
-    b = _normalize(tuple(zip(*sub)))
-    shape_a, shape_b = (len(a), len(a[0])), (len(b), len(b[0]))
-    if shape_a != shape_b:
-        return a if shape_a < shape_b else b
-    for row_a, row_b in zip(a, b):
-        if row_a != row_b:
-            for x, y in zip(row_a, row_b):
-                if x != y:
-                    return a if x & 0xFF < y & 0xFF else b
-    return a
 
 
 def _is_constant(sub: tuple) -> bool:
@@ -236,8 +216,7 @@ class _ProtocolSearch:
                 for j, v in enumerate(row)
                 if v != UNDEFINED
             ]
-            by_value = sorted(cells, key=lambda c: (c[2], c[0], c[1]))
-            fool = len(_greedy_clique(sub, (cells, by_value)))
+            fool = len(_greedy_clique(sub, (cells,)))
             lower = max(1, ceil(log2(fool)))
             upper = 1 + min(ceil(log2(len(sub))), ceil(log2(len(sub[0]))))
             info = (lower, upper)
@@ -260,7 +239,7 @@ class _ProtocolSearch:
             return any(
                 all(_is_constant((line,)) for line in side) for side in (sub, zip(*sub))
             )
-        sub = _canonical(sub)
+        sub = _normalize(sub)
         lower, upper = self._info(sub)
         if budget >= upper:
             return True

@@ -36,13 +36,15 @@ classical sweep the floats of the exact error and detection probability
 per overlap and weight).  Each protocol sweep also counts its NO and YES
 pairs per table key, and its summary is read from those counts and the
 table: floats of exact extremes and means, which do not depend on the
-order of the pairs.  The automaton sweep's probabilities are machine
-floats, kept as witnesses; its summary takes their extremes chunk by
-chunk.  Summary records and the bounds and reduction records are batches
-of one.  The writer renders a batch in one pass, each distinct value of a
-coded column once, then a JSON line template filled once per record or
-one CSV ``writerows`` call.  No list of all records is built, so memory
-does not grow with the number of pairs.
+order of the pairs.  In exhaustive mode it compares each key's counts
+with their closed forms, labelled from lambda alone.  The automaton
+sweep validates each machine before it runs it; its probabilities are
+machine floats, kept as witnesses, and its summary takes their extremes
+chunk by chunk.  Summary records and the bounds and reduction records
+are batches of one.  The writer renders a batch in one pass, each
+distinct value of a coded column once, then a JSON line template filled
+once per record or one CSV ``writerows`` call.  No list of all records
+is built, so memory does not grow with the number of pairs.
 """
 
 from __future__ import annotations
@@ -339,26 +341,18 @@ def _quantum_sweep(plan: _RunPlan, violations: list):
              lambda i: (f"dense round on {x_text[i]},{y_text[i]} off by "
                         f"{deviation[i]:.3e}")),
         ])
-    no_row = counts[0].tolist()
+    if cfg.mode == "exhaustive":
+        _check_pair_counts(violations, counts, n, margin.fraction,
+                           lambda a: [(abs(n - 2 * a), math.comb(n, a) * 3 ** (n - a))],
+                           lambda s: f"|S|={s}")
+    no_row, yes_row = counts.tolist()
     # a NO pair at |S| passes all k rounds with probability exact_k[|S|]
-    _check_accepted_no(violations, accepted_no, sum(no_row),
-                       sum(count * p for count, p in zip(no_row, exact_k)))
-    summary = {}
-    for label, row in zip(("no", "yes"), counts.tolist()):
-        # S**2/n**2 and its k-th power grow with |S|: the extremes sit at
-        # the least and greatest |S| counted
-        present = [s for s, count in enumerate(row) if count] or [None]
-        low, high, pairs = present[0], present[-1], sum(row)
-        summary.update({
-            f"count_{label}": pairs,
-            f"p_{label}_min": None if low is None else p_single[low],
-            f"p_{label}_max": None if high is None else p_single[high],
-            f"p_{label}_mean": float(
-                sum(count * p for count, p in zip(row, exact)) / pairs
-            ) if pairs else None,
-        })
-        if label == "no":
-            summary["p_accept_k_no_max"] = None if high is None else p_accept_k[high]
+    _check_accepted_no(violations, accepted_no, no_row, exact_k.__getitem__)
+    summary = {"p_accept_k_no_max": _per_key(no_row, exact_k.__getitem__)[1]}
+    for label, row in (("no", no_row), ("yes", yes_row)):
+        low, high, mean = _per_key(row, exact.__getitem__)
+        summary.update({f"count_{label}": sum(row), f"p_{label}_min": low,
+                        f"p_{label}_max": high, f"p_{label}_mean": mean})
     yield _record({
         **fixed,
         **summary,
@@ -383,9 +377,50 @@ def _bernoulli_divergence(f: float, p: float) -> float:
     return term(f, p) + term(1.0 - f, 1.0 - p)
 
 
-def _check_accepted_no(violations: list, accepted: int, pairs: int, expected) -> None:
-    """Flag a sweep whose ``pairs`` NO pairs were accepted ``accepted``
-    times, where their exact accept probabilities sum to ``expected``.
+def _per_key(row: list, value) -> tuple:
+    """The floats of the least, greatest and count-weighted mean of the
+    exact ``value(key)``, called once per key that ``row`` (pairs per key)
+    counts; Nones for an empty row.  Rounding to float is monotone, so the
+    floats of the exact extremes are the extremes of the floats."""
+    values = {key: value(key) for key, count in enumerate(row) if count}
+    if not values:
+        return None, None, None
+    mean = sum(row[key] * v for key, v in values.items()) / sum(row)
+    return float(min(values.values())), float(max(values.values())), float(mean)
+
+
+def _in_band(m, lam: Fraction, n: int):
+    """lam*n <= m <= (1 - lam)*n, from lam itself, not from a promise table;
+    ``m`` is an int or an array of them."""
+    return ((m * lam.denominator >= lam.numerator * n)
+            & (m * lam.denominator <= (lam.denominator - lam.numerator) * n))
+
+
+def _check_pair_counts(violations: list, counts, n: int, lam: Fraction,
+                       keyed, where) -> None:
+    """Flag each key whose count of NO or YES pairs in an exhaustive sweep,
+    rows 0 and 1 of ``counts``, is not its closed form.
+
+    Each overlap a is labelled from lam alone, 0 YES and the band NO, and
+    ``keyed(a)`` gives its pairs, as (key, count); ``where(key)`` names
+    the key.
+    """
+    closed = np.zeros_like(counts).tolist()
+    for a in range(n + 1):
+        if a == 0 or _in_band(a, lam, n):
+            for key, count in keyed(a):
+                closed[a == 0][key] += count
+    for label, row, want in zip(("no", "yes"), counts.tolist(), closed):
+        violations.extend(
+            f"{count} {label} pairs at {where(key)}, against {expected} in closed form"
+            for key, (count, expected) in enumerate(zip(row, want)) if count != expected
+        )
+
+
+def _check_accepted_no(violations: list, accepted: int, no_row: list, error) -> None:
+    """Flag a sweep whose NO pairs, ``no_row[key]`` of them per key, were
+    accepted ``accepted`` times, where ``error(key)`` is the exact chance
+    that a NO pair of that key is accepted.
 
     By Hoeffding's bound, which holds for unequal probabilities, the
     frequency lies at f or beyond, on f's side of the mean p, with
@@ -393,11 +428,13 @@ def _check_accepted_no(violations: list, accepted: int, pairs: int, expected) ->
     check, the count is flagged when that chance, on either side, is below
     MC_FALSE_ALARM.
     """
+    pairs = sum(no_row)
+    mean = _per_key(no_row, error)[2]
     if pairs and pairs * _bernoulli_divergence(
-        accepted / pairs, float(expected / pairs)
+        accepted / pairs, mean
     ) > math.log(2 / MC_FALSE_ALARM):
         violations.append(f"{accepted} of {pairs} no pairs accepted, against "
-                          f"{float(expected):.1f} expected")
+                          f"{mean * pairs:.1f} expected")
 
 
 def _classical_sweep(plan: _RunPlan, violations: list):
@@ -481,39 +518,40 @@ def _classical_sweep(plan: _RunPlan, violations: list):
             ((m != m_pair) | (h != h_pair),
              lambda i: (f"pair {x_text[i]},{y_text[i]} run with overlap {m[i]} "
                         f"and weight {h[i]}, not {m_pair[i]} and {h_pair[i]}")),
-            # lam*n <= m <= (1 - lam)*n, from lam itself, not from the table
-            (~yes & ((m * lam.denominator < lam.numerator * n)
-                     | (m * lam.denominator > (lam.denominator - lam.numerator) * n)),
+            (~yes & ~_in_band(m, lam, n),
              lambda i: f"no pair {x_text[i]},{y_text[i]} overlap {m[i]} outside the band"),
             # a sampled NO pair's miss (1 - m/h)**k is capped by
             # (1 - lam)**k iff m/h >= lam
             (sampled_no & (m * lam.denominator < lam.numerator * h),
              lambda i: f"no pair {x_text[i]},{y_text[i]} above miss cap"),
         ])
+    if cfg.mode == "exhaustive":
+        _check_pair_counts(violations, counts, n, lam, lambda a: [
+            (a * (n + 1) + h, math.comb(n, h) * math.comb(h, a) * 2 ** (n - h))
+            for h in range(a, n + 1)
+        ], lambda key: "overlap {} and weight {}".format(*divmod(key, n + 1)))
     # a key's pairs took the literal branch iff its weight h is below k
     literal_key = np.arange((n + 1) ** 2) % (n + 1) < k
     literal_pairs = int(counts[:, literal_key].sum())
-    no_keys, yes_keys = (np.flatnonzero(row).tolist() for row in counts)
-    # a NO pair is accepted, wrongly, with its key's exact error
-    _check_accepted_no(violations, accepted_no, int(counts[0].sum()),
-                       sum(int(counts[0, key]) * table[key][0] for key in no_keys))
-    # the sampled NO pairs per key, and their exact detection probabilities
-    sampled = {key: int(counts[0, key]) for key in no_keys if not literal_key[key]}
-    detect = [table[key][1] for key in sampled]
-    detect_sum = sum(
-        count * (1 - randomized_protocol.miss_probability(*divmod(key, n + 1), k))
-        for key, count in sampled.items()
+    no_row, yes_row = counts.tolist()
+    # a NO pair is accepted, wrongly, with its key's error
+    error = {key: floats[0] for key, floats in table.items()}.__getitem__
+    _check_accepted_no(violations, accepted_no, no_row, error)
+    # over the sampled NO pairs, the exact detection probabilities
+    det_min, det_max, det_mean = _per_key(
+        np.where(literal_key, 0, counts[0]).tolist(),
+        lambda key: 1 - randomized_protocol.miss_probability(*divmod(key, n + 1), k),
     )
     yield _record({
         **fixed,
         "record": "summary",
-        "count_yes": int(counts[1].sum()),
-        "count_no": int(counts[0].sum()),
-        "err_yes_max": max((table[key][0] for key in yes_keys), default=None),
-        "err_no_max": max((table[key][0] for key in no_keys), default=None),
-        "det_no_min": min(detect, default=None),
-        "det_no_max": max(detect, default=None),
-        "det_no_mean": float(detect_sum / sum(sampled.values())) if sampled else None,
+        "count_yes": sum(yes_row),
+        "count_no": sum(no_row),
+        "err_yes_max": _per_key(yes_row, error)[1],
+        "err_no_max": _per_key(no_row, error)[1],
+        "det_no_min": det_min,
+        "det_no_max": det_max,
+        "det_no_mean": det_mean,
         # tiny-n band pairs with fewer ones than samples: surfaced, not
         # treated as protocol failures
         "literal_no_count": int(counts[0, literal_key].sum()),
@@ -529,6 +567,10 @@ def _qcfa_sweep(plan: _RunPlan, violations: list):
         name, machine, cap = problem.kind, problem.machine, problem.no_cap
         # this machine's violations; its summary answers for these alone
         failed = []
+        try:
+            machine.validate()
+        except ValueError as exc:
+            failed.append(f"{name} machine is invalid: {exc}")
         counts = (len(machine.quantum_labels), len(machine.classical_states))
         if counts != problem.state_counts:
             failed.append(f"{name} machine has unexpected state counts")
@@ -743,35 +785,24 @@ def _json_value(value) -> str:
     return _JSON.encode(value)
 
 
-def _json_cells(values) -> list[str]:
-    """Each of ``values`` as ``json.dumps`` writes it."""
-    kinds = set(map(type, values))
-    if kinds == {str}:
-        return list(map(_json_text, values))
-    # bool is its own type here, so it takes the general path
-    if kinds <= {int, float}:
-        cells = list(map(repr, values))
-        if float in kinds and not all(map(math.isfinite, values)):
-            cells = [_JSON_NONFINITE.get(cell, cell) for cell in cells]
-        return cells
-    return list(map(_json_value, values))
-
-
-def _csv_cells(values) -> list[str]:
-    """Each of ``values`` as a CSV cell: empty for None, lowercase
-    booleans, ``str`` for the rest."""
-    return [
-        "" if v is None else ("true" if v else "false") if isinstance(v, bool) else str(v)
-        for v in values
-    ]
+def _csv_value(value) -> str:
+    """One flat value as a CSV cell: empty for None, lowercase booleans,
+    ``str`` for the rest."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
 
 
 def _cells(column, render) -> list[str]:
-    """Each record's cell of ``column``, a list rendered value by value or
-    a :class:`_Coded` column whose distinct values are rendered once."""
+    """Each record's cell of ``column``, each value rendered by ``render``:
+    a list value by value, or a :class:`_Coded` column whose distinct
+    values are rendered once."""
     if isinstance(column, _Coded):
-        return np.array(render(column.values), dtype=object)[column.codes].tolist()
-    return render(column)
+        cells = np.array(list(map(render, column.values)), dtype=object)
+        return cells[column.codes].tolist()
+    return list(map(render, column))
 
 
 def _render_json(batch: _Batch) -> str:
@@ -782,7 +813,7 @@ def _render_json(batch: _Batch) -> str:
     for name in sorted({*batch.fixed, *batch.columns}):
         if name in batch.columns:
             fields.append(_json_text(name).replace("%", "%%") + ": %s")
-            cells.append(_cells(batch.columns[name], _json_cells))
+            cells.append(_cells(batch.columns[name], _json_value))
         else:
             text = f"{_json_text(name)}: {_json_value(batch.fixed[name])}"
             fields.append(text.replace("%", "%%"))
@@ -797,8 +828,8 @@ def _render_csv(columns: tuple[str, ...], batch: _Batch, header: bool) -> str:
     if header:
         writer.writerow(columns)
     cells = [
-        _cells(batch.columns[name], _csv_cells) if name in batch.columns
-        else itertools.repeat(_csv_cells([batch.fixed.get(name)])[0], batch.size)
+        _cells(batch.columns[name], _csv_value) if name in batch.columns
+        else itertools.repeat(_csv_value(batch.fixed.get(name)), batch.size)
         for name in columns
     ]
     writer.writerows(zip(*cells))

@@ -4,6 +4,7 @@ Each test swaps one part of the program for a wrong one and asserts that
 the sweep's checks see it: exit status 2 and the named violation.
 """
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -213,3 +214,51 @@ def test_protocol_sweeps_flag_no_pairs_accepted_too_often(
     n, options = (8, {}) if mode == "exhaustive" else (16, _SAMPLED)
     violations = _all_violations(tmp_path, monkeypatch, command, n, **options)
     assert " no pairs accepted, against " in violations
+
+
+@pytest.mark.parametrize("command", ["quantum-sweep", "classical-sweep"])
+@pytest.mark.parametrize("n,lam", [(4, None), (6, "1/6"), (8, None)])
+def test_exhaustive_sweeps_flag_a_no_overlap_labelled_outside(
+    n, lam, command, tmp_path, monkeypatch
+):
+    # the overlap-2 pairs drop out of the stream, so only the per-key
+    # counts against their closed form see them
+    _flip_labels(monkeypatch, lambda n, lam: {2: PromiseLabel.OUTSIDE})
+    violations = _all_violations(tmp_path, monkeypatch, command, n, margin_text=lam)
+    assert " no pairs at " in violations
+    assert " in closed form" in violations
+    if command == "quantum-sweep" and n == 8:
+        # overlaps 2 and 6 both give |S| = 4: 28 * 3**6 + 28 * 3**2 pairs
+        assert "252 no pairs at |S|=4, against 20664 in closed form" in violations
+
+
+def test_qcfa_sweep_flags_a_non_unitary_operator(
+    tmp_path, capsys, fresh_machines
+):
+    # row 2 of the right-marker operator is doubled; the accept outcome
+    # reads row 1 alone, so no probability moves
+    machine = automata.equality_automaton(6)
+    key = (7, automata.RIGHT_MARKER)
+    op = machine.quantum_tr[key].copy()
+    op[1] *= 2
+    machine.quantum_tr[key] = op
+    err = _violations(tmp_path, capsys, "qcfa-sweep", 6)
+    assert "equality machine is invalid: matrix is not unitary" in err
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "sample"])
+def test_quantum_sweep_flags_a_collect_row_that_is_not_uniform(
+    mode, tmp_path, monkeypatch, capsys
+):
+    # only the dense witness applies the collect's accept row
+    real = cli.quantum_protocol._collect
+
+    def skewed(n):
+        op = real(n).copy()
+        op[qsim.pair_index(1, 0, n), 0] *= 1.01
+        return op
+
+    monkeypatch.setattr(cli.quantum_protocol, "_collect", skewed)
+    n, options = (8, {}) if mode == "exhaustive" else (16, _SAMPLED)
+    err = _violations(tmp_path, capsys, "quantum-sweep", n, **options)
+    assert re.search(r"dense round on [01]+,[01]+ off by ", err)
