@@ -40,6 +40,7 @@ from .randomized_protocol import (
     ClassicalProtocolReport,
     OneWayColumns,
     bit_cost,
+    coin_mismatch,
     detection_frequency,
     exact_detection_probability,
     miss_probability,

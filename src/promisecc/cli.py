@@ -15,9 +15,10 @@ only inside it, as integer columns of word values with a YES mask.
 ``bounds`` runs each problem of :data:`bounds.PROBLEMS` that has a NO
 count at n.  The protocol sweeps draw their random decisions from one
 stream per sweep, seeded by the seed and read in pair order a chunk at a
-time; the draws do not depend on the chunk size.  Monte Carlo trials draw
-from (seed, pair index, 1).  So identical configurations produce
-byte-identical reports.
+time; the draws do not depend on the chunk size.  So identical
+configurations produce byte-identical reports.  In both modes the
+classical sweep checks its one-way code exactly, on every random string
+of each (overlap, weight) key it meets.
 
 Reports are streamed: each sweep is a generator of column batches.  The
 stream labels ``bits.SWEEP_CHUNK`` candidate pairs at a time from the
@@ -79,10 +80,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_INVARIANT = 2
 PROB_TOL = 1e-9
-#: Monte Carlo trials per pair in sampled classical sweeps.
-MC_TRIALS = 1000
-#: Chance that a sampled classical sweep flags some correct Monte Carlo
-#: frequency, shared over its pairs (Bonferroni).
+#: Chance that a protocol sweep flags its count of accepted NO pairs when
+#: the decisions are right.
 MC_FALSE_ALARM = 1e-6
 
 #: Sample mode draws each word as one 64-bit integer.
@@ -226,8 +225,7 @@ def _decision_stream(plan: _RunPlan) -> np.random.Generator:
     in pair order a chunk at a time.
 
     Its entropy (seed, 2) is no other stream's in the same run: the pair
-    sampler uses the seed alone, the word streams (seed, 0) and (seed, 1),
-    the Monte Carlo trials (seed, index, 1).
+    sampler uses the seed alone, the word streams (seed, 0) and (seed, 1).
     """
     return np.random.default_rng((plan.seed, 2))
 
@@ -424,9 +422,8 @@ def _check_accepted_no(violations: list, accepted: int, no_row: list, error) -> 
 
     By Hoeffding's bound, which holds for unequal probabilities, the
     frequency lies at f or beyond, on f's side of the mean p, with
-    probability at most exp(-pairs * KL(f || p)).  As in the Monte Carlo
-    check, the count is flagged when that chance, on either side, is below
-    MC_FALSE_ALARM.
+    probability at most exp(-pairs * KL(f || p)).  The count is flagged
+    when that chance, on either side, is below MC_FALSE_ALARM.
     """
     pairs = sum(no_row)
     mean = _per_key(no_row, error)[2]
@@ -449,12 +446,7 @@ def _classical_sweep(plan: _RunPlan, violations: list):
     # pairs per key: NO pairs in row 0, YES pairs in row 1
     counts = np.zeros((2, (n + 1) ** 2), dtype=np.int64)
     accepted_no = 0
-    sigma_max = 0.0
-    # a frequency is flagged when the chance of one as far off, on either
-    # side, is below MC_FALSE_ALARM over the pairs: 2 exp(-N KL) < rate / pairs
-    mc_exponent = math.log(2 * max(cfg.samples, 1) / MC_FALSE_ALARM)
     stream = _decision_stream(plan)
-    start = 0  # index of the chunk's first pair in the sweep
     for xs, ys, yes in _pair_stream(plan):
         columns = _pair_columns(n, xs, ys, yes)
         runs = randomized_protocol.one_way_columns(xs, ys, n, k, stream)
@@ -463,44 +455,21 @@ def _classical_sweep(plan: _RunPlan, violations: list):
         keys, codes = np.unique(pair_keys, return_inverse=True)
         for key in keys.tolist():
             if key not in table:
-                table[key] = randomized_protocol.report_floats(*divmod(key, n + 1), k)
+                m_key, h_key = divmod(key, n + 1)
+                table[key] = randomized_protocol.report_floats(m_key, h_key, k)
+                # the run's own code on every random string of a key that draws
+                message = h_key >= k and randomized_protocol.coin_mismatch(m_key, h_key, k, n)
+                violations.extend([message] if message else [])
         error = [table[key][0] for key in keys.tolist()]
         detect = [table[key][1] for key in keys.tolist()]
-        mc_off = np.zeros(len(xs), dtype=bool)
-        mc_messages = {}
-        if cfg.mode == "exhaustive":  # no trials
-            none = np.zeros(len(xs), dtype=np.intp)
-            mc_freq, mc_trials = _Coded([None], none), _Coded([0], none)
-        else:
-            mc_freq, mc_trials = [None] * len(xs), [0] * len(xs)
-            for i in np.flatnonzero(~literal).tolist():
-                x, y = BitString(int(xs[i]), n), BitString(int(ys[i]), n)
-                p = detect[codes[i]]
-                mc_rng = np.random.default_rng((plan.seed, start + i, 1))
-                mc_freq[i] = freq = randomized_protocol.detection_frequency(
-                    x, y, k, MC_TRIALS, mc_rng
-                )
-                mc_trials[i] = MC_TRIALS
-                spread = math.sqrt(max(p * (1.0 - p), 1e-12) / MC_TRIALS)
-                sigma = abs(freq - p) / spread
-                sigma_max = max(sigma_max, sigma)
-                if MC_TRIALS * _bernoulli_divergence(freq, p) > mc_exponent:
-                    mc_off[i] = True
-                    mc_messages[i] = (
-                        f"pair {x},{y} Monte Carlo frequency {freq} against "
-                        f"{p:.6f} ({sigma:.1f} sigma off)"
-                    )
         columns.update(
             decision=_Coded([0, 1], runs.decision),
             bits=_Coded([cost, 1], literal),
             exact_error=_Coded(error, codes),
             literal_branch=_Coded([False, True], literal),
             p_detect_exact=_Coded(detect, codes),
-            mc_frequency=mc_freq,
-            mc_trials=mc_trials,
         )
         yield _Batch(fixed, columns, len(xs))
-        start += len(xs)
         counts += [np.bincount(pair_keys[~yes], minlength=(n + 1) ** 2),
                    np.bincount(pair_keys[yes], minlength=(n + 1) ** 2)]
         accepted_no += int(runs.decision[~yes].sum())
@@ -510,7 +479,6 @@ def _classical_sweep(plan: _RunPlan, violations: list):
         h_pair = np.bitwise_count(xs)
         x_text, y_text = columns["x"], columns["y"]
         _flag(violations, [
-            (mc_off, mc_messages.__getitem__),
             (yes & (runs.decision != 1),
              lambda i: f"yes pair {x_text[i]},{y_text[i]} rejected"),
             (yes & (np.array(error)[codes] != 0.0),
@@ -555,7 +523,6 @@ def _classical_sweep(plan: _RunPlan, violations: list):
         # tiny-n band pairs with fewer ones than samples: surfaced, not
         # treated as protocol failures
         "literal_no_count": int(counts[0, literal_key].sum()),
-        "mc_sigma_max": sigma_max,
         "bits_total": cost * (int(counts.sum()) - literal_pairs) + literal_pairs,
         "invariant_ok": not violations,
     })
@@ -727,10 +694,9 @@ _COMMAND_TABLE = {
     "classical-sweep": _Command(
         _classical_sweep,
         ("record", "n", "lambda", "x", "y", "label", "k", "decision", "bits",
-         "exact_error", "literal_branch", "p_detect_exact", "mc_frequency",
-         "mc_trials", "count_yes", "count_no", "err_yes_max", "err_no_max",
-         "det_no_min", "det_no_max", "det_no_mean", "literal_no_count",
-         "mc_sigma_max", "bits_total", "invariant_ok"),
+         "exact_error", "literal_branch", "p_detect_exact", "count_yes",
+         "count_no", "err_yes_max", "err_no_max", "det_no_min", "det_no_max",
+         "det_no_mean", "literal_no_count", "bits_total", "invariant_ok"),
         10, frozenset({"k", "lambda", "eps", "sample"}),
         randomized_protocol.positions_count,
     ),

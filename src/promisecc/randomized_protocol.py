@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import NamedTuple
 
 from .bits import BitString, hamming_weight, intersection_size, np, smallest_k, unpack_bits
@@ -152,6 +153,38 @@ def one_way_columns(x_values, y_values, n: int, k: int, rng) -> OneWayColumns:
         weight=weights,
         literal_branch=literal,
     )
+
+
+#: Most random strings :func:`coin_mismatch` runs for one key.
+COIN_ROWS = 1024
+
+
+def coin_mismatch(m: int, h: int, k: int, n: int) -> str | None:
+    """Run :func:`one_way_columns` on every random string of one key, the
+    pair x = 1^h 0^(n-h), y = 1^m 0^(n-m) with h >= k: None if it agrees
+    with :func:`miss_probability`, else what went wrong.
+
+    The runs take h**j copies of the pair, j the largest count up to k
+    with h**j at most :data:`COIN_ROWS`, and a stand-in generator whose
+    ``integers`` hands out every j-tuple below h once.  They must draw once,
+    from 0 below h in shape (h**j, j), and exactly h**j times
+    ``miss_probability(m, h, j)`` of them must miss y."""
+    where = f"coins of overlap {m} and weight {h}"
+    j = max(i for i in range(1, k + 1) if h ** i <= COIN_ROWS)
+    rows, calls, want = h ** j, [], [(0, [h], (h ** j, j))]
+
+    def integers(low, highs, size):
+        calls.append((low, sorted(set(np.ravel(highs).tolist())), tuple(size)))
+        return np.indices((h,) * j).reshape(j, -1).T
+
+    x, y = ((1 << h) - 1) << (n - h), ((1 << m) - 1) << (n - m)
+    runs = one_way_columns([x] * rows, [y] * rows, n, j, SimpleNamespace(integers=integers))
+    if calls != want:
+        return f"{where}: draws (low, highs, shape) {calls}, not {want}"
+    misses, exact = int(runs.decision.sum()), rows * miss_probability(m, h, j)
+    if misses != exact:
+        return f"{where}: {misses} of {rows} coin strings miss, not {exact}"
+    return None
 
 
 def run_one_way(

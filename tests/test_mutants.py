@@ -262,3 +262,44 @@ def test_quantum_sweep_flags_a_collect_row_that_is_not_uniform(
     n, options = (8, {}) if mode == "exhaustive" else (16, _SAMPLED)
     err = _violations(tmp_path, capsys, "quantum-sweep", n, **options)
     assert re.search(r"dense round on [01]+,[01]+ off by ", err)
+
+
+# Wrong one-way programs that, at the configs below, only the exact coin
+# check sees; each takes the real function and returns the wrong one.
+def _below_weight_minus_one(real):
+    # never picks x's last one
+    return lambda weights, k, rng: real(np.asarray(weights) - 1, k, rng)
+
+
+def _one_draw_short(real):
+    return lambda weights, k, rng: real(weights, k - 1, rng)
+
+
+def _miss_over_h_plus_one(real):
+    return lambda m, h, k: Fraction(h - m, h + 1) ** k
+
+
+#: Sample mode at n=32 with one position, the benchmark's sampled config.
+_SAMPLED_32 = dict(mode="sample", samples=3000, k=1, seed=1)
+
+
+@pytest.mark.parametrize("name,mutate,n,options,message", [
+    ("sample_positions", _below_weight_minus_one, 16, _SAMPLED,
+     r"weight 4: draws \(low, highs, shape\) \[\(0, \[3\], \(256, 4\)\)\], not"),
+    ("sample_positions", _below_weight_minus_one, 32, _SAMPLED_32,
+     r"weight 11: draws \(low, highs, shape\) \[\(0, \[10\], \(11, 1\)\)\], not"),
+    ("miss_probability", _miss_over_h_plus_one, 32, _SAMPLED_32,
+     r"coins of overlap 8 and weight 11: 3 of 11 coin strings miss, not 11/4"),
+    # at the default k=4 the count of accepted NO pairs sees it too
+    ("sample_positions", _one_draw_short, 8, dict(k=6),
+     r"weight 6: draws \(low, highs, shape\) \[\(0, \[6\], \(216, 2\)\)\], not"),
+    ("sample_positions", _one_draw_short, 16, _SAMPLED,
+     r"weight 4: draws \(low, highs, shape\) \[\(0, \[4\], \(256, 3\)\)\], not"),
+], ids=["biased-n16", "biased-n32", "miss-formula-n32", "k-1-n8", "k-1-n16"])
+def test_classical_sweep_checks_the_run_on_every_coin_string(
+    name, mutate, n, options, message, tmp_path, monkeypatch
+):
+    protocol = cli.randomized_protocol
+    monkeypatch.setattr(protocol, name, mutate(getattr(protocol, name)))
+    violations = _all_violations(tmp_path, monkeypatch, "classical-sweep", n, **options)
+    assert re.search(message, violations)

@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from promisecc.bits import BitString, Margin
+from promisecc import randomized_protocol
+from promisecc.bits import BitString, Margin, band
 from promisecc.randomized_protocol import (
+    COIN_ROWS,
     bit_cost,
+    coin_mismatch,
     detection_frequency,
     exact_detection_probability,
     positions_count,
@@ -101,6 +104,44 @@ class TestBitCost:
             bit_cost(0, 1)
         with pytest.raises(ValueError):
             bit_cost(4, 0)
+
+
+class TestCoinMismatch:
+    @pytest.mark.parametrize("n,k", [
+        (8, 1), (8, 3), (8, 4), (16, 1), (16, 2), (16, 3), (32, 1), (32, 2), (64, 1),
+    ])
+    def test_every_key_a_sweep_checks_agrees(self, n, k):
+        # the YES overlap 0 and the NO band at lambda = 1/4, each at every
+        # weight that samples
+        low, high = band(Fraction(1, 4), n)
+        for m in (0, *range(low, high + 1)):
+            for h in range(max(m, k), n + 1):
+                assert coin_mismatch(m, h, k, n) is None, (m, h)
+
+    @pytest.mark.parametrize("h,k,shape", [
+        (4, 4, (256, 4)),
+        (5, 5, (625, 4)),
+        (6, 6, (216, 3)),
+        (10, 3, (1000, 3)),
+        (11, 3, (121, 2)),
+        (32, 2, (1024, 2)),
+        (33, 2, (33, 1)),
+        (64, 1, (64, 1)),
+    ])
+    def test_runs_stop_at_the_cap(self, h, k, shape, monkeypatch):
+        # h**j runs of j draws, j the largest count up to k with h**j at
+        # most COIN_ROWS
+        real, shapes = randomized_protocol.sample_positions, []
+
+        def recorded(weights, count, rng):
+            picks = real(weights, count, rng)
+            shapes.append(picks.shape)
+            return picks
+
+        monkeypatch.setattr(randomized_protocol, "sample_positions", recorded)
+        assert COIN_ROWS == 1024
+        assert coin_mismatch(1, h, k, 64) is None
+        assert shapes == [shape]
 
 
 class TestRunOneWay:

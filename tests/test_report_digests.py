@@ -33,7 +33,7 @@ CASES = {
     "classical-n4-json": (
         dict(command="classical-sweep", n=4, seed=1),
         256,
-        "9cf32f79d181edb4ba2db85b52513a2138ffa2a6a42348a34b8cfc4471f9423e",
+        "883fbb02b70eb8ef9d59035c213319184721f09d702af36f0649f63042a7276e",
     ),
     "quantum-n16-sample-csv": (
         dict(command="quantum-sweep", n=16, mode="sample", samples=300, seed=1,
@@ -48,12 +48,12 @@ CASES = {
         201,
         "b4336e382172cfef57d96fb0d222ba5132289d28703cc9e7508e2bf07cf1a42f",
     ),
-    # sample mode adds the Monte Carlo trials
+    # sample mode, where the coin check meets only the drawn keys
     "classical-n16-sample-csv": (
         dict(command="classical-sweep", n=16, mode="sample", samples=300, seed=1,
              fmt="csv"),
         301,
-        "bac50b338da441930cf2895bafd3c0e1be864c81b5359f6abdc9ae7cefcaf70d",
+        "4f4eac623355b989aacbddb7057ca9067dcf6e804728c7af328f6463f41d73d3",
     ),
     "qcfa-n3-json": (
         dict(command="qcfa-sweep", n=3, seed=1),
@@ -87,7 +87,7 @@ CASES = {
         dict(command="classical-sweep", n=16, mode="sample", samples=2100, seed=1,
              fmt="csv"),
         2101,
-        "7887aa6f81f4c8f192794326d44b1943f2ec21024e4ae13518906c3003b7a192",
+        "d87ee42def06e8e6acf8f1b6c441432b3724cb84e7cfcba62dc614df46f1043d",
     ),
     "qcfa-n16-sample-1100-csv": (
         dict(command="qcfa-sweep", n=16, mode="sample", samples=1100, seed=1,
@@ -120,7 +120,7 @@ CASES = {
     "classical-n6-lambda-1-6-json": (
         dict(command="classical-sweep", n=6, margin_text="1/6", seed=1),
         4096,
-        "7861f89bf93e31ec02411bb9fdefd7dc74a8540a25b9ced24e4201b160099918",
+        "b124487beae1d4d6f2f497303eb76ff03398ea18bbaa6569f8035c456896a501",
     ),
     # every pair inside the promise at n=6, several exhaustive chunks
     "quantum-n6-lambda-1-6-json": (
@@ -138,7 +138,7 @@ CASES = {
         dict(command="classical-sweep", n=64, mode="sample", samples=50, seed=1,
              fmt="csv"),
         51,
-        "506f6b8ddfbba2466e1a9f2d2b81240837c5b4eb021733114826c15de93e0cb9",
+        "f4a5c35ca655b43bdda614c3cad08a3da5861cfd0872026d33480b6dd85b4e2e",
     ),
     # odd n: the x#y#x band from ceil(n/4) to floor(3n/4), and no
     # equality NO words
@@ -172,21 +172,21 @@ WITHOUT_DECISION = {
     "quantum-n48-sample-csv":
         "407341fe9f979f34a4eed223c631c9fa7ce2d60ce92a6a76273edd07c69066dd",
     "classical-n4-json":
-        "5f559e8c590a4e353958f29d1d881b0132a151ba57a6f129587fa22b3dc76562",
+        "4275a03c3052fb16bf84cc668f9cf599cdb1db5e3ded8753b398d61fcfc84e33",
     "quantum-n16-sample-csv":
         "feecc354b44bb09149eecbced5e4ac4067401f73bcfe2a95c558c2744d041c5e",
     "classical-n16-sample-csv":
-        "7cabbea580e6f816552288cdae4b5f4f559b122413a3856da5ce28f307a58066",
+        "2aa07384b6bf1cf08356b053d1bc5ab81ff58ae49cca3bc4ac15fbb027872aee",
     "quantum-n16-sample-2100-json":
         "3810787faad1c6df4bba808793f141eae148f8bc71f4e226db972a31af96a494",
     "classical-n16-sample-2100-csv":
-        "ea689f4308c755348c170cc5b36622409dd3f613cd27013575c767360aa4f29f",
+        "7ec585bf27dc65f85e2b45f07f95f02e0b4fd3c49a79d19c63d85f88f7186986",
     "quantum-n6-lambda-1-6-json":
         "ac506d70cfc57fcdf62475feb0c92cb03641d3cfe8582d56af8bcdf678c38495",
     "quantum-n64-sample-json":
         "66b67863a72eca1014b1c522edd39917fa3fa1838db9be5a4fadec9a293c5086",
     "classical-n64-sample-csv":
-        "326cc6c5d28db2b69d4c00e2485541de27534743c77e4522ed1ee5308ab6119b",
+        "d2c69febd5f063b3861c8745f5fcb29389e96fe8e3a454670cf2cb1205350a22",
 }
 
 
