@@ -43,7 +43,7 @@ print(f"\npositions needed for error 1/3 at lambda=1/4: k={k}")
 rng = np.random.default_rng(11)
 report = run_one_way(x, y, k, rng)
 print("\nsingle run on the intersecting pair:")
-for key, value in vars(report).items():
+for key, value in report._asdict().items():
     print(f"  {key}: {value}")
 
 # ---------------------------------------------------------------------------

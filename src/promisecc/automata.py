@@ -40,7 +40,6 @@ three-message deterministic protocol whose transcript costs
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import ceil, log2
@@ -59,8 +58,7 @@ WORD_ALPHABET = ("0", "1", SEPARATOR)
 # quantum-classical machine
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Qcfa:
+class Qcfa(NamedTuple):
     """Measure-once one-way automaton with quantum and classical states.
 
     The register's basis states are named by ``quantum_labels``, in index
@@ -274,7 +272,6 @@ _KINDS = {
 }
 
 
-@dataclass(frozen=True)
 class WordProblem:
     """Promise problem over words: equality (x#y) or disjointness (x#y#x).
 
@@ -283,17 +280,25 @@ class WordProblem:
     overlap (x#y#x); YES is c = 0, NO is c in ``band(lam, n)``.  The
     machine's accept amplitude on the word is (n - 2c)/n
     (:meth:`amplitudes`), so it accepts YES words surely and NO words with
-    probability at most :attr:`no_cap` = (1 - 2*lam)**2.
+    probability at most :attr:`no_cap` = (1 - 2*lam)**2.  Two problems are
+    equal when their n and kind are.
     """
 
-    n: int
-    kind: str  # "equality" | "disjointness"
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown kind {self.kind!r}")
-        if self.n < 1:
+    def __init__(self, n: int, kind: str):
+        if kind not in _KINDS:
+            raise ValueError(f"unknown kind {kind!r}")
+        if n < 1:
             raise ValueError("n must be positive")
+        self.n = n
+        self.kind = kind  # "equality" | "disjointness"
+
+    def __eq__(self, other):
+        if type(other) is not WordProblem:
+            return NotImplemented
+        return (self.n, self.kind) == (other.n, other.kind)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.kind))
 
     @property
     def lam(self) -> Fraction:
@@ -363,8 +368,7 @@ def disjointness_word_problem(n: int) -> WordProblem:
 # deterministic automata
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Dfa:
+class Dfa(NamedTuple):
     """Total one-way deterministic automaton."""
 
     states: tuple
@@ -471,8 +475,7 @@ def verify_promise_dfa(d: Dfa, n: int) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class DfaProtocol:
+class DfaProtocol(NamedTuple):
     """Three-message deterministic protocol simulated from a DFA.
 
     Alice sends the state after ``x#``, Bob sends the state after

@@ -35,10 +35,9 @@ import enum
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 
 class _Numpy:
@@ -194,8 +193,7 @@ def unpack_bits(x, n: int | None = None) -> np.ndarray:
 SWEEP_CHUNK = 1024
 
 
-@dataclass(frozen=True)
-class Promise:
+class Promise(NamedTuple):
     """A promise problem on words of length ``n`` that labels a pair by one
     count: the overlap ``|x & y|`` if ``overlap``, else the distance
     ``|x ^ y|``.  ``labels[c]`` is the label of count c, for c in 0..n."""
@@ -285,24 +283,29 @@ def band(fraction: Fraction, n: int) -> tuple[int, int]:
     return math.ceil(fraction * n), math.floor((1 - fraction) * n)
 
 
-@dataclass(frozen=True)
 class Margin:
     """Promise band parameter for disjointness: fraction ``lam`` and length ``n``.
 
     The no-instance band is ``lam*n <= |x & y| <= (1-lam)*n``, with
-    ``lam*n`` required to be an integer.
+    ``lam*n`` required to be an integer.  Two margins are equal when their
+    fractions and lengths are.
     """
 
-    fraction: Fraction
-    n: int
-
-    def __post_init__(self):
-        lam = margin_fraction(self.fraction)
-        object.__setattr__(self, "fraction", lam)
-        if self.n < 1:
+    def __init__(self, fraction, n: int):
+        lam = margin_fraction(fraction)
+        if n < 1:
             raise ValueError("length must be positive")
-        if (lam * self.n).denominator != 1:
-            raise ValueError(f"{lam} * {self.n} is not an integer")
+        if (lam * n).denominator != 1:
+            raise ValueError(f"{lam} * {n} is not an integer")
+        self.fraction, self.n = lam, n
+
+    def __eq__(self, other):
+        if type(other) is not Margin:
+            return NotImplemented
+        return (self.fraction, self.n) == (other.fraction, other.n)
+
+    def __hash__(self) -> int:
+        return hash((self.fraction, self.n))
 
     @classmethod
     def from_text(cls, text: str, n: int) -> "Margin":

@@ -11,12 +11,14 @@ searches are provided.
   recursion only runs inside the gap between the two.  Nodes with a
   budget of zero or one bit are settled directly, without the normal
   form: zero bits need a constant node, one bit a node whose rows or
-  whose columns are each constant.
+  whose columns are each constant.  A node with two bits tests each
+  split's parts against that one-bit rule as line masks.
 * :func:`min_monochromatic_partition` finds the minimum number of
   pairwise disjoint monochromatic rectangles covering the cells of one
   value, by branch-and-bound over closed (tight) rectangles.  Candidate
   row sets are grown depth first and dropped as soon as no column is
-  usable for all of them.
+  usable for all of them.  A support whose rows and columns enclose no
+  cell of the other value is answered with that one rectangle.
 * :func:`check_rectangle_bound` ties the two together and asserts the
   rectangle bound D >= max(ceil(log2 C0), ceil(log2 C1)).
 
@@ -28,9 +30,9 @@ elimination, so every step is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, log2
+from typing import NamedTuple
 
 from .bits import (
     Margin,
@@ -66,28 +68,22 @@ _BIPARTITION_LIMIT = 1 << 16
 # matrices
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
 class CommMatrix:
     """Partial two-party matrix: rows are Alice inputs, columns Bob inputs.
 
     ``entries`` is given as any grid of rows and kept as a tuple of row
     tuples of ints: ``entries[r][c]`` is the cell of row r and column c.
+    Two matrices are equal only if they are the same object.
     """
 
-    rows: tuple
-    cols: tuple
-    entries: tuple
-
-    def __post_init__(self):
-        entries = tuple(map(tuple, self.entries))
+    def __init__(self, rows, cols, entries):
+        self.rows, self.cols = tuple(rows), tuple(cols)
+        entries = tuple(map(tuple, entries))
         if len(entries) != len(self.rows) or any(len(r) != len(self.cols) for r in entries):
             raise ValueError("entry grid does not match the label counts")
         if not {v for row in entries for v in row} <= {0, 1, UNDEFINED}:
             raise ValueError("entries must be 0, 1, or UNDEFINED")
-        entries = tuple(tuple(map(int, row)) for row in entries)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "rows", tuple(self.rows))
-        object.__setattr__(self, "cols", tuple(self.cols))
+        self.entries = tuple(tuple(map(int, row)) for row in entries)
 
     @property
     def shape(self):
@@ -195,6 +191,30 @@ def _balanced_masks(count: int):
                 yield mask
 
 
+def _one_bit_rule(side: tuple):
+    """The budget-1 rule of :meth:`_ProtocolSearch.solvable` for the
+    sub-matrix of some of ``side``'s lines, as a test of their mask: all
+    of its lines are constant, or all of its cross lines are (UNDEFINED
+    ignored)."""
+    mixed = 0  # lines holding both a 0 and a 1
+    ones, zeros = [0] * len(side[0]), [0] * len(side[0])
+    for i, line in enumerate(side):
+        for j, v in enumerate(line):
+            if v == 1:
+                ones[j] |= 1 << i
+            elif v == 0:
+                zeros[j] |= 1 << i
+        if 0 in line and 1 in line:
+            mixed |= 1 << i
+    # per cross line: its lines holding a 1 and those holding a 0
+    cross = [(one, zero) for one, zero in zip(ones, zeros) if one and zero]
+
+    def passes(part: int) -> bool:
+        return not part & mixed or not any(one & part and zero & part for one, zero in cross)
+
+    return passes
+
+
 class _ProtocolSearch:
     """Budgeted protocol-tree search with memoized sub-rectangles."""
 
@@ -263,6 +283,14 @@ class _ProtocolSearch:
             if 1 << (count - 1) > _BIPARTITION_LIMIT:
                 skipped_wide = True
                 continue
+            if budget == 2:
+                # each part must then pass the one-bit rule: tested on
+                # masks, with no child built
+                passes, full = _one_bit_rule(side), (1 << count) - 1
+                if any(passes(mask << 1) and passes(full ^ mask << 1)
+                       for mask in _balanced_masks(count)):
+                    return True
+                continue
             for mask in _balanced_masks(count):
                 # bit i of `mask << 1` puts line i in the first part, so
                 # line 0 always stays in the second
@@ -307,25 +335,29 @@ def exact_deterministic_cc(m: CommMatrix) -> int:
 # minimum monochromatic partitions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Rectangle:
-    """Product set of row and column indices into a matrix."""
+    """Product set of row and column indices into a matrix, each kept
+    sorted; two rectangles are equal when their index sets are."""
 
-    row_indices: tuple
-    col_indices: tuple
-
-    def __post_init__(self):
-        if not self.row_indices or not self.col_indices:
+    def __init__(self, row_indices, col_indices):
+        if not row_indices or not col_indices:
             raise ValueError("rectangles must be nonempty")
-        object.__setattr__(self, "row_indices", tuple(sorted(self.row_indices)))
-        object.__setattr__(self, "col_indices", tuple(sorted(self.col_indices)))
+        self.row_indices = tuple(sorted(row_indices))
+        self.col_indices = tuple(sorted(col_indices))
+
+    def __eq__(self, other):
+        if type(other) is not Rectangle:
+            return NotImplemented
+        return (self.row_indices, self.col_indices) == (other.row_indices, other.col_indices)
+
+    def __hash__(self) -> int:
+        return hash((self.row_indices, self.col_indices))
 
     def cells(self):
         return [(r, c) for r in self.row_indices for c in self.col_indices]
 
 
-@dataclass(frozen=True)
-class PartitionResult:
+class PartitionResult(NamedTuple):
     count: int
     rectangles: tuple
 
@@ -389,7 +421,13 @@ def _tight_rectangles(entries, value, cells):
         work += 1 << allowed.bit_count()
         if work > _ENUMERATION_LIMIT:
             raise SearchTooWideError("candidate rectangle enumeration too large")
-        col_mask = allowed
+        # a tight rectangle's columns are value columns of its rows, so
+        # only subsets of those are tried; the work count is still that of
+        # every subset of allowed
+        reach = 0
+        for i in picked_rows:
+            reach |= val_cols[i]
+        col_mask = reach = reach & allowed
         while col_mask:
             # tight: every picked row hits a value column of col_mask, and
             # together they hit all of them
@@ -406,7 +444,7 @@ def _tight_rectangles(entries, value, cells):
                         for j in _iter_bits(val_cols[i] & col_mask):
                             cover |= 1 << cell_at[i][j]
                     rects.append((row_mask, col_mask, cover))
-            col_mask = (col_mask - 1) & allowed
+            col_mask = (col_mask - 1) & reach
     rects.sort()
     return rows_used, cols_used, rects
 
@@ -428,7 +466,13 @@ def min_monochromatic_partition(m: CommMatrix, value: int) -> PartitionResult:
             f" {PARTITION_CELL_LIMIT}"
         )
     entries = m.entries
-    rows_used, cols_used, rects = _tight_rectangles(entries, value, cells)
+    rows_used = sorted({r for r, _ in cells})
+    cols_used = sorted({c for _, c in cells})
+    if all(entries[r][c] != 1 - value for r in rows_used for c in cols_used):
+        # the support's rows x columns hold no cell of the other value, so
+        # that one rectangle covers every cell
+        return PartitionResult(1, (Rectangle(rows_used, cols_used),))
+    _, _, rects = _tight_rectangles(entries, value, cells)
     full = (1 << len(cells)) - 1
     by_cell = [[] for _ in cells]
     for idx, (_, _, cover) in enumerate(rects):
@@ -624,8 +668,7 @@ def verify_partition(m: CommMatrix, value: int, rectangles) -> bool:
 # combined report
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RectangleBoundReport:
+class RectangleBoundReport(NamedTuple):
     depth: int | None
     zero_partition: int | None
     one_partition: int | None

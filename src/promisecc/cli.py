@@ -5,8 +5,9 @@ writes one record per evaluated input plus a trailing summary record, as
 newline-delimited JSON or fixed-column CSV.  A command is one row of a
 table: its sweep, its CSV columns, the largest n of its exhaustive mode
 and the options it reads; validation, the run and the writer read that
-row.  The automaton sweep reads each word problem from its
-:class:`automata.WordProblem` record.  Sweeps re-assert the owning
+row.  Each sweep imports the model modules it runs when it starts, so a
+command loads only those.  The automaton sweep reads each word problem
+from its :class:`automata.WordProblem` record.  Sweeps re-assert the owning
 module's guarantees while running; a violated guarantee still writes the
 report but exits with status 2.  Inputs come from one stream, the
 promise's :meth:`bits.Promise.chunks`: every pair inside the promise
@@ -52,13 +53,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import importlib
 import io
 import itertools
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
@@ -73,7 +74,6 @@ from .bits import (
     # numpy on first use; perfbench/tracer.py replaces cli.np
     np,
 )
-from . import automata, bounds, quantum_protocol, randomized_protocol
 
 OUTPUT_DIR_ENV = "PROMISECC_OUT_DIR"
 EXIT_OK = 0
@@ -97,8 +97,7 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     command: str
     n: int
     margin_text: str | None = None
@@ -135,16 +134,17 @@ class ExperimentConfig:
                 raise ConfigError("sample mode needs an explicit --seed")
             if self.n > _SAMPLE_CAP:
                 raise ConfigError(f"sample mode supports n <= {_SAMPLE_CAP}")
-            if self.command == "qcfa-sweep" and any(
-                PromiseLabel.NO not in problem.promise.labels
-                for problem in automata.word_problems(self.n)
-            ):
-                # e.g. equality at odd n, whose sampler would wait for
-                # x == y, one draw in 2**n
-                raise ConfigError(
-                    "promise equality has no NO words at odd n; "
-                    "use an even n or exhaustive mode"
-                )
+            if self.command == "qcfa-sweep":
+                from . import automata
+
+                if any(PromiseLabel.NO not in problem.promise.labels
+                       for problem in automata.word_problems(self.n)):
+                    # e.g. equality at odd n, whose sampler would wait for
+                    # x == y, one draw in 2**n
+                    raise ConfigError(
+                        "promise equality has no NO words at odd n; "
+                        "use an even n or exhaustive mode"
+                    )
         elif self.samples:
             raise ConfigError("--samples needs --mode sample")
         if self.mode == "exhaustive" and self.n > row.cap:
@@ -175,7 +175,9 @@ class ExperimentConfig:
             raise ConfigError(f"k override must be in 1..{_K_CAP}")
         k = self.k
         if k is None and "k" in row.options:
-            k = row.repetitions(margin, eps, _K_CAP)
+            module, function = row.repetitions.split(".")
+            repetitions = getattr(importlib.import_module(f".{module}", __package__), function)
+            k = repetitions(margin, eps, _K_CAP)
             if k is None:
                 raise ConfigError(f"error bound needs k above {_K_CAP}, the --k cap")
         return _RunPlan(
@@ -187,8 +189,7 @@ class ExperimentConfig:
         )
 
 
-@dataclass(frozen=True)
-class _RunPlan:
+class _RunPlan(NamedTuple):
     config: ExperimentConfig
     margin: Margin | None
     eps: Fraction | None
@@ -216,6 +217,8 @@ def _pair_stream(plan: _RunPlan):
 def _word_pair_stream(plan: _RunPlan, problem: automata.WordProblem):
     """Pairs whose word is inside ``problem``'s promise, seeded by (seed, i)
     for the i-th of :func:`automata.word_problems`; no word is built."""
+    from . import automata
+
     stream = automata.word_problems(problem.n).index(problem)
     return problem.promise.chunks(plan.config.samples or None, (plan.seed, stream))
 
@@ -248,8 +251,7 @@ class _Coded:
         return self.values[self.codes[r]]
 
 
-@dataclass(frozen=True)
-class _Batch:
+class _Batch(NamedTuple):
     """Report records that share the values in ``fixed``: record r takes,
     for each other field, entry r of its list in ``columns`` or its
     :class:`_Coded` value.
@@ -293,6 +295,8 @@ def _pair_columns(n: int, xs, ys, yes) -> dict:
 
 
 def _quantum_sweep(plan: _RunPlan, violations: list):
+    from . import quantum_protocol
+
     cfg, margin, k = plan.config, plan.margin, plan.k
     n = cfg.n
     # exact values per |S|, and the report prints their floats; with --k,
@@ -435,6 +439,8 @@ def _check_accepted_no(violations: list, accepted: int, no_row: list, error) -> 
 
 
 def _classical_sweep(plan: _RunPlan, violations: list):
+    from . import randomized_protocol
+
     cfg, margin, k = plan.config, plan.margin, plan.k
     n = cfg.n
     lam = margin.fraction
@@ -529,6 +535,8 @@ def _classical_sweep(plan: _RunPlan, violations: list):
 
 
 def _qcfa_sweep(plan: _RunPlan, violations: list):
+    from . import automata
+
     n = plan.config.n
     for problem in automata.word_problems(n):
         name, machine, cap = problem.kind, problem.machine, problem.no_cap
@@ -585,6 +593,8 @@ def _qcfa_sweep(plan: _RunPlan, violations: list):
 
 
 def _bounds_sweep(plan: _RunPlan, violations: list):
+    from . import bounds
+
     cfg, margin = plan.config, plan.margin
     # each problem with a NO count at n; promise_disj takes the margin
     problems = [
@@ -615,6 +625,8 @@ def _bounds_sweep(plan: _RunPlan, violations: list):
 
 
 def _reduction_sweep(plan: _RunPlan, violations: list):
+    from . import automata, bounds
+
     cfg = plan.config
     n = cfg.n
     dfa = automata.bruteforce_disjointness_dfa(n)
@@ -677,8 +689,10 @@ class _Command(NamedTuple):
     columns: tuple[str, ...]
     cap: int
     options: frozenset = frozenset()
-    #: With "k": the count for (margin, eps), None above the limit given.
-    repetitions: Callable | None = None
+    #: With "k": "module.function" of the function that gives the count for
+    #: (margin, eps), None above the limit given; imported only to work out
+    #: k, so that loading cli loads no protocol module.
+    repetitions: str | None = None
 
 
 _COMMAND_TABLE = {
@@ -689,7 +703,7 @@ _COMMAND_TABLE = {
          "p_yes_min", "p_yes_max", "p_yes_mean", "p_no_min", "p_no_max",
          "p_no_mean", "p_accept_k_no_max", "qubits_total", "invariant_ok"),
         10, frozenset({"k", "lambda", "eps", "sample"}),
-        quantum_protocol.repetition_count,
+        "quantum_protocol.repetition_count",
     ),
     "classical-sweep": _Command(
         _classical_sweep,
@@ -698,7 +712,7 @@ _COMMAND_TABLE = {
          "count_no", "err_yes_max", "err_no_max", "det_no_min", "det_no_max",
          "det_no_mean", "literal_no_count", "bits_total", "invariant_ok"),
         10, frozenset({"k", "lambda", "eps", "sample"}),
-        randomized_protocol.positions_count,
+        "randomized_protocol.positions_count",
     ),
     "qcfa-sweep": _Command(
         _qcfa_sweep,

@@ -28,8 +28,6 @@ O(n) numpy operations; given an array of word values, :func:`swap` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .bits import np, unpack_bits
 
 #: Entrywise tolerance for unitarity / norm checks.
@@ -105,7 +103,6 @@ def collect_op(n: int) -> np.ndarray:
     return spread_op(n).conj().T
 
 
-@dataclass(frozen=True, eq=False)
 class SignedPermutation:
     """Operator ``psi -> sign * psi[perm]``: row k of its matrix holds
     ``sign[k]`` in column ``perm[k]``.
@@ -116,10 +113,13 @@ class SignedPermutation:
 
     The constructor trusts its arguments; :meth:`validate` checks them,
     as :meth:`Qcfa.validate` does for every signed permutation of a machine.
+    Two operators are equal only if they are the same object; an operator
+    is not a sequence, so numpy never reads it as one.
     """
 
-    perm: np.ndarray  # integer index vector, or one per row
-    sign: np.ndarray  # entries +1 or -1, aligned with perm
+    def __init__(self, perm, sign):
+        self.perm = perm  # integer index vector, or one per row
+        self.sign = sign  # entries +1 or -1, aligned with perm
 
     @property
     def dim(self) -> int:

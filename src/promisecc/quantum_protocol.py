@@ -26,9 +26,9 @@ Each round moves the register twice plus one answer bit:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .bits import (
     BitString,
@@ -131,8 +131,7 @@ def qubit_cost(n: int, k: int = 1) -> int:
     return k * (3 + 2 * math.ceil(math.log2(n)))
 
 
-@dataclass(frozen=True)
-class QuantumProtocolReport:
+class QuantumProtocolReport(NamedTuple):
     """Outcome of one k-round protocol execution on a fixed pair."""
 
     x: BitString

@@ -21,7 +21,6 @@ it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -69,8 +68,7 @@ def bit_cost(n: int, k: int) -> int:
     return k * math.ceil(math.log2(n)) if n > 1 else k
 
 
-@dataclass(frozen=True)
-class ClassicalProtocolReport:
+class ClassicalProtocolReport(NamedTuple):
     """Outcome of one sampled execution on a fixed pair."""
 
     x: BitString

@@ -7,8 +7,6 @@ bit, what one word or one pair gives alone, whatever the batch around it.
 The reference run below is the one-word-at-a-time walk the batch replaced.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -174,8 +172,8 @@ class TestTransitionsReadPerRun:
     @staticmethod
     def _fresh_equality_machine() -> Qcfa:
         machine = equality_automaton(2)
-        return dataclasses.replace(machine, quantum_tr=dict(machine.quantum_tr),
-                                   classical_tr=dict(machine.classical_tr))
+        return machine._replace(quantum_tr=dict(machine.quantum_tr),
+                                classical_tr=dict(machine.classical_tr))
 
     def test_edited_operator_is_used(self):
         machine = self._fresh_equality_machine()

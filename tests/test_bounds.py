@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -319,13 +320,39 @@ class TestPartition:
         assert verify_partition(sub, 1, result.rectangles)
 
     def test_cap_on_enumeration_work(self):
-        # undefined off the diagonal: every row set allows all 16 columns
+        # undefined off the diagonal but for one zero, so that no single
+        # rectangle covers the ones: nearly every row set allows all 16
+        # columns
         grid = np.full((16, 16), UNDEFINED, dtype=np.int8)
         np.fill_diagonal(grid, 1)
+        grid[0, 1] = 0
         with pytest.raises(
             SearchTooWideError, match="candidate rectangle enumeration too large"
         ):
             min_monochromatic_partition(_matrix(grid), 1)
+
+    def test_one_rectangle_support_skips_the_enumeration(self):
+        # a random 9x9 grid over {0, UNDEFINED} with 45 zero cells: its
+        # support encloses no one, so one rectangle covers every zero; a
+        # full enumeration of its tight rectangles takes seconds
+        rng = random.Random(0)
+        zeros = set(rng.sample(range(81), 45))
+        grid = [[0 if 9 * r + c in zeros else UNDEFINED for c in range(9)]
+                for r in range(9)]
+        start = time.perf_counter()
+        result = min_monochromatic_partition(_matrix(grid), 0)
+        assert time.perf_counter() - start < 0.1
+        assert result.count == 1
+        assert result.rectangles == (Rectangle(range(9), range(9)),)
+
+    def test_one_rectangle_support_is_not_held_to_the_row_cap(self):
+        # 16 ones on the diagonal over UNDEFINED: no enumeration, so no cap
+        grid = np.full((16, 16), UNDEFINED, dtype=np.int8)
+        np.fill_diagonal(grid, 1)
+        m = _matrix(grid)
+        result = min_monochromatic_partition(m, 1)
+        assert result.count == 1
+        assert verify_partition(m, 1, result.rectangles)
 
     def test_cap_on_cells(self):
         m = problem_matrix("eq", 4)

@@ -10,8 +10,10 @@ from promisecc.bounds import (
     UNDEFINED,
     CommMatrix,
     _balanced_masks,
+    _ProtocolSearch,
     _indicator_rank,
     _normalize,
+    _one_bit_rule,
     _tight_rectangles,
     exact_deterministic_cc,
     min_monochromatic_partition,
@@ -126,6 +128,19 @@ class TestBalancedMasks:
             range(1, 1 << (count - 1)), key=lambda m: abs(2 * m.bit_count() - count)
         )
         assert list(_balanced_masks(count)) == expected
+
+
+class TestOneBitRule:
+    @given(grids(6))
+    def test_matches_the_budget_one_search_on_every_part(self, grid):
+        # the budget-2 split tests each part on masks; it must agree with
+        # the search's own budget-1 rule on the part's sub-matrix
+        search = _ProtocolSearch()
+        for side in (grid, _transpose(grid)):
+            passes = _one_bit_rule(side)
+            for part in range(1, 1 << len(side)):
+                lines = tuple(line for i, line in enumerate(side) if part >> i & 1)
+                assert passes(part) == search.solvable(lines, 1)
 
 
 class TestIndicatorRank:

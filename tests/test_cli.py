@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from promisecc import automata, bits, bounds, cli
+from promisecc import automata, bits, bounds, cli, quantum_protocol
 from promisecc.bits import BitString, Promise
 from promisecc.cli import (
     COMMANDS,
@@ -283,7 +283,7 @@ class TestQcfaSweep:
     def test_each_summary_answers_for_its_own_machine(self, tmp_path, monkeypatch, capsys):
         # push one equality word off its expected value; the disjointness
         # machine is untouched and its summary must say so
-        real = cli.automata.accept_probabilities
+        real = automata.accept_probabilities
         equality = automata.equality_automaton(4)
         hits = []
 
@@ -294,7 +294,7 @@ class TestQcfaSweep:
                 probabilities[0] += 0.5
             return probabilities
 
-        monkeypatch.setattr(cli.automata, "accept_probabilities", off_once)
+        monkeypatch.setattr(automata, "accept_probabilities", off_once)
         out = tmp_path / "a.json"
         cfg = ExperimentConfig(command="qcfa-sweep", n=4, out=str(out))
         assert run_experiment(cfg) == EXIT_INVARIANT
@@ -380,14 +380,12 @@ class TestReductionSweep:
         assert summary["cost"] == 1 + 2 * 6  # 35 states round up to 2^6
 
     def test_dfa_failing_the_check_is_reported(self, tmp_path, monkeypatch, capsys):
-        import dataclasses
-
-        real = cli.automata.bruteforce_disjointness_dfa
+        real = automata.bruteforce_disjointness_dfa
 
         def accepts_nothing(n):
-            return dataclasses.replace(real(n), accepting=frozenset())
+            return real(n)._replace(accepting=frozenset())
 
-        monkeypatch.setattr(cli.automata, "bruteforce_disjointness_dfa", accepts_nothing)
+        monkeypatch.setattr(automata, "bruteforce_disjointness_dfa", accepts_nothing)
         out = tmp_path / "r.json"
         cfg = ExperimentConfig(command="reduction", n=2, out=str(out))
         assert run_experiment(cfg) == EXIT_INVARIANT
@@ -578,13 +576,13 @@ class TestExitCodes:
 
     def test_invariant_violation_is_two(self, tmp_path, monkeypatch, capsys):
         # force a wrong single-round probability so the sweep flags it
-        real = cli.quantum_protocol.round_columns
+        real = quantum_protocol.round_columns
 
         def broken(x_values, y_values, n):
             amplitudes, witness = real(x_values, y_values, n)
             return amplitudes, np.full_like(witness, 0.5)
 
-        monkeypatch.setattr(cli.quantum_protocol, "round_columns", broken)
+        monkeypatch.setattr(quantum_protocol, "round_columns", broken)
         out = tmp_path / "q.json"
         cfg = ExperimentConfig(command="quantum-sweep", n=4, out=str(out))
         assert run_experiment(cfg) == EXIT_INVARIANT
@@ -594,7 +592,7 @@ class TestExitCodes:
     def test_dense_round_above_one_is_flagged(self, tmp_path, monkeypatch, capsys):
         # a YES pair a hair above certainty: no verdict reads the dense
         # value, so only its witness check can catch it
-        real = cli.quantum_protocol.round_columns
+        real = quantum_protocol.round_columns
 
         def above_one(x_values, y_values, n):
             amplitudes, witness = real(x_values, y_values, n)
@@ -603,7 +601,7 @@ class TestExitCodes:
                  for x, y, p in zip(x_values, y_values, witness)]
             )
 
-        monkeypatch.setattr(cli.quantum_protocol, "round_columns", above_one)
+        monkeypatch.setattr(quantum_protocol, "round_columns", above_one)
         cfg = ExperimentConfig(command="quantum-sweep", n=4, out=str(tmp_path / "q.json"))
         assert run_experiment(cfg) == EXIT_INVARIANT
         err = capsys.readouterr().err
@@ -613,7 +611,7 @@ class TestExitCodes:
     def test_sweep_stopped_half_way_leaves_no_report(self, tmp_path, monkeypatch):
         # records are streamed, so a sweep that raises after some of them
         # must not leave a short report under the output name
-        real = cli.quantum_protocol.round_columns
+        real = quantum_protocol.round_columns
         calls = []
 
         def broken(x_values, y_values, n):
@@ -623,7 +621,7 @@ class TestExitCodes:
             return real(x_values, y_values, n)
 
         monkeypatch.setattr(bits, "SWEEP_CHUNK", 3)
-        monkeypatch.setattr(cli.quantum_protocol, "round_columns", broken)
+        monkeypatch.setattr(quantum_protocol, "round_columns", broken)
         out = tmp_path / "q.json"
         out.write_text("earlier report\n")
         cfg = ExperimentConfig(command="quantum-sweep", n=4, out=str(out))

@@ -1,55 +1,110 @@
-"""The package loads numpy on first use: commands that build no array never
-import it, and no command loads ``numpy.ma``.
+"""Each command loads only what it runs.
 
-``bounds`` and ``reduction`` search tuples and int bitmasks, so neither
-the import of the package nor those commands may load numpy.  The sweeps
-load numpy but not ``numpy.ma``, which some numpy calls import on their
-first use (``np.unique`` without ``return_inverse``, in numpy 2.4) and
-which adds about 1 MB to a sweep's peak RSS.  Each case runs in a fresh
-interpreter, which reports at exit whether the module is in
-``sys.modules``.
+The package imports its modules on first use, and each sweep imports the
+model modules it runs, so:
+
+* ``import promisecc`` loads no module of the package, no numpy and no
+  ``dataclasses`` (whose import brings ``inspect``, ``ast`` and ``dis``);
+* ``bounds`` and ``reduction`` search tuples and int bitmasks, so neither
+  loads numpy, and ``bounds`` loads no automaton or protocol module;
+* no sweep loads ``bounds``, and no command loads ``dataclasses``;
+* the sweeps load numpy but not ``numpy.ma``, which some numpy calls
+  import on their first use (``np.unique`` without ``return_inverse``, in
+  numpy 2.4) and which adds about 1 MB to a sweep's peak RSS.
+
+Each case runs in a fresh interpreter, which reports at exit which of the
+modules in question it ever imported.
 """
 
+import importlib
 import os
 import subprocess
 import sys
+import tempfile
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
+
+import promisecc
 
 ROOT = Path(__file__).resolve().parent.parent
 
 #: ``python -m promisecc`` with the arguments that follow.
 _CLI = "import runpy; runpy.run_module('promisecc', run_name='__main__')"
 
+_MODELS = {"promisecc.automata", "promisecc.qsim", "promisecc.quantum_protocol",
+           "promisecc.randomized_protocol"}
 
-def _loaded(module: str, code: str, args: list, cwd) -> str:
-    """Run ``code`` with ``args``; whether ``module`` was ever imported."""
-    at_exit = f"import atexit, sys; atexit.register(lambda: print({module!r} in sys.modules)); "
+
+@lru_cache(maxsize=None)
+def _loaded(code: str, args: tuple = ()) -> frozenset:
+    """Run ``code`` with ``args`` in a fresh interpreter, in a scratch
+    directory that takes its report; the modules it ever imported."""
+    at_exit = ("import atexit, sys; "
+               "atexit.register(lambda: print(' '.join(sys.modules))); ")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    run = subprocess.run(
-        [sys.executable, "-c", at_exit + code, *args], cwd=cwd, env=env,
-        capture_output=True, text=True, timeout=120,
+    argv = [sys.executable, "-c", at_exit + code, *args]
+    with tempfile.TemporaryDirectory() as work:
+        run = subprocess.run(argv + (["--out", "r.json"] if args else []), cwd=work,
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert not args or (Path(work) / "r.json").exists()
+    return frozenset(run.stdout.splitlines()[-1].split())
+
+
+def _command(*args) -> frozenset:
+    return _loaded(_CLI, args)
+
+
+def test_import_does_not_load_numpy():
+    assert "numpy" not in _loaded("import promisecc")
+
+
+def test_import_loads_no_module_of_the_package_and_no_dataclasses():
+    loaded = _loaded("import promisecc")
+    assert not {m for m in loaded if m.startswith("promisecc.")}
+    assert "dataclasses" not in loaded
+
+
+def test_exports_resolve_on_first_use():
+    code = (
+        "import sys, promisecc\n"
+        "from promisecc import automata, BitString\n"
+        "assert automata.__name__ == 'promisecc.automata'\n"
+        "assert promisecc.BitString is BitString is sys.modules['promisecc.bits'].BitString\n"
+        "assert 'promisecc.bounds' not in sys.modules\n"
+        "try:\n"
+        "    promisecc.no_such_name\n"
+        "except AttributeError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise SystemExit('no AttributeError')\n"
     )
-    assert run.returncode == 0, run.stderr
-    return run.stdout.splitlines()[-1]
+    assert "promisecc.automata" in _loaded(code)
 
 
-def test_import_does_not_load_numpy(tmp_path):
-    assert _loaded("numpy", "import promisecc", [], tmp_path) == "False"
+def test_every_export_is_its_module_attribute():
+    for module, names in promisecc._EXPORTS.items():
+        owner = importlib.import_module(f"promisecc.{module}")
+        for name in names:
+            assert getattr(promisecc, name) is getattr(owner, name)
 
 
 @pytest.mark.parametrize("command", ["bounds", "reduction"])
-def test_exact_commands_do_not_load_numpy(command, tmp_path):
-    args = ["--cmd", command, "--n", "4", "--out", str(tmp_path / "r.json")]
-    assert _loaded("numpy", _CLI, args, tmp_path) == "False"
-    assert (tmp_path / "r.json").exists()
+def test_exact_commands_do_not_load_numpy(command):
+    assert "numpy" not in _command("--cmd", command, "--n", "4")
 
 
-def test_a_sweep_loads_numpy(tmp_path):
+def test_bounds_loads_no_automaton_or_protocol_module():
+    loaded = _command("--cmd", "bounds", "--n", "4")
+    assert "promisecc.bounds" in loaded
+    assert not loaded & _MODELS
+
+
+def test_a_sweep_loads_numpy():
     # the probe itself sees numpy when a command does use it
-    args = ["--cmd", "quantum-sweep", "--n", "4", "--out", str(tmp_path / "r.json")]
-    assert _loaded("numpy", _CLI, args, tmp_path) == "True"
+    assert "numpy" in _command("--cmd", "quantum-sweep", "--n", "4")
 
 
 #: Each sweep at an n the benchmark runs, exhaustive and sampled.
@@ -67,6 +122,19 @@ _SWEEPS = {
 
 
 @pytest.mark.parametrize("sweep", _SWEEPS)
-def test_sweeps_do_not_load_numpy_ma(sweep, tmp_path):
-    args = [*_SWEEPS[sweep], "--out", str(tmp_path / "r.json")]
-    assert _loaded("numpy.ma", _CLI, args, tmp_path) == "False"
+def test_sweeps_do_not_load_numpy_ma(sweep):
+    assert "numpy.ma" not in _command(*_SWEEPS[sweep])
+
+
+@pytest.mark.parametrize("sweep", _SWEEPS)
+def test_sweeps_do_not_load_bounds(sweep):
+    assert "promisecc.bounds" not in _command(*_SWEEPS[sweep])
+
+
+@pytest.mark.parametrize("args", [
+    *_SWEEPS.values(),
+    ["--cmd", "bounds", "--n", "4"],
+    ["--cmd", "reduction", "--n", "4"],
+], ids=[*_SWEEPS, "bounds", "reduction"])
+def test_no_command_loads_dataclasses(args):
+    assert "dataclasses" not in _command(*args)

@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from promisecc import automata, bits, cli, qsim
+from promisecc import automata, bits, cli, qsim, quantum_protocol, randomized_protocol
 from promisecc.bits import BitString, PromiseLabel
 from promisecc.cli import EXIT_INVARIANT, ExperimentConfig, run_experiment
 
@@ -158,7 +158,7 @@ def test_quantum_sweep_flags_rejected_yes_pairs(tmp_path, monkeypatch, capsys):
     def reject_all(p_values, k, rng):
         return [0] * len(p_values)
 
-    monkeypatch.setattr(cli.quantum_protocol, "sample_decisions", reject_all)
+    monkeypatch.setattr(quantum_protocol, "sample_decisions", reject_all)
     cfg = ExperimentConfig(command="quantum-sweep", n=4, out=str(tmp_path / "q.json"))
     assert run_experiment(cfg) == EXIT_INVARIANT
     assert "invariant violation: yes pair 0000,0000 rejected" in capsys.readouterr().err
@@ -168,13 +168,13 @@ def test_quantum_sweep_flags_rejected_yes_pairs(tmp_path, monkeypatch, capsys):
 def test_classical_sweep_checks_the_overlap_the_run_used(
     mode, tmp_path, monkeypatch, capsys
 ):
-    real = cli.randomized_protocol.one_way_columns
+    real = randomized_protocol.one_way_columns
 
     def off_by_one(*args):
         runs = real(*args)
         return runs._replace(overlap=runs.overlap + 1)
 
-    monkeypatch.setattr(cli.randomized_protocol, "one_way_columns", off_by_one)
+    monkeypatch.setattr(randomized_protocol, "one_way_columns", off_by_one)
     sample = dict(mode="sample", samples=50, seed=1) if mode == "sample" else {}
     n = 16 if mode == "sample" else 4
     cfg = ExperimentConfig(command="classical-sweep", n=n, out=str(tmp_path / "c.json"),
@@ -186,20 +186,20 @@ def test_classical_sweep_checks_the_overlap_the_run_used(
 #: Per protocol sweep, a wrong program that accepts every NO pair, which
 #: only the count of accepted NO pairs against its exact mean sees.
 def _accept_every_pair(monkeypatch):
-    monkeypatch.setattr(cli.quantum_protocol, "sample_decisions",
+    monkeypatch.setattr(quantum_protocol, "sample_decisions",
                         lambda p_values, k, rng: [1] * len(p_values))
 
 
 def _never_detect(monkeypatch):
     # at n=4 the 174 NO pairs would be accepted by chance with probability
     # 5.5e-6, above the false-alarm rate, so the tests run at n >= 8
-    real = cli.randomized_protocol.one_way_columns
+    real = randomized_protocol.one_way_columns
 
     def never(*args):
         runs = real(*args)
         return runs._replace(decision=np.ones_like(runs.decision))
 
-    monkeypatch.setattr(cli.randomized_protocol, "one_way_columns", never)
+    monkeypatch.setattr(randomized_protocol, "one_way_columns", never)
 
 
 @pytest.mark.parametrize("mode", ["exhaustive", "sample"])
@@ -251,14 +251,14 @@ def test_quantum_sweep_flags_a_collect_row_that_is_not_uniform(
     mode, tmp_path, monkeypatch, capsys
 ):
     # only the dense witness applies the collect's accept row
-    real = cli.quantum_protocol._collect
+    real = quantum_protocol._collect
 
     def skewed(n):
         op = real(n).copy()
         op[qsim.pair_index(1, 0, n), 0] *= 1.01
         return op
 
-    monkeypatch.setattr(cli.quantum_protocol, "_collect", skewed)
+    monkeypatch.setattr(quantum_protocol, "_collect", skewed)
     n, options = (8, {}) if mode == "exhaustive" else (16, _SAMPLED)
     err = _violations(tmp_path, capsys, "quantum-sweep", n, **options)
     assert re.search(r"dense round on [01]+,[01]+ off by ", err)
@@ -299,7 +299,7 @@ _SAMPLED_32 = dict(mode="sample", samples=3000, k=1, seed=1)
 def test_classical_sweep_checks_the_run_on_every_coin_string(
     name, mutate, n, options, message, tmp_path, monkeypatch
 ):
-    protocol = cli.randomized_protocol
-    monkeypatch.setattr(protocol, name, mutate(getattr(protocol, name)))
+    monkeypatch.setattr(randomized_protocol, name,
+                        mutate(getattr(randomized_protocol, name)))
     violations = _all_violations(tmp_path, monkeypatch, "classical-sweep", n, **options)
     assert re.search(message, violations)
