@@ -49,6 +49,8 @@ _EXPORTS = {
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+#: ``from promisecc import *`` still gives every export, loading its module.
+__all__ = tuple(_MODULE_OF)
 
 
 def __getattr__(name):

@@ -80,6 +80,8 @@ def test_exports_resolve_on_first_use():
         "    pass\n"
         "else:\n"
         "    raise SystemExit('no AttributeError')\n"
+        "from promisecc import *\n"
+        "assert check_rectangle_bound.__module__ == 'promisecc.bounds'\n"
     )
     assert "promisecc.automata" in _loaded(code)
 
