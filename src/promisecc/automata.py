@@ -7,11 +7,14 @@ dense unitary) and a successor control state; a (state, symbol) pair with
 no entry leaves the register alone and the control where it is.  After
 the right marker the register is measured once in its basis, whose states
 are named by ``quantum_labels``, and the accepting labels decide.
-:func:`accept_probabilities` runs a batch of equal-length words at once,
-rows grouped by (control state, symbol) at each step, and gives each word
-the value it gets alone, reading each group's operator and successor from
-the transitions as it goes, so nothing is cached on the machine;
-:func:`accept_probability` is a batch of one.
+
+:func:`accept_columns` runs a batch of equal-length words, rows of symbol
+codes, on int8 integer states through one step table, and gives each word
+an exact integer and a float witness; :func:`accept_probabilities` runs
+words given as text and returns the witness, and
+:func:`accept_probability` is a batch of one.  A word's values do not
+depend on its batch, and each run reads the machine's transitions afresh,
+so nothing is cached on the machine.
 
 Two concrete machines are built here over the alphabet ``{0, 1, #}``:
 
@@ -27,7 +30,8 @@ Two concrete machines are built here over the alphabet ``{0, 1, #}``:
 Each word problem is one :class:`WordProblem` record, which is all that
 sets the two apart: its promise and margin, its word, its machine and
 what that machine must do.  It labels a pair by its promise table,
-:meth:`WordProblem.classify_pair`, without building the word;
+:meth:`WordProblem.classify_pair`, and writes a batch of pairs' words as
+symbol codes, :meth:`WordProblem.symbol_codes`, without building a word;
 :meth:`WordProblem.classify` reads a word's first two blocks and the same
 table.
 
@@ -45,7 +49,7 @@ from functools import cached_property, lru_cache
 from math import ceil, log2
 from typing import Callable, NamedTuple
 
-from .bits import BitString, Promise, PromiseLabel, np
+from .bits import BitString, Promise, PromiseLabel, np, unpack_bits
 from . import qsim
 
 LEFT_MARKER = "^"
@@ -96,25 +100,123 @@ class Qcfa(NamedTuple):
             if s not in states or sym not in symbols:
                 raise ValueError(f"transition at unknown key {(s, sym)}")
         for key, u in self.quantum_tr.items():
-            if isinstance(u, qsim.SignedPermutation):
-                u.validate()
-                u = u.to_matrix()
-            if u.shape != (self.dim, self.dim):
+            signed = isinstance(u, qsim.SignedPermutation)
+            if signed:
+                u.validate()  # exact: every signed permutation is unitary
+            if ((u.dim,) * 2 if signed else u.shape) != (self.dim, self.dim):
                 raise ValueError(f"operator at {key} has wrong dimension")
-            qsim.assert_unitary(u)
+            if not signed:
+                qsim.assert_unitary(u)
+
+
+def accept_columns(machine: Qcfa, codes) -> tuple[np.ndarray, np.ndarray]:
+    """Run the machine on a batch of equal-length words (markers added
+    here), given as an (N, length) array of indices into its alphabet.
+
+    The left marker's column is read as v/sqrt(N), v integral, and every
+    step between the markers is a signed permutation, so the state stays
+    an integer vector V.  Returns, per word, the int64 ``v . V``: N times
+    the overlap of the end state with the start, which is N times the
+    accept amplitude when the right marker undoes the left.  And the float
+    witness: the probability of an accepting outcome, each accept row of
+    the right marker scaled by 1/sqrt(N) and summed column by column.
+    Refuses a machine whose left-marker column is not an int8 vector up to
+    scale, or that has any other operator between the markers.
+    """
+    states = machine.classical_states
+    numbers = {s: k for k, s in enumerate(states)}
+    if not {machine.initial_classical, *machine.classical_tr.values()} <= numbers.keys():
+        raise ValueError("start or successor outside the classical states")
+    accept = sorted(machine.quantum_labels.index(o) for o in machine.accept_outcomes)
+    v, scale = _start_column(machine)
+    successor, target, source, sign = _step_table(machine, numbers)
+    codes = np.asarray(codes)
+    words, dim = len(codes), machine.dim
+    # one scratch column past the register, where the table's padding lands
+    psi = np.zeros((words, dim + 1), dtype=np.int8)
+    psi[:, :dim] = v
+    start = machine.initial_classical
+    state = np.full(words, numbers[machine.classical_tr.get((start, LEFT_MARKER), start)])
+    rows = np.arange(words)[:, None]
+    for column in codes.T:
+        keys = state * len(machine.alphabet) + column
+        if target.shape[1]:
+            psi[rows, target[keys]] = sign[keys] * psi[rows, source[keys]]
+        state = successor[keys]
+    integer = np.zeros(words, dtype=np.int64)
+    for j in np.flatnonzero(v):
+        integer += psi[:, j].astype(np.int64) * int(v[j])
+    witness = np.zeros(words)
+    for s in np.flatnonzero(np.bincount(state, minlength=len(states))):
+        group = np.flatnonzero(state == s)
+        u = machine.quantum_tr.get((states[s], RIGHT_MARKER))
+        if u is None:
+            u = np.eye(dim)
+        elif isinstance(u, qsim.SignedPermutation):
+            u = u.to_matrix()
+        for o in accept:
+            amplitude = np.zeros(len(group), dtype=complex)
+            # term by term: one product over the group rounds some last
+            # bits differently, and a value must not depend on its batch
+            for j in np.flatnonzero(u[o]):
+                amplitude += complex(u[o, j] * scale) * psi[group, j]
+            witness[group] += np.abs(amplitude) ** 2
+    return integer, witness
+
+
+def _start_column(machine: Qcfa) -> tuple[np.ndarray, float]:
+    """The left marker's column, the register after it, as (v, 1/sqrt(N))
+    with v integral and N = v . v; refused unless v fits int8 and
+    v/sqrt(N) is the column to ``qsim.ATOL``."""
+    column = np.zeros(machine.dim, dtype=complex)
+    column[machine.quantum_labels.index(machine.initial_quantum)] = 1.0
+    left = machine.quantum_tr.get((machine.initial_classical, LEFT_MARKER))
+    if left is not None:
+        column = left @ column
+    magnitude = np.abs(column)
+    # the smallest entry is one unit of v
+    v = np.rint(column.real / magnitude[magnitude > qsim.ATOL].min())
+    scale = 1.0 / np.sqrt(v @ v)
+    if np.abs(v).max() > 127 or np.abs(column - v * scale).max() > qsim.ATOL:
+        raise ValueError("left marker column is not an int8 vector up to scale")
+    return v, scale
+
+
+def _step_table(machine: Qcfa, numbers: dict):
+    """The run's step table, at key ``state * len(alphabet) + symbol``:
+    the successor's number, and the entries the operator moves as
+    (target, source, sign) rows, ``psi[target] = sign * psi[source]``,
+    padded to one width with the scratch index ``dim``."""
+    symbols, dim = machine.alphabet, machine.dim
+    keys = [(s, sym) for s in machine.classical_states for sym in symbols]
+    successor = np.array([numbers[machine.classical_tr.get(key, key[0])] for key in keys])
+    moves = {}
+    for k, key in enumerate(keys):
+        u = machine.quantum_tr.get(key)
+        if u is None:
+            continue
+        if not isinstance(u, qsim.SignedPermutation):
+            raise ValueError(f"operator at {key} is not a signed permutation; "
+                             "only the markers may be dense")
+        identity, signs = np.arange(dim), np.asarray(u.sign)
+        perm = identity if u.perm is None else np.asarray(u.perm)
+        moved = np.flatnonzero((perm != identity) | (signs != 1))
+        if not np.isin(signs[moved], (1, -1)).all():
+            raise ValueError(f"operator at {key} has a sign other than +1 or -1")
+        moves[k] = (moved, perm[moved], signs[moved])
+    width = max((len(m[0]) for m in moves.values()), default=0)
+    target = np.full((len(keys), width), dim)
+    source = np.full((len(keys), width), dim)
+    sign = np.ones((len(keys), width), dtype=np.int8)
+    for k, (moved, src, sgn) in moves.items():
+        target[k, :len(moved)], source[k, :len(moved)], sign[k, :len(moved)] = moved, src, sgn
+    return successor, target, source, sign
 
 
 def accept_probabilities(machine: Qcfa, words) -> list[float]:
     """Run the machine on a batch of equal-length words (markers added
     here); per word, the probability that the final measurement lands in
-    an accepting outcome.
-
-    At each step the rows are grouped by (control state, symbol), so each
-    group shares one operator and one successor, read from the machine's
-    transitions there and then.  A signed permutation moves and negates
-    entries of the whole group in place, which is exact; a dense operator
-    is applied row by row, since one product over the batch rounds some
-    last bits differently.  So a word's value does not depend on its batch.
+    an accepting outcome: the witness of :func:`accept_columns`.
     """
     if not words:
         return []
@@ -125,46 +227,12 @@ def accept_probabilities(machine: Qcfa, words) -> list[float]:
     if not set(text) <= set(machine.alphabet):
         sym = next(c for c in text if c not in machine.alphabet)
         raise ValueError(f"symbol {sym!r} outside the input alphabet")
-    # one code point per symbol, so a (state, symbol) key is one integer,
-    # the state numbered by its position in classical_states
-    codes = np.frombuffer(text.encode("utf-32-le"), dtype="<u4")
-    codes = codes.reshape(len(words), length)
-    index = machine.quantum_labels.index
-    psi = np.zeros((len(words), machine.dim), dtype=complex)
-    psi[:, index(machine.initial_quantum)] = 1.0
-    states = machine.classical_states
-    numbers = {s: k for k, s in enumerate(states)}
-    if not {machine.initial_classical, *machine.classical_tr.values()} <= numbers.keys():
-        raise ValueError("start or successor outside the classical states")
-    state = np.full(len(words), numbers[machine.initial_classical])
-    columns = (np.full(len(words), ord(LEFT_MARKER)), *codes.T,
-               np.full(len(words), ord(RIGHT_MARKER)))
-    for column in columns:
-        keys = state * _CODES + column
-        if len(keys) == 1 or (keys == keys[0]).all():
-            groups = [(int(keys[0]), slice(None))]
-        else:
-            distinct, group = np.unique(keys, return_inverse=True)
-            groups = [(key, np.flatnonzero(group == g)[:, None])
-                      for g, key in enumerate(distinct.tolist())]
-        for key, rows in groups:
-            s, sym = states[key // _CODES], chr(key % _CODES)
-            state[rows] = numbers[machine.classical_tr.get((s, sym), s)]
-            u = machine.quantum_tr.get((s, sym))
-            if isinstance(u, qsim.SignedPermutation):
-                # sign[k] * psi[perm[k]] changes only these entries
-                moved = np.flatnonzero(u.perm != np.arange(u.dim))
-                psi[rows, moved] = psi[rows, u.perm[moved]]
-                psi[rows, np.flatnonzero(u.sign < 0)] *= -1
-            elif u is not None:
-                for r in np.arange(len(psi))[rows].ravel():
-                    psi[r] = u @ psi[r]
-    accept = [index(o) for o in machine.accept_outcomes]
-    return [sum(float(abs(a) ** 2) for a in row) for row in psi[:, accept]]
-
-
-#: Code points per control state in a step key.
-_CODES = 0x110000
+    # one code point per symbol, mapped to its index in the alphabet
+    points = np.frombuffer(text.encode("utf-32-le"), dtype="<u4")
+    alphabet = np.array([ord(a) for a in machine.alphabet])
+    order = np.argsort(alphabet)
+    codes = order[np.searchsorted(alphabet[order], points)]
+    return accept_columns(machine, codes.reshape(len(words), length))[1].tolist()
 
 
 def accept_probability(machine: Qcfa, word: str) -> float:
@@ -187,9 +255,9 @@ def equality_automaton(n: int) -> Qcfa:
     quantum_tr = {(0, LEFT_MARKER): spread, (n + 1, RIGHT_MARKER): spread.conj().T}
     classical_tr = {(0, LEFT_MARKER): 1, (n + 1, SEPARATOR): 1}
     for i in range(1, n + 1):
-        sign = np.ones(n)
-        sign[i - 1] = -1.0
-        quantum_tr[(i, "1")] = qsim.SignedPermutation(np.arange(n), sign)
+        sign = np.ones(n, dtype=np.int8)
+        sign[i - 1] = -1
+        quantum_tr[(i, "1")] = qsim.SignedPermutation(None, sign)
         for sym in "01":
             classical_tr[(i, sym)] = i + 1
     return Qcfa(
@@ -258,6 +326,7 @@ class _Kind(NamedTuple):
     lam: Fraction  # NO counts lie in band(lam, n)
     overlap: bool  # the count is the overlap |x & y|, else the distance |x ^ y|
     word: Callable[[BitString, BitString], str]
+    blocks: str  # the word's blocks between separators, "x" or "y" each
     automaton: Callable[[int], Qcfa]
     register: int  # the machine's quantum states per input bit
 
@@ -265,9 +334,9 @@ class _Kind(NamedTuple):
 #: The word problems by kind, in report order.
 _KINDS = {
     # NO at distance exactly n/2, so odd n has no NO words
-    "equality": _Kind(Fraction(1, 2), False, equality_word, equality_automaton, 1),
+    "equality": _Kind(Fraction(1, 2), False, equality_word, "xy", equality_automaton, 1),
     # lam is fixed by the machine's acceptance cap (1 - 2*lam)**2 = 1/4
-    "disjointness": _Kind(Fraction(1, 4), True, disjointness_word,
+    "disjointness": _Kind(Fraction(1, 4), True, disjointness_word, "xyx",
                           disjointness_automaton, 2),
 }
 
@@ -331,6 +400,17 @@ class WordProblem:
         """Per pair of word values, n times the machine's accept amplitude:
         the integer n - 2c."""
         return self.n - 2 * self.promise.counts(x_values, y_values).astype(np.int64)
+
+    def symbol_codes(self, x_values, y_values) -> np.ndarray:
+        """Per pair of word values, its word as a row of indices into
+        ``WORD_ALPHABET``, built from the pairs' bits: no word is built."""
+        bits = {"x": unpack_bits(x_values, self.n), "y": unpack_bits(y_values, self.n)}
+        separator = np.full((len(bits["x"]), 1), WORD_ALPHABET.index(SEPARATOR),
+                            dtype=np.uint8)
+        # a bit's value is the index of its symbol, "0" or "1"
+        parts = [p for block in _KINDS[self.kind].blocks
+                 for p in (separator, bits[block].view(np.uint8))]
+        return np.concatenate(parts[1:], axis=1)
 
     def classify(self, word: str) -> PromiseLabel:
         """Label a word by :meth:`classify_pair` of its first two blocks; a

@@ -40,9 +40,11 @@ pairs per table key, and its summary is read from those counts and the
 table: floats of exact extremes and means, which do not depend on the
 order of the pairs.  In exhaustive mode it compares each key's counts
 with their closed forms, labelled from lambda alone.  The automaton
-sweep validates each machine before it runs it; its probabilities are
-machine floats, kept as witnesses, and its summary takes their extremes
-chunk by chunk.  Summary records and the bounds and reduction records
+sweep validates each machine before it runs it, then runs each chunk's
+words as symbol codes on the machine's integer states: the machine's
+integer, n times its accept amplitude, must be the pair's own n - 2c up
+to sign and decides the sure and cap checks; its probabilities are float
+witnesses, and its summary takes their extremes chunk by chunk.  Summary records and the bounds and reduction records
 are batches of one.  The writer renders a batch in one pass, each
 distinct value of a coded column once, then a JSON line template filled
 once per record or one CSV ``writerows`` call.  No list of all records
@@ -555,27 +557,37 @@ def _qcfa_sweep(plan: _RunPlan, violations: list):
         fixed = {"record": "input", "machine": name, "n": n}
         for xs, ys, yes in _word_pair_stream(plan, problem):
             columns = _pair_columns(n, xs, ys, yes)
-            words = [problem.word(BitString(x, n), BitString(y, n))
-                     for x, y in zip(xs.tolist(), ys.tolist())]
-            probabilities = automata.accept_probabilities(machine, words)
+            codes = problem.symbol_codes(xs, ys)
+            try:
+                k, probabilities = automata.accept_columns(machine, codes)
+            except ValueError as exc:  # a machine the integer run refuses
+                failed.append(f"{name} machine cannot run: {exc}")
+                break
+            # the pair's own n - 2c, against the machine's integer k
             s = problem.amplitudes(xs, ys)
-            expected = (s * s / n**2).tolist()
-            deviation = [abs(p - want) for p, want in zip(probabilities, expected)]
-            columns.update(p_accept=probabilities, expected=expected, deviation=deviation)
+            expected = s * s / n**2
+            deviation = np.abs(probabilities - expected)
+            columns.update(p_accept=probabilities.tolist(), expected=expected.tolist(),
+                           deviation=deviation.tolist())
             yield _Batch(fixed, columns, len(xs))
-            p_yes = list(itertools.compress(probabilities, yes.tolist()))
-            p_no = list(itertools.compress(probabilities, (~yes).tolist()))
-            count_yes, count_no = count_yes + len(p_yes), count_no + len(p_no)
-            p_yes_min = min([p_yes_min, *p_yes])
-            p_no_max = max([p_no_max, *p_no])
-            deviation_max = max([deviation_max, *deviation])
+            count_yes, count_no = count_yes + int(yes.sum()), count_no + int((~yes).sum())
+            p_yes_min = min([p_yes_min, *probabilities[yes].tolist()])
+            p_no_max = max([p_no_max, *probabilities[~yes].tolist()])
+            deviation_max = max([deviation_max, *deviation.tolist()])
+
+            def word(i):
+                return problem.word(BitString(int(xs[i]), n), BitString(int(ys[i]), n))
+
             _flag(failed, [
-                (np.array(deviation) > PROB_TOL,
-                 lambda i: f"{name} word {words[i]} off by {deviation[i]:.3e}"),
-                (yes & (s * s != n * n),
-                 lambda i: f"{name} yes word {words[i]} not sure"),
-                (~yes & (s * s * cap.denominator > cap.numerator * n * n),
-                 lambda i: f"{name} no word {words[i]} above cap"),
+                (np.abs(k) != np.abs(s),
+                 lambda i: (f"{name} word {word(i)} runs to integer {k[i]}, "
+                            f"but |n - 2c| is {abs(s[i])}")),
+                (deviation > PROB_TOL,
+                 lambda i: f"{name} word {word(i)} off by {deviation[i]:.3e}"),
+                (yes & (k * k != n * n),
+                 lambda i: f"{name} yes word {word(i)} not sure"),
+                (~yes & (k * k * cap.denominator > cap.numerator * n * n),
+                 lambda i: f"{name} no word {word(i)} above cap"),
             ])
         violations.extend(failed)
         yield _record({

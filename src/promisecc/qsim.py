@@ -20,10 +20,11 @@ laid out as ``index = b*n + i - 1``:
 
 Only the fixed column of the spread and the fixed row of the collect are
 forced by the protocol; the rest of those two dense matrices is completed
-by Gram-Schmidt against the standard basis, which makes construction
-deterministic.  Swaps and sign flips are signed permutations, built in
-O(n) numpy operations; given an array of word values, :func:`swap` and
-:func:`phase` build a batch of them, one operator per row.
+by one Householder reflection, which makes construction deterministic.
+Swaps and sign flips are signed permutations with int8 signs, built in
+O(n) numpy operations; a sign flip has no permutation at all.  Given an
+array of word values, :func:`swap` and :func:`phase` build a batch of
+them, one operator per row.
 """
 
 from __future__ import annotations
@@ -59,27 +60,21 @@ def assert_unitary(u: np.ndarray) -> None:
 def complete_unitary_from_column(column: np.ndarray) -> np.ndarray:
     """Deterministic unitary whose first column is the given unit vector.
 
-    Gram-Schmidt against the standard basis in index order, skipping the
-    basis vectors that become dependent.  Same input, same matrix.
+    With ``d`` the column rotated so that its first entry is real and not
+    negative, the reflection ``I - w w^H / (1 + d[0])``, ``w = e_0 + d``,
+    takes ``e_0`` to ``-d``, and its other columns are orthogonal to ``d``;
+    the given column is then written in exactly.  Same input, same matrix.
     """
     c = np.asarray(column, dtype=complex).reshape(-1)
     if abs(np.linalg.norm(c) - 1.0) > ATOL:
         raise ValueError("first column must have unit norm")
-    dim = c.shape[0]
-    cols = [c]
-    for k in range(dim):
-        if len(cols) == dim:
-            break
-        v = np.zeros(dim, dtype=complex)
-        v[k] = 1.0
-        for w in cols:
-            v = v - np.vdot(w, v) * w
-        nv = np.linalg.norm(v)
-        if nv > 1e-8:
-            cols.append(v / nv)
-    if len(cols) != dim:
-        raise ValueError("failed to complete an orthonormal basis")
-    return np.column_stack(cols)
+    head = abs(c[0])
+    # w = e_0 + d, with d the column turned so that d[0] = |c[0]|
+    w = c * (c[0].conjugate() / head) if head else c.copy()
+    w[0] += 1.0
+    u = np.eye(c.shape[0], dtype=complex) - np.outer(w, w.conj()) / w[0].real
+    u[:, 0] = c
+    return u
 
 
 def uniform_over(dim: int, support: int) -> np.ndarray:
@@ -111,36 +106,43 @@ class SignedPermutation:
     ``op @ psi`` then applies row r to ``psi`` itself (one state, shape
     (dim,)) or to ``psi[r]`` (N states, shape (N, dim)), giving N states.
 
-    The constructor trusts its arguments; :meth:`validate` checks them,
-    as :meth:`Qcfa.validate` does for every signed permutation of a machine.
+    ``perm`` None is the identity permutation, so ``op @ psi`` is
+    ``sign * psi``.  The constructor trusts its arguments; :meth:`validate`
+    checks them, as :meth:`Qcfa.validate` does for every signed
+    permutation of a machine.
     Two operators are equal only if they are the same object; an operator
     is not a sequence, so numpy never reads it as one.
     """
 
     def __init__(self, perm, sign):
-        self.perm = perm  # integer index vector, or one per row
-        self.sign = sign  # entries +1 or -1, aligned with perm
+        self.perm = perm  # integer index vector, one per row, or None
+        self.sign = sign  # entries +1 or -1, one per index
 
     @property
     def dim(self) -> int:
-        return self.perm.shape[-1]
+        return self.sign.shape[-1]
 
     def __matmul__(self, psi: np.ndarray) -> np.ndarray:
-        if psi.shape == self.perm.shape[-1:]:
-            return self.sign * psi[self.perm]
-        if psi.ndim == 2 and psi.shape == self.perm.shape:
+        shape = self.sign.shape
+        if psi.shape == shape[-1:] or (psi.ndim == 2 and psi.shape == shape):
+            if self.perm is None:
+                return self.sign * psi
+            if psi.ndim == 1:
+                return self.sign * psi[self.perm]
             return self.sign * np.take_along_axis(psi, self.perm, axis=1)
-        raise ValueError(f"dimension mismatch: {self.perm.shape} vs {psi.shape}")
+        raise ValueError(f"dimension mismatch: {shape} vs {psi.shape}")
 
     def to_matrix(self) -> np.ndarray:
         """Dense reference matrix of one operator."""
+        rows = np.arange(self.dim)
         u = np.zeros((self.dim, self.dim), dtype=complex)
-        u[np.arange(self.dim), self.perm] = self.sign
+        u[rows, rows if self.perm is None else self.perm] = self.sign
         return u
 
     def validate(self) -> None:
         """Check that perm permutes 0..dim-1 and every sign is +1 or -1."""
-        perm, sign = np.asarray(self.perm), np.asarray(self.sign)
+        sign = np.asarray(self.sign)
+        perm = np.arange(sign.size) if self.perm is None else np.asarray(self.perm)
         if (perm.ndim != 1 or perm.dtype.kind not in "iu"
                 or not np.array_equal(np.sort(perm), np.arange(perm.size))):
             raise ValueError("perm is not a permutation of 0..dim-1")
@@ -159,19 +161,17 @@ def swap(x, n: int | None = None) -> SignedPermutation:
     offset = ones * n
     perm = np.concatenate((offset, -offset), axis=-1)
     perm += np.arange(2 * n)
-    return SignedPermutation(perm, np.ones(perm.shape))
+    return SignedPermutation(perm, np.ones(perm.shape, dtype=np.int8))
 
 
 def phase(y, n: int | None = None) -> SignedPermutation:
-    """Sign flip: -1 on (i,1) where y has a 1, +1 elsewhere.
+    """Sign flip: -1 on (i,1) where y has a 1, +1 elsewhere; no permutation.
 
     ``y`` is one :class:`BitString`, or an array of N word values of
     length ``n`` for a batch of N operators.
     """
     ones = unpack_bits(y, n)
     n = ones.shape[-1]
-    sign = np.ones(ones.shape[:-1] + (2 * n,))
-    sign[..., n:][ones] = -1.0
-    perm = np.empty(sign.shape, dtype=np.intp)
-    perm[...] = np.arange(2 * n)
-    return SignedPermutation(perm, sign)
+    sign = np.ones(ones.shape[:-1] + (2 * n,), dtype=np.int8)
+    sign[..., n:][ones] = -1
+    return SignedPermutation(None, sign)

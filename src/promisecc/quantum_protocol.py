@@ -42,17 +42,19 @@ from .bits import (
 from . import qsim
 
 
-@lru_cache(maxsize=None)  # Gram-Schmidt once per n, not once per chunk
+@lru_cache(maxsize=None)  # one dense build per n, not one per chunk
 def _collect(n: int) -> np.ndarray:
     return qsim.collect_op(n)
 
 
 def _round_states(x_values, y_values, n: int) -> np.ndarray:
-    """A batch of rounds up to the collect from ``1^n 0^n``: entries 0, 1, -1."""
+    """A batch of rounds up to the collect from ``1^n 0^n``: int8 entries
+    0, 1, -1."""
     if len(x_values) != len(y_values):
         raise ValueError(f"batch mismatch: {len(x_values)} vs {len(y_values)}")
     swap = qsim.swap(x_values, n)
-    return swap @ (qsim.phase(y_values, n) @ (swap @ np.repeat([1.0, 0.0], n)))
+    start = np.repeat(np.array([1, 0], dtype=np.int8), n)
+    return swap @ (qsim.phase(y_values, n) @ (swap @ start))
 
 
 def round_columns(x_values, y_values, n: int) -> tuple[np.ndarray, np.ndarray]:

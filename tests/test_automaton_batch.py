@@ -1,10 +1,11 @@
 """The batched automaton run, the pair rule for words and the integer round.
 
-The automaton sweep runs a chunk of words through a machine at once, labels
-pairs without building their words, and takes each machine's expected
-values from its word problem's integer n - 2c.  Each must give, bit for
-bit, what one word or one pair gives alone, whatever the batch around it.
-The reference run below is the one-word-at-a-time walk the batch replaced.
+The automaton sweep runs a chunk of words through a machine at once, as
+symbol codes on integer states, labels pairs without building their words,
+and checks the machine's integer against its word problem's n - 2c.  Each
+must give, bit for bit, what one word or one pair gives alone, whatever
+the batch around it.  The reference run below is the one-word-at-a-time
+walk in complex floats that the batch replaced.
 """
 
 import numpy as np
@@ -15,7 +16,9 @@ from promisecc import qsim
 from promisecc.automata import (
     LEFT_MARKER,
     RIGHT_MARKER,
+    WORD_ALPHABET,
     Qcfa,
+    accept_columns,
     accept_probabilities,
     accept_probability,
     disjointness_automaton,
@@ -36,17 +39,30 @@ MACHINES = [
 
 
 def _reference(machine: Qcfa, word: str) -> float:
-    """One word, one symbol at a time: the walk the batched run replaced."""
+    """One word, one symbol at a time, in complex floats: the walk the
+    batched run replaced, with each accept row of the right marker summed
+    term by term, as the run sums it."""
     index = machine.quantum_labels.index
     s = machine.initial_classical
     psi = np.zeros(machine.dim, dtype=complex)
     psi[index(machine.initial_quantum)] = 1.0
-    for sym in (LEFT_MARKER, *word, RIGHT_MARKER):
+    for sym in (LEFT_MARKER, *word):
         u = machine.quantum_tr.get((s, sym))
         if u is not None:
             psi = u @ psi
         s = machine.classical_tr.get((s, sym), s)
-    return sum(float(abs(psi[index(o)]) ** 2) for o in machine.accept_outcomes)
+    u = machine.quantum_tr.get((s, RIGHT_MARKER))
+    if u is None:
+        u = np.eye(machine.dim)
+    elif isinstance(u, qsim.SignedPermutation):
+        u = u.to_matrix()
+    total = 0.0
+    for o in sorted(index(o) for o in machine.accept_outcomes):
+        amplitude = 0j
+        for j in range(machine.dim):
+            amplitude += u[o, j] * psi[j]
+        total += float(np.abs(amplitude) ** 2)  # numpy's abs, as the run takes it
+    return total
 
 
 @st.composite
@@ -99,9 +115,9 @@ def _branching_machine() -> Qcfa:
     """A machine whose control path, and so its operators, depend on the word.
 
     The first symbol sends the control to "a" or "é"; from there each
-    symbol may switch branch, applying a signed permutation or a dense
-    unitary as it goes, and the right marker measures through a branch's
-    own operator.
+    symbol may switch branch, applying a signed permutation as it goes,
+    and the right marker measures through a branch's own dense unitary.
+    The left marker is dense too, with the start column (2, -1, 0)/sqrt(5).
     """
     rng = np.random.default_rng(3)
 
@@ -112,15 +128,16 @@ def _branching_machine() -> Qcfa:
     def signed(perm, sign):
         return qsim.SignedPermutation(np.array(perm), np.array(sign, dtype=float))
 
+    start = np.array([2, -1, 0]) * (1.0 / np.sqrt(5))
     quantum_tr = {
-        ("start", LEFT_MARKER): dense(),
+        ("start", LEFT_MARKER): qsim.complete_unitary_from_column(start),
         ("first", "a"): signed([1, 2, 0], [1, -1, 1]),
-        ("first", "é"): dense(),
+        ("first", "é"): signed([2, 0, 1], [-1, 1, 1]),
         ("a", "a"): signed([0, 1, 2], [-1, 1, -1]),
-        ("a", "é"): dense(),
+        ("a", "é"): signed([1, 0, 2], [1, -1, 1]),
         ("é", "é"): signed([2, 1, 0], [1, 1, 1]),
         ("a", RIGHT_MARKER): dense(),
-        ("é", RIGHT_MARKER): signed([1, 0, 2], [1, 1, -1]),
+        ("é", RIGHT_MARKER): dense(),
     }
     classical_tr = {
         ("start", LEFT_MARKER): "first",
@@ -141,6 +158,10 @@ def _branching_machine() -> Qcfa:
     )
     machine.validate()
     return machine
+
+
+def _with_operator(machine: Qcfa, key, u) -> Qcfa:
+    return machine._replace(quantum_tr={**machine.quantum_tr, key: u})
 
 
 @given(
@@ -164,6 +185,31 @@ def test_split_control_paths_are_taken():
     assert accept_probability(machine, "aé") != accept_probability(machine, "éé")
     assert len({round(p, 12) for p in accept_probabilities(
         machine, ["aaa", "aaé", "aéa", "éaa", "ééé"])}) == 5
+
+
+class TestRefusedMachines:
+    """The integer run takes only signed permutations between the markers,
+    and a left-marker column that is an int8 vector up to scale."""
+
+    def test_dense_middle_step(self):
+        dense = qsim.complete_unitary_from_column(np.array([1, 1j, 0]) / np.sqrt(2))
+        machine = _with_operator(_branching_machine(), ("a", "a"), dense)
+        machine.validate()  # a valid machine, but not one the run takes
+        with pytest.raises(ValueError, match=r"\('a', 'a'\) is not a signed permutation"):
+            accept_probabilities(machine, ["aa"])
+        # refused whether or not the words reach that step
+        with pytest.raises(ValueError, match="not a signed permutation"):
+            accept_probability(machine, "éé")
+
+    @pytest.mark.parametrize("column", [
+        [0.6, 0.8, 0.0],  # 3:4, but not integral at the smallest entry
+        [1 / np.sqrt(2), 0.5, 0.5],  # entries of two scales
+    ])
+    def test_left_marker_column_off_the_integers(self, column):
+        left = qsim.complete_unitary_from_column(np.array(column))
+        machine = _with_operator(_branching_machine(), ("start", LEFT_MARKER), left)
+        with pytest.raises(ValueError, match="not an int8 vector up to scale"):
+            accept_probability(machine, "a")
 
 
 class TestTransitionsReadPerRun:
@@ -272,6 +318,39 @@ def test_batched_round_columns_equal_pairs_alone(sized_chunks):
     dense = round_columns([x for x, _ in pairs], [y for _, y in pairs], n)[1].tolist()
     for p, s in zip(dense, alone):
         assert abs(p - s * s / n**2) <= 1e-12
+
+
+def _sized_pairs(max_size):
+    return st.integers(1, 64).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+        st.tuples(st.integers(0, 2**n - 1), st.integers(0, 2**n - 1)),
+        min_size=1, max_size=max_size,
+    )))
+
+
+@given(st.sampled_from(MACHINES), _sized_pairs(30))
+def test_machine_integer_is_n_minus_twice_the_count(kind, sized_pairs):
+    _, word_of, problem_of = kind
+    n, pairs = sized_pairs
+    xs, ys = (np.array(v, dtype=np.uint64) for v in zip(*pairs))
+    problem = problem_of(n)
+    codes = problem.symbol_codes(xs, ys)
+    words = [word_of(BitString(x, n), BitString(y, n)) for x, y in pairs]
+    assert ["".join(WORD_ALPHABET[c] for c in row) for row in codes.tolist()] == words
+    integers, witness = accept_columns(problem.machine, codes)
+    assert integers.dtype == np.int64
+    assert integers.tolist() == problem.amplitudes(xs, ys).tolist()
+    assert witness.tolist() == accept_probabilities(problem.machine, words)
+
+
+@given(_sized_pairs(40))
+def test_disjointness_machine_integer_is_the_round_integer(sized_pairs):
+    # two models of one round: the x#y#x machine's integer is the
+    # protocol round's S on the same pair
+    n, pairs = sized_pairs
+    xs, ys = (np.array(v, dtype=np.uint64) for v in zip(*pairs))
+    problem = disjointness_word_problem(n)
+    integers, _ = accept_columns(problem.machine, problem.symbol_codes(xs, ys))
+    assert integers.tolist() == round_columns(xs, ys, n)[0].tolist()
 
 
 @pytest.mark.parametrize("n", range(1, 7))

@@ -283,18 +283,18 @@ class TestQcfaSweep:
     def test_each_summary_answers_for_its_own_machine(self, tmp_path, monkeypatch, capsys):
         # push one equality word off its expected value; the disjointness
         # machine is untouched and its summary must say so
-        real = automata.accept_probabilities
+        real = automata.accept_columns
         equality = automata.equality_automaton(4)
         hits = []
 
-        def off_once(machine, words):
-            probabilities = real(machine, words)
+        def off_once(machine, codes):
+            integers, probabilities = real(machine, codes)
             if machine is equality and not hits:
-                hits.append(words[0])
+                hits.append("".join(automata.WORD_ALPHABET[c] for c in codes[0]))
                 probabilities[0] += 0.5
-            return probabilities
+            return integers, probabilities
 
-        monkeypatch.setattr(automata, "accept_probabilities", off_once)
+        monkeypatch.setattr(automata, "accept_columns", off_once)
         out = tmp_path / "a.json"
         cfg = ExperimentConfig(command="qcfa-sweep", n=4, out=str(out))
         assert run_experiment(cfg) == EXIT_INVARIANT

@@ -246,6 +246,48 @@ def test_qcfa_sweep_flags_a_non_unitary_operator(
     assert "equality machine is invalid: matrix is not unitary" in err
 
 
+def _counter_off_by_one(n):
+    # after the separator the equality machine reads y from position 2:
+    # y_i meets x_(i+1), and the last bit of y is not read
+    automata.equality_automaton(n).classical_tr[(n + 1, automata.SEPARATOR)] = 2
+
+
+def _sign_flip_dropped(n):
+    # the disjointness machine reads the first bit of y without its phase
+    del automata.disjointness_automaton(n).quantum_tr[(n + 1, "1")]
+
+
+@pytest.mark.parametrize("n,options", [(6, {}), (16, _SAMPLED)],
+                         ids=["exhaustive", "sample"])
+@pytest.mark.parametrize("name,mutate", [
+    ("equality", _counter_off_by_one),
+    ("disjointness", _sign_flip_dropped),
+], ids=["counter-off-by-one", "sign-flip-dropped"])
+def test_qcfa_sweep_flags_a_machine_off_its_integer(
+    name, mutate, n, options, tmp_path, capsys, fresh_machines
+):
+    # each is still a valid machine; only its integer, against the pair's
+    # own n - 2c, and its float witness see it
+    mutate(n)
+    err = _violations(tmp_path, capsys, "qcfa-sweep", n, **options)
+    assert re.search(rf"{name} word [01#]+ runs to integer -?\d+, but \|n - 2c\| is \d+",
+                     err)
+
+
+def test_qcfa_sweep_flags_a_machine_the_integer_run_refuses(
+    tmp_path, capsys, fresh_machines
+):
+    # the sign flip at position 1 as a dense matrix: still unitary, so
+    # the machine is valid, but the integer run takes no dense middle step
+    machine = automata.equality_automaton(4)
+    key = (1, "1")
+    machine.quantum_tr[key] = machine.quantum_tr[key].to_matrix()
+    err = _violations(tmp_path, capsys, "qcfa-sweep", 4)
+    assert ("equality machine cannot run: operator at (1, '1') is not a signed "
+            "permutation") in err
+    assert "disjointness" not in err
+
+
 @pytest.mark.parametrize("mode", ["exhaustive", "sample"])
 def test_quantum_sweep_flags_a_collect_row_that_is_not_uniform(
     mode, tmp_path, monkeypatch, capsys

@@ -4,10 +4,11 @@ Reports are promised to be byte-identical run to run, and changes that
 only make a command faster must keep them so.  These digests turn that
 into a check: a change to the sweeps, the rounds or the renderer that
 moves any byte fails here.  The two protocol sweeps print the floats of
-exact values, read from exact tables and per-key counts, but the
-automaton sweep's fields come from numpy and its BLAS, so a different
-build can round a last bit differently; on a mismatch, run the parent
-commit on the same machine before re-pinning.
+exact values, read from exact tables and per-key counts.  The automaton
+sweep's witness floats are sums taken term by term in a fixed order, with
+no BLAS call, but numpy's ``abs`` of a complex number may take another
+code path on another build or CPU and round a last bit differently; on a
+mismatch, run the parent commit on the same machine before re-pinning.
 
 The ``decision`` field of the protocol sweeps is a random draw.  A change
 to how the draws are made moves it and nothing else, so the sweep reports
@@ -64,13 +65,13 @@ CASES = {
     "qcfa-n6-csv": (
         dict(command="qcfa-sweep", n=6, seed=1, fmt="csv"),
         3965,
-        "9d024935fc69f08c4ccb4551fa4caa7425d8e679194e5b0e2ebc2953452a4306",
+        "508c2f31d828265d1f70a8730f10dfcd3f3e5200cfd0a6561c060a4d1b4d46fc",
     ),
     "qcfa-n32-sample-csv": (
         dict(command="qcfa-sweep", n=32, mode="sample", samples=200, seed=1,
              fmt="csv"),
         402,
-        "38de522b2783b16beca34310453dd1967b60ee97f56d661c299e7565c9bbf425",
+        "0e71d14b5baa6cd7ad05b7fdffbfabbaa7149007a14a49efcaa974ba186666f1",
     ),
     "qcfa-n64-sample-json": (
         dict(command="qcfa-sweep", n=64, mode="sample", samples=50, seed=1),
@@ -145,7 +146,7 @@ CASES = {
     "qcfa-n5-json": (
         dict(command="qcfa-sweep", n=5, seed=1),
         637,
-        "ded9a8bf7254f039d38106e4df526ca4c1ab47bc1ed376a4449a86d1d2002c1a",
+        "46412b8d5865ceb1889524f9d01bc157b2bf48f01b2589f4b7c525bfc1e04d78",
     ),
     "reduction-n4-json": (
         dict(command="reduction", n=4, seed=1),
